@@ -12,7 +12,7 @@
 ///    a bound-prefix point query, and a full scan, all on a session whose
 ///    relations were derived once and stay hot;
 ///  - incremental-batch throughput: driving a growing edge set through
-///    loadFacts one batch at a time (the delta-seeded update program)
+///    loadFacts one batch at a time (the incremental maintenance plan)
 ///    versus the cold baseline a user without the serving layer pays —
 ///    a fresh engine re-evaluating all facts so far after every batch.
 ///
@@ -113,13 +113,14 @@ void BM_QueryFullScan(benchmark::State &State) {
 }
 
 /// Extends the resident chain one single-edge batch at a time through the
-/// incremental update program. Each iteration rebuilds the session off the
-/// clock and times only the NumBatches loadFacts calls.
+/// incremental maintenance plan (DRed on the recursive path stratum). Each
+/// iteration rebuilds the session off the clock and times only the
+/// NumBatches loadFacts calls.
 void BM_IncrementalBatches(benchmark::State &State) {
   const RamDomain NumBatches = static_cast<RamDomain>(State.range(0));
   for (auto _ : State) {
     auto Session = EngineSession::fromSource(TcSource);
-    if (!Session || !Session->isIncremental())
+    if (!Session || !Session->isMaintained())
       std::abort();
     const auto Start = std::chrono::steady_clock::now();
     for (RamDomain I = 0; I < NumBatches; ++I)

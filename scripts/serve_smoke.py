@@ -258,7 +258,7 @@ def main():
             if load["inserted"] != len(EDGES) or load["duplicates"] != 0:
                 fail(f"unexpected load counts: {load}")
             if not load["incremental"]:
-                fail("tc.dl should be update-eligible (incremental)")
+                fail("tc.dl should be maintained (incremental)")
 
             want = expected_paths(EDGES)
             if sorted(full["tuples"]) != want:

@@ -49,7 +49,6 @@ Program::fromSource(const std::string &Source,
 
   auto Result = std::unique_ptr<Program>(new Program());
   translate::TranslationOptions TranslateOptions;
-  TranslateOptions.EmitUpdateProgram = Options.EmitUpdateProgram;
   TranslateOptions.EmitMaintenance = Options.EmitMaintenance;
   TranslateOptions.Sips = Options.Sips;
   TranslateOptions.Feedback = Options.Feedback;

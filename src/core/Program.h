@@ -44,10 +44,6 @@ namespace stird::core {
 
 /// Compilation-time choices (as opposed to the per-engine EngineOptions).
 struct CompileOptions {
-  /// Also emit the incremental-update statement so resident sessions can
-  /// apply monotonic fact batches without recomputing from scratch (see
-  /// translate::TranslationOptions::EmitUpdateProgram for eligibility).
-  bool EmitUpdateProgram = false;
   /// Also emit the incremental maintenance program for mixed
   /// insert/retract batches (counting + DRed per stratum, scoped Reeval
   /// fallbacks — see translate::TranslationOptions::EmitMaintenance).

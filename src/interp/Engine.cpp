@@ -196,26 +196,6 @@ void Engine::run() {
       State.Stats[I].notePeak(State.StatsRelations[I]->size());
 }
 
-void Engine::runUpdate() {
-  assert(Prog.hasUpdate() &&
-         "program was translated without an update statement");
-  // The update tree is generated once, on the first batch, and reused for
-  // every subsequent one — the resident-engine counterpart of the one-shot
-  // pipeline's generate-then-execute.
-  if (!UpdateRoot)
-    UpdateRoot = generateTree(Prog.getUpdate(), Indexes, State,
-                              generatorOptions(Options));
-  ExecutorBase &Exec = ensureExecutor();
-  if (State.Trace)
-    State.Trace->begin("update");
-  Exec.run(*UpdateRoot);
-  if (State.Trace)
-    State.Trace->end();
-  if (State.CollectStats)
-    for (std::size_t I = 0; I < State.StatsRelations.size(); ++I)
-      State.Stats[I].notePeak(State.StatsRelations[I]->size());
-}
-
 ExecutorBase &Engine::ensureMaintExecutor() {
   switch (Options.TheBackend) {
   case Backend::DynamicAdapter:

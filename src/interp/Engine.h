@@ -194,18 +194,6 @@ public:
   /// paper's measurements) and executes the program.
   void run();
 
-  /// Whether the RAM program carries an incremental-update statement
-  /// (translated with EmitUpdateProgram and found eligible).
-  bool supportsIncrementalUpdate() const { return Prog.hasUpdate(); }
-
-  /// Executes the incremental-update statement over the resident
-  /// relations: the caller has inserted a monotonic batch of new EDB
-  /// tuples into both each full relation and its update-delta relation
-  /// (see ram::Program::getUpdateAux); this derives every consequence and
-  /// clears the deltas. The update tree is generated once and reused
-  /// across batches.
-  void runUpdate();
-
   /// Executes one RAM statement of the engine's program over the resident
   /// relations. Used by the maintenance driver (inc::Maintainer) to run
   /// per-stratum update statements, the count-initialization statement,
@@ -266,7 +254,6 @@ private:
   EngineOptions Options;
   EngineState State;
   NodePtr Root;
-  NodePtr UpdateRoot;
   /// Per-statement tree cache for runStatement (maintenance strata run
   /// once per batch; regenerating their trees each time would dwarf small
   /// batches).

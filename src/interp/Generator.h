@@ -50,8 +50,8 @@ NodePtr generateTree(const ram::Program &Prog,
                      const translate::IndexSelectionResult &Indexes,
                      EngineState &State, const GeneratorOptions &Options);
 
-/// Same, but for an explicit root statement of the program (e.g. the
-/// incremental-update statement instead of main).
+/// Same, but for an explicit root statement of the program (e.g. a
+/// maintenance stratum's statement instead of main).
 NodePtr generateTree(const ram::Statement &Root,
                      const translate::IndexSelectionResult &Indexes,
                      EngineState &State, const GeneratorOptions &Options);

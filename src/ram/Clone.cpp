@@ -11,18 +11,6 @@
 using namespace stird;
 using namespace stird::ram;
 
-namespace {
-
-/// Applies the relation map (when given) to one reference.
-const Relation *remap(const Relation &Rel, const RelationMap *Map) {
-  if (Map)
-    if (auto It = Map->find(&Rel); It != Map->end())
-      return It->second;
-  return &Rel;
-}
-
-} // namespace
-
 std::vector<ExprPtr>
 stird::ram::clonePattern(const std::vector<ExprPtr> &Pattern) {
   std::vector<ExprPtr> Result;
@@ -56,181 +44,125 @@ ExprPtr stird::ram::clone(const Expression &Expr) {
   unreachable("unknown expression kind");
 }
 
-CondPtr stird::ram::clone(const Condition &Cond, const RelationMap *Map) {
+CondPtr stird::ram::clone(const Condition &Cond) {
   switch (Cond.getKind()) {
   case Condition::Kind::True:
     return std::make_unique<True>();
   case Condition::Kind::Conjunction: {
     const auto &C = static_cast<const Conjunction &>(Cond);
-    return std::make_unique<Conjunction>(clone(C.getLhs(), Map),
-                                         clone(C.getRhs(), Map));
+    return std::make_unique<Conjunction>(clone(C.getLhs()), clone(C.getRhs()));
   }
   case Condition::Kind::Negation:
     return std::make_unique<Negation>(
-        clone(static_cast<const Negation &>(Cond).getInner(), Map));
+        clone(static_cast<const Negation &>(Cond).getInner()));
   case Condition::Kind::Constraint: {
     const auto &C = static_cast<const Constraint &>(Cond);
     return std::make_unique<Constraint>(C.getOp(), clone(C.getLhs()),
                                         clone(C.getRhs()));
   }
   case Condition::Kind::EmptinessCheck:
-    return std::make_unique<EmptinessCheck>(remap(
-        static_cast<const EmptinessCheck &>(Cond).getRelation(), Map));
+    return std::make_unique<EmptinessCheck>(
+        &static_cast<const EmptinessCheck &>(Cond).getRelation());
   case Condition::Kind::ExistenceCheck: {
     const auto &C = static_cast<const ExistenceCheck &>(Cond);
-    return std::make_unique<ExistenceCheck>(remap(C.getRelation(), Map),
+    return std::make_unique<ExistenceCheck>(&C.getRelation(),
                                             clonePattern(C.getPattern()));
   }
   }
   unreachable("unknown condition kind");
 }
 
-OpPtr stird::ram::clone(const Operation &Op, const RelationMap *Map) {
+OpPtr stird::ram::clone(const Operation &Op) {
   switch (Op.getKind()) {
   case Operation::Kind::Scan: {
     const auto &S = static_cast<const Scan &>(Op);
-    return std::make_unique<Scan>(remap(S.getRelation(), Map),
-                                  S.getTupleId(),
-                                  clone(S.getNested(), Map));
+    return std::make_unique<Scan>(&S.getRelation(), S.getTupleId(),
+                                  clone(S.getNested()));
   }
   case Operation::Kind::IndexScan: {
     const auto &S = static_cast<const IndexScan &>(Op);
-    return std::make_unique<IndexScan>(remap(S.getRelation(), Map),
-                                       S.getTupleId(),
+    return std::make_unique<IndexScan>(&S.getRelation(), S.getTupleId(),
                                        clonePattern(S.getPattern()),
-                                       clone(S.getNested(), Map));
+                                       clone(S.getNested()));
   }
   case Operation::Kind::Filter: {
     const auto &F = static_cast<const Filter &>(Op);
-    return std::make_unique<Filter>(clone(F.getCondition(), Map),
-                                    clone(F.getNested(), Map));
+    return std::make_unique<Filter>(clone(F.getCondition()),
+                                    clone(F.getNested()));
   }
   case Operation::Kind::Project: {
     const auto &P = static_cast<const Project &>(Op);
-    return std::make_unique<Project>(remap(P.getRelation(), Map),
+    return std::make_unique<Project>(&P.getRelation(),
                                      clonePattern(P.getValues()));
   }
   case Operation::Kind::Aggregate: {
     const auto &A = static_cast<const Aggregate &>(Op);
     return std::make_unique<Aggregate>(
-        A.getFunc(), remap(A.getRelation(), Map), A.getTupleId(),
+        A.getFunc(), &A.getRelation(), A.getTupleId(),
         clonePattern(A.getPattern()),
         A.getTargetExpr() ? clone(*A.getTargetExpr()) : nullptr,
-        A.getCondition() ? clone(*A.getCondition(), Map) : nullptr,
-        clone(A.getNested(), Map));
+        A.getCondition() ? clone(*A.getCondition()) : nullptr,
+        clone(A.getNested()));
   }
   }
   unreachable("unknown operation kind");
 }
 
-StmtPtr stird::ram::clone(const Statement &Stmt, const RelationMap *Map) {
+StmtPtr stird::ram::clone(const Statement &Stmt) {
   switch (Stmt.getKind()) {
   case Statement::Kind::Sequence: {
     std::vector<StmtPtr> Children;
     for (const auto &Child :
          static_cast<const Sequence &>(Stmt).getStatements())
-      Children.push_back(clone(*Child, Map));
+      Children.push_back(clone(*Child));
     return std::make_unique<Sequence>(std::move(Children));
   }
   case Statement::Kind::Loop:
     return std::make_unique<Loop>(
-        clone(static_cast<const Loop &>(Stmt).getBody(), Map));
+        clone(static_cast<const Loop &>(Stmt).getBody()));
   case Statement::Kind::Exit:
     return std::make_unique<Exit>(
-        clone(static_cast<const Exit &>(Stmt).getCondition(), Map));
+        clone(static_cast<const Exit &>(Stmt).getCondition()));
   case Statement::Kind::Query:
     return std::make_unique<Query>(
-        clone(static_cast<const Query &>(Stmt).getRoot(), Map));
+        clone(static_cast<const Query &>(Stmt).getRoot()));
   case Statement::Kind::Clear:
     return std::make_unique<Clear>(
-        remap(static_cast<const Clear &>(Stmt).getRelation(), Map));
+        &static_cast<const Clear &>(Stmt).getRelation());
   case Statement::Kind::Swap: {
     const auto &S = static_cast<const Swap &>(Stmt);
-    return std::make_unique<Swap>(remap(S.getFirst(), Map),
-                                  remap(S.getSecond(), Map));
+    return std::make_unique<Swap>(&S.getFirst(), &S.getSecond());
   }
   case Statement::Kind::MergeInto: {
     const auto &M = static_cast<const MergeInto &>(Stmt);
-    return std::make_unique<MergeInto>(remap(M.getSource(), Map),
-                                       remap(M.getDestination(), Map));
+    return std::make_unique<MergeInto>(&M.getSource(), &M.getDestination());
   }
   case Statement::Kind::Erase: {
     const auto &E = static_cast<const Erase &>(Stmt);
-    return std::make_unique<Erase>(remap(E.getSource(), Map),
-                                   remap(E.getDestination(), Map));
+    return std::make_unique<Erase>(&E.getSource(), &E.getDestination());
   }
   case Statement::Kind::SubtractInto: {
     const auto &S = static_cast<const SubtractInto &>(Stmt);
-    return std::make_unique<SubtractInto>(remap(S.getSource(), Map),
-                                          remap(S.getFilter(), Map),
-                                          remap(S.getDestination(), Map));
+    return std::make_unique<SubtractInto>(&S.getSource(), &S.getFilter(),
+                                          &S.getDestination());
   }
   case Statement::Kind::FoldCounts: {
     const auto &F = static_cast<const FoldCounts &>(Stmt);
-    return std::make_unique<FoldCounts>(
-        remap(F.getAdd(), Map), remap(F.getDec(), Map),
-        remap(F.getSupport(), Map), remap(F.getTarget(), Map),
-        remap(F.getInsOut(), Map), remap(F.getDelOut(), Map));
+    return std::make_unique<FoldCounts>(&F.getAdd(), &F.getDec(),
+                                        &F.getSupport(), &F.getTarget(),
+                                        &F.getInsOut(), &F.getDelOut());
   }
   case Statement::Kind::Io: {
     const auto &IoStmt = static_cast<const Io &>(Stmt);
-    return std::make_unique<Io>(IoStmt.getDirection(),
-                                remap(IoStmt.getRelation(), Map));
+    return std::make_unique<Io>(IoStmt.getDirection(), &IoStmt.getRelation());
   }
   case Statement::Kind::LogTimer: {
     const auto &Log = static_cast<const LogTimer &>(Stmt);
     // RuleInfo is plain data (label, stratum, the planner's Sips/AtomOrder
     // annotations, ...) — the struct copy carries everything.
     return std::make_unique<LogTimer>(Log.getLabel(), Log.getInfo(),
-                                      clone(Log.getBody(), Map));
+                                      clone(Log.getBody()));
   }
   }
   unreachable("unknown statement kind");
-}
-
-std::unique_ptr<Program> stird::ram::cloneProgram(const Program &Prog) {
-  auto Result = std::make_unique<Program>();
-  RelationMap Map;
-  for (const auto &Rel : Prog.getRelations()) {
-    Relation *Copy = Result->addRelation(
-        Rel->getName(), Rel->getColumnTypes(), Rel->getStructure());
-    Copy->setOrders(Rel->getOrders());
-    if (Rel->isInput())
-      Copy->markInput(Rel->getInputPath());
-    if (Rel->isOutput())
-      Copy->markOutput(Rel->getOutputPath());
-    if (Rel->isPrintSize())
-      Copy->markPrintSize();
-    Map[Rel.get()] = Copy;
-  }
-  if (Prog.hasMain())
-    Result->setMain(clone(Prog.getMain(), &Map));
-  if (Prog.hasUpdate())
-    Result->setUpdate(clone(Prog.getUpdate(), &Map));
-  for (const auto &[Rel, Aux] : Prog.getUpdateAuxMap())
-    Result->setUpdateAux(Rel, Aux);
-  if (Prog.hasMaintenance()) {
-    std::vector<Program::MaintStratum> Strata;
-    for (const auto &S : Prog.getMaintStrata()) {
-      Program::MaintStratum Copy;
-      Copy.Strategy = S.Strategy;
-      Copy.FallbackReason = S.FallbackReason;
-      Copy.Relations = S.Relations;
-      Copy.Stmt = S.Stmt ? clone(*S.Stmt, &Map) : nullptr;
-      Copy.MainBegin = S.MainBegin;
-      Copy.MainEnd = S.MainEnd;
-      Strata.push_back(std::move(Copy));
-    }
-    Result->setMaintStrata(std::move(Strata));
-    if (const Statement *Prologue = Prog.getMaintPrologue())
-      Result->setMaintPrologue(clone(*Prologue, &Map));
-    if (const Statement *CountInit = Prog.getCountInit())
-      Result->setCountInit(clone(*CountInit, &Map));
-    if (const Statement *Epilogue = Prog.getMaintEpilogue())
-      Result->setMaintEpilogue(clone(*Epilogue, &Map));
-  }
-  Result->setMaintIneligibleReason(Prog.getMaintIneligibleReason());
-  for (const auto &[Rel, Aux] : Prog.getMaintAuxMap())
-    Result->setMaintAux(Rel, Aux);
-  return Result;
 }

@@ -6,11 +6,8 @@
 ///
 /// \file
 /// Deep-clone helpers for RAM nodes. Relations are referenced, not owned:
-/// by default clones share the original Relation objects, which is what
-/// the rewriting optimizer passes (ram/Transforms.h) want. Passing a
-/// RelationMap redirects every relation reference during the clone, the
-/// building block of cloneProgram() — a fully independent copy of a whole
-/// program, own relations included.
+/// clones share the original Relation objects, which is what the rewriting
+/// optimizer passes (ram/Transforms.h) want.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,28 +16,15 @@
 
 #include "ram/Ram.h"
 
-#include <memory>
-#include <unordered_map>
-
 namespace stird::ram {
 
-/// Original relation -> replacement, applied to every relation reference
-/// met during a clone. Relations absent from the map stay shared.
-using RelationMap = std::unordered_map<const Relation *, const Relation *>;
-
 ExprPtr clone(const Expression &Expr);
-CondPtr clone(const Condition &Cond, const RelationMap *Map = nullptr);
-OpPtr clone(const Operation &Op, const RelationMap *Map = nullptr);
-StmtPtr clone(const Statement &Stmt, const RelationMap *Map = nullptr);
+CondPtr clone(const Condition &Cond);
+OpPtr clone(const Operation &Op);
+StmtPtr clone(const Statement &Stmt);
 
 /// Clones a pattern/value vector (entries may not be null).
 std::vector<ExprPtr> clonePattern(const std::vector<ExprPtr> &Pattern);
-
-/// Deep-copies a whole program: fresh Relation objects (name, column
-/// types, structure, orders, IO markings), main/update statements rewired
-/// onto them, and the update-aux name table. The clone shares nothing with
-/// the original; printing both yields identical text.
-std::unique_ptr<Program> cloneProgram(const Program &Prog);
 
 } // namespace stird::ram
 

@@ -750,39 +750,6 @@ public:
   }
   bool hasMain() const { return Main != nullptr; }
 
-  /// The incremental-update statement (see TranslationOptions::
-  /// EmitUpdateProgram): re-derives the fixpoint after a monotonic batch of
-  /// EDB additions has been inserted into the full relations AND their
-  /// delta relations. Absent when update emission was off or the program is
-  /// ineligible (negation, aggregates, `$`, eqrel) — callers then fall back
-  /// to re-running the main statement from scratch.
-  void setUpdate(StmtPtr Stmt) { Update = std::move(Stmt); }
-  const Statement &getUpdate() const {
-    assert(Update && "program has no update statement");
-    return *Update;
-  }
-  bool hasUpdate() const { return Update != nullptr; }
-
-  /// Names of the auxiliary relations serving the update statement for one
-  /// user relation: Delta seeds/propagates additions, New buffers guarded
-  /// inserts, Added (recursive relations only, else empty) accumulates a
-  /// stratum's loop additions.
-  struct UpdateAux {
-    std::string Delta;
-    std::string New;
-    std::string Added;
-  };
-  void setUpdateAux(const std::string &Rel, UpdateAux Aux) {
-    UpdateAuxOf[Rel] = std::move(Aux);
-  }
-  const UpdateAux *getUpdateAux(const std::string &Rel) const {
-    auto It = UpdateAuxOf.find(Rel);
-    return It == UpdateAuxOf.end() ? nullptr : &It->second;
-  }
-  const std::unordered_map<std::string, UpdateAux> &getUpdateAuxMap() const {
-    return UpdateAuxOf;
-  }
-
   //===--------------------------------------------------------------------===//
   // Incremental maintenance (mixed insert/retract batches)
   //===--------------------------------------------------------------------===//
@@ -876,8 +843,6 @@ public:
 private:
   std::vector<std::unique_ptr<Relation>> Relations;
   StmtPtr Main;
-  StmtPtr Update;
-  std::unordered_map<std::string, UpdateAux> UpdateAuxOf;
   std::vector<MaintStratum> MaintStrata;
   std::string MaintIneligibleReason;
   std::unordered_map<std::string, MaintAux> MaintAuxOf;

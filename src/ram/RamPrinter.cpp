@@ -443,8 +443,6 @@ std::string stird::ram::print(const Program &Prog) {
   }
   if (Prog.hasMain())
     Out << print(Prog.getMain());
-  if (Prog.hasUpdate())
-    Out << "UPDATE\n" << print(Prog.getUpdate());
   if (Prog.hasMaintenance()) {
     Out << "MAINTENANCE\n";
     if (const Statement *Prologue = Prog.getMaintPrologue())

@@ -442,8 +442,6 @@ TransformStats stird::ram::foldConstants(Program &Prog,
     return Stats;
   ConstantFolder Folder(Symbols, Stats);
   Prog.setMain(Folder.rewriteStmt(Prog.getMain()));
-  if (Prog.hasUpdate())
-    Prog.setUpdate(Folder.rewriteStmt(Prog.getUpdate()));
   return Stats;
 }
 
@@ -453,8 +451,6 @@ std::size_t stird::ram::mergeAdjacentFilters(Program &Prog) {
     return Merged;
   FilterMerger Merger(Merged);
   Prog.setMain(Merger.rewriteStmt(Prog.getMain()));
-  if (Prog.hasUpdate())
-    Prog.setUpdate(Merger.rewriteStmt(Prog.getUpdate()));
   return Merged;
 }
 
@@ -464,7 +460,5 @@ std::size_t stird::ram::sinkFiltersIntoScans(Program &Prog) {
     return Sunk;
   FilterSinker Sinker(Sunk);
   Prog.setMain(Sinker.rewriteStmt(Prog.getMain()));
-  if (Prog.hasUpdate())
-    Prog.setUpdate(Sinker.rewriteStmt(Prog.getUpdate()));
   return Sunk;
 }

@@ -24,11 +24,10 @@ using namespace stird::srv;
 struct stird::srv::detail::SessionSide {
   std::unique_ptr<interp::Engine> Eng;
   /// This side's maintenance driver, present when the program carries a
-  /// maintenance plan. Recreated (and re-bootstrapped) with the engine.
+  /// maintenance plan.
   std::unique_ptr<inc::Maintainer> Maint;
-  /// Batches of the session log applied to this side.
-  std::size_t Applied = 0;
-  /// Epoch readers observe through snapshots of this side.
+  /// Batches applied to this side; the epoch readers observe through
+  /// snapshots of it.
   std::uint64_t Epoch = 0;
   /// Number of snapshots currently pinning this side.
   mutable std::atomic<std::size_t> Readers{0};
@@ -94,7 +93,6 @@ EngineSession::fromSource(const std::string &Source,
                           const SessionOptions &Options,
                           std::vector<std::string> *Errors) {
   core::CompileOptions Compile = Options.Compile;
-  Compile.EmitUpdateProgram = true;
   Compile.EmitMaintenance = true;
   std::shared_ptr<core::Program> Prog =
       core::Program::fromSource(Source, Errors, Compile);
@@ -108,7 +106,6 @@ EngineSession::fromFile(const std::string &Path,
                         const SessionOptions &Options,
                         std::vector<std::string> *Errors) {
   core::CompileOptions Compile = Options.Compile;
-  Compile.EmitUpdateProgram = true;
   Compile.EmitMaintenance = true;
   std::shared_ptr<core::Program> Prog =
       core::Program::fromFile(Path, Errors, Compile);
@@ -127,7 +124,6 @@ EngineSession::create(std::shared_ptr<core::Program> Program,
 EngineSession::EngineSession(std::shared_ptr<core::Program> Program,
                              const SessionOptions &Opts)
     : Prog(std::move(Program)), Options(Opts),
-      Incremental(Prog->getRam().hasUpdate()),
       Maintained(Prog->getRam().hasMaintenance()) {
   for (const auto &Clause : Prog->getAst().Clauses)
     DerivedRels.insert(Clause->getHead().getName());
@@ -172,159 +168,82 @@ static bool hasRetracts(const inc::MixedBatch &Batch) {
   return false;
 }
 
-std::pair<std::size_t, std::size_t>
-EngineSession::applyInserts(Side &S, const inc::MixedBatch &Batch) {
-  std::size_t Inserted = 0, Duplicates = 0;
+void EngineSession::applyMaintained(Side &S, const inc::MixedBatch &Batch,
+                                    BatchResult *Result) {
+  // Every batch — pure inserts included — goes through the maintenance
+  // plan; bypassing it would let the support counts drift.
+  inc::MaintenanceReport Report = S.Maint->apply(Batch);
+  if (!Result)
+    return;
+  Result->Maintained = true;
+  Result->Inserted = Report.Inserted;
+  Result->Duplicates = Report.Duplicates;
+  Result->Deleted = Report.Deleted;
+  Result->Missing = Report.Missing;
+  {
+    std::lock_guard<std::mutex> Lock(TelemetryMutex);
+    ++Telemetry.Batches;
+    Telemetry.Inserted += Report.Inserted;
+    Telemetry.Deleted += Report.Deleted;
+    Telemetry.ReevalStrata += Report.ReevalStrata;
+    for (const inc::StratumReport &SR : Report.Strata)
+      Telemetry.Rederived += SR.Rederived;
+  }
+  for (const inc::StratumReport &SR : Report.Strata)
+    if (!SR.FallbackReason.empty())
+      recordFallback(SR.FallbackReason);
+  Result->Maint = std::move(Report);
+}
+
+void EngineSession::applyRebuilding(Side &S, const interp::Engine &Current,
+                                    const inc::MixedBatch &Batch,
+                                    BatchResult &Result) {
+  // Count EDB novelty against the up-to-date published engine, staging
+  // exactly like the Maintainer does (retract-before-insert, an insert
+  // cancels a staged deletion) so both paths report alike. The same pass
+  // folds the batch into the net EDB.
   for (const inc::RelationOps &Ops : Batch) {
-    interp::RelationWrapper *Full = S.Eng->getRelation(Ops.Relation);
+    const interp::RelationWrapper *Full = Current.getRelation(Ops.Relation);
     if (!Full)
       fatal("unknown relation '" + Ops.Relation + "'");
-    const ram::Program::UpdateAux *Aux =
-        Prog->getRam().getUpdateAux(Ops.Relation);
-    interp::RelationWrapper *Delta =
-        Incremental ? S.Eng->getRelation(Aux->Delta) : nullptr;
+    std::set<DynTuple> &Net = NetEdb[Ops.Relation];
+    std::set<DynTuple> Del, Ins;
+    for (const DynTuple &Tuple : Ops.Retracts) {
+      Net.erase(Tuple);
+      if (Full->contains(Tuple.data()) && Del.insert(Tuple).second)
+        ++Result.Deleted;
+      else
+        ++Result.Missing;
+    }
     for (const DynTuple &Tuple : Ops.Inserts) {
-      if (Tuple.size() != Full->getArity())
-        fatal("arity mismatch for relation '" + Ops.Relation + "'");
-      if (Full->insert(Tuple.data())) {
-        ++Inserted;
-        if (Delta)
-          Delta->insert(Tuple.data());
+      Net.insert(Tuple);
+      if (Del.erase(Tuple)) {
+        --Result.Deleted;
+        ++Result.Duplicates;
+      } else if (Full->contains(Tuple.data())) {
+        ++Result.Duplicates;
+      } else if (Ins.insert(Tuple).second) {
+        ++Result.Inserted;
       } else {
-        ++Duplicates;
+        ++Result.Duplicates;
       }
     }
   }
-  if (Incremental)
-    S.Eng->runUpdate();
-  return {Inserted, Duplicates};
-}
-
-void EngineSession::rebuild(Side &S) {
-  // Full re-evaluation fallback for batches the in-place paths cannot
-  // handle: reduce the whole log to the net EDB it leaves behind
-  // (sequential replay, retract-before-insert within each batch — the
-  // same order the Maintainer stages), seed a fresh engine with it and
-  // run once. Restores the exact one-shot semantics at the cost of
-  // recomputation.
-  std::map<std::string, std::set<DynTuple>> Net;
-  for (const inc::MixedBatch &Batch : Log)
-    for (const inc::RelationOps &Ops : Batch) {
-      std::set<DynTuple> &Rel = Net[Ops.Relation];
-      for (const DynTuple &Tuple : Ops.Retracts)
-        Rel.erase(Tuple);
-      for (const DynTuple &Tuple : Ops.Inserts)
-        Rel.insert(Tuple);
-    }
+  // Seed a fresh engine with the net EDB and run once: the exact one-shot
+  // semantics at the cost of recomputation.
   S.Eng = Prog->makeEngine(Options.Engine);
-  for (const auto &[Name, Tuples] : Net)
+  for (const auto &[Name, Tuples] : NetEdb)
     S.Eng->insertTuples(Name,
                         std::vector<DynTuple>(Tuples.begin(), Tuples.end()));
   S.Eng->run();
-  if (Maintained) {
-    S.Maint = std::make_unique<inc::Maintainer>(Prog->getRam(), *S.Eng);
-    S.Maint->bootstrap();
-  }
-  S.Applied = Log.size();
-}
-
-void EngineSession::applyOne(Side &S, const inc::MixedBatch &Batch,
-                             BatchResult *Result) {
-  if (Maintained) {
-    // Every batch — pure inserts included — goes through the maintenance
-    // plan; bypassing it would let the support counts drift.
-    inc::MaintenanceReport Report = S.Maint->apply(Batch);
-    ++S.Applied;
-    if (!Result)
-      return;
-    Result->Incremental = true;
-    Result->Maintained = true;
-    Result->Inserted = Report.Inserted;
-    Result->Duplicates = Report.Duplicates;
-    Result->Deleted = Report.Deleted;
-    Result->Missing = Report.Missing;
-    {
-      std::lock_guard<std::mutex> Lock(TelemetryMutex);
-      ++Telemetry.Batches;
-      Telemetry.Inserted += Report.Inserted;
-      Telemetry.Deleted += Report.Deleted;
-      Telemetry.ReevalStrata += Report.ReevalStrata;
-      for (const inc::StratumReport &SR : Report.Strata)
-        Telemetry.Rederived += SR.Rederived;
-    }
-    for (const inc::StratumReport &SR : Report.Strata)
-      if (!SR.FallbackReason.empty())
-        recordFallback(SR.FallbackReason);
-    Result->Maint = std::move(Report);
-    return;
-  }
-  if (!hasRetracts(Batch) && Incremental) {
-    auto [Inserted, Duplicates] = applyInserts(S, Batch);
-    ++S.Applied;
-    if (Result) {
-      Result->Incremental = true;
-      Result->Inserted = Inserted;
-      Result->Duplicates = Duplicates;
-    }
-    return;
-  }
-  // Count EDB novelty against the caught-up side before rebuilding wipes
-  // it, staging exactly like the Maintainer does (retract-before-insert,
-  // an insert cancels a staged deletion) so both paths report alike.
-  if (Result) {
-    for (const inc::RelationOps &Ops : Batch) {
-      const interp::RelationWrapper *Full = S.Eng->getRelation(Ops.Relation);
-      if (!Full)
-        fatal("unknown relation '" + Ops.Relation + "'");
-      std::set<DynTuple> Del, Ins;
-      for (const DynTuple &Tuple : Ops.Retracts) {
-        if (Full->contains(Tuple.data()) && Del.insert(Tuple).second)
-          ++Result->Deleted;
-        else
-          ++Result->Missing;
-      }
-      for (const DynTuple &Tuple : Ops.Inserts) {
-        if (Del.erase(Tuple)) {
-          --Result->Deleted;
-          ++Result->Duplicates;
-        } else if (Full->contains(Tuple.data())) {
-          ++Result->Duplicates;
-        } else if (Ins.insert(Tuple).second) {
-          ++Result->Inserted;
-        } else {
-          ++Result->Duplicates;
-        }
-      }
-    }
+  {
     std::lock_guard<std::mutex> Lock(TelemetryMutex);
     ++Telemetry.Rebuilds;
   }
-  rebuild(S);
-  if (Result) {
-    std::string Reason = Telemetry.IneligibleReason;
-    recordFallback(hasRetracts(Batch)
-                       ? "retraction without maintenance plan: " + Reason
-                       : Reason);
-  }
-}
-
-void EngineSession::catchUp(Side &S) {
-  if (S.Applied == Log.size())
-    return;
-  if (!Maintained) {
-    // Without a maintenance plan a lagging side rebuilds once instead of
-    // replaying batch by batch — unless the whole backlog is pure inserts
-    // on an update-eligible program.
-    bool AnyRetracts = false;
-    for (std::size_t I = S.Applied; I < Log.size(); ++I)
-      AnyRetracts = AnyRetracts || hasRetracts(Log[I]);
-    if (!Incremental || AnyRetracts) {
-      rebuild(S);
-      return;
-    }
-  }
-  while (S.Applied < Log.size())
-    applyOne(S, Log[S.Applied], nullptr);
+  const std::string &Reason = Telemetry.IneligibleReason;
+  recordFallback(hasRetracts(Batch)
+                     ? "retraction without maintenance plan: " + Reason
+                     : Reason);
 }
 
 BatchResult EngineSession::loadFacts(const FactBatch &Batch) {
@@ -385,21 +304,31 @@ BatchResult EngineSession::applyMixed(const inc::MixedBatch &Batch) {
   Timer T;
   std::lock_guard<std::mutex> Lock(WriterMutex);
 
+  const Side &Published = *Sides[1 - PassiveIdx];
   BatchResult Result;
   Result.Error = validateMixed(Batch);
   if (!Result.Error.empty()) {
     // Rejected before anything was staged: nothing applied, nothing
-    // logged, the epoch stands.
-    Result.Epoch = Log.size();
+    // retained, the epoch stands.
+    Result.Epoch = Published.Epoch;
     return Result;
   }
 
   Side &W = *Sides[PassiveIdx];
   waitQuiesce(W);
-  catchUp(W);
-  Log.push_back(Batch);
-  applyOne(W, Batch, &Result);
-  W.Epoch = Log.size();
+  if (Maintained) {
+    // Left-right alternation: the passive side missed exactly the batch
+    // the other side published last.
+    if (W.Epoch != Published.Epoch) {
+      assert(W.Epoch + 1 == Published.Epoch && "passive side lags by one");
+      applyMaintained(W, Pending, nullptr);
+    }
+    applyMaintained(W, Batch, &Result);
+    Pending = Batch;
+  } else {
+    applyRebuilding(W, *Published.Eng, Batch, Result);
+  }
+  W.Epoch = Published.Epoch + 1;
   Result.Epoch = W.Epoch;
 
   // Publish: the release store orders every relation mutation above before
@@ -504,12 +433,6 @@ Snapshot EngineSession::snapshot() const {
 std::vector<DynTuple> EngineSession::query(const std::string &Relation,
                                            const Pattern &P) const {
   return snapshot().query(Relation, P);
-}
-
-bool EngineSession::isIncremental() const {
-  // Maintained sessions apply every batch in place too — "incremental"
-  // means "no full re-evaluation per batch", whichever program provides it.
-  return Maintained || Incremental;
 }
 
 std::uint64_t EngineSession::epoch() const {

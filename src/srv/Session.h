@@ -10,24 +10,25 @@
 /// loads and queries skip the one-shot pipeline's per-run setup entirely.
 ///
 /// Batches are mixed: they may insert new EDB tuples and retract present
-/// ones. When the translator emitted a maintenance program (see
-/// TranslationOptions::EmitMaintenance — forced on by fromSource/fromFile)
-/// every batch routes through the inc::Maintainer: counting for
-/// non-recursive strata, DRed for recursive ones, with scoped per-stratum
-/// re-evaluation fallbacks that are counted and reported, never silent.
-/// When the program carries no maintenance plan, pure-insert batches keep
-/// the delta-seeded semi-naive update path (EmitUpdateProgram) and
-/// retracting batches fall back to a net-replay full re-evaluation on a
-/// fresh engine (still behind the same API, reported via
-/// BatchResult::Maintained / Incremental and the fallback telemetry).
+/// ones. Each program has one write path, chosen once. When the translator
+/// emitted a maintenance program (see TranslationOptions::EmitMaintenance
+/// — forced on by fromSource/fromFile) every batch routes through the
+/// inc::Maintainer: counting for non-recursive strata, DRed for recursive
+/// ones, with scoped per-stratum re-evaluation fallbacks that are counted
+/// and reported, never silent. Every other program rebuilds: each batch
+/// re-evaluates a fresh engine seeded with the net EDB (reported via
+/// BatchResult::Maintained and the fallback telemetry).
 ///
 /// Concurrency follows the left-right pattern: the session keeps two
 /// engine instances ("sides") over one shared symbol table. Readers pin
 /// the active side with a Snapshot and are never blocked by a writer;
-/// writers (serialized by a mutex) catch the passive side up on the batch
-/// log, apply the new batch, and publish it as the new active side after
+/// writers (serialized by a mutex) bring the passive side up to date,
+/// apply the new batch, and publish it as the new active side after
 /// waiting for the old side's readers to drain. The cost is the classic
-/// one: every batch is applied twice, and resident memory doubles.
+/// one: every batch is applied twice, and resident memory doubles. The
+/// writer keeps no batch history: a maintained session holds the one
+/// batch the passive side has not applied yet, a rebuilding session the
+/// net EDB its batches left behind.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -83,11 +85,9 @@ struct BatchResult {
   std::size_t Deleted = 0;
   /// Retractions of tuples that were not present.
   std::size_t Missing = 0;
-  /// True when the batch was applied in place (maintenance program or
-  /// delta-seeded update); false when it forced a full re-evaluation.
-  bool Incremental = false;
-  /// True when the incremental maintenance plan processed the batch (see
-  /// BatchResult::Maint for the per-stratum breakdown).
+  /// True when the incremental maintenance plan processed the batch in
+  /// place (see BatchResult::Maint for the per-stratum breakdown); false
+  /// when it forced a full re-evaluation.
   bool Maintained = false;
   /// Batch sequence number after this load (1-based).
   std::uint64_t Epoch = 0;
@@ -95,7 +95,8 @@ struct BatchResult {
   double Seconds = 0;
   /// Non-empty when the batch was rejected before application (unknown
   /// relation, arity mismatch, derived-relation target or eqrel retraction
-  /// under maintenance, ...). A rejected batch mutates and logs nothing.
+  /// under maintenance, ...). A rejected batch mutates and retains
+  /// nothing.
   std::string Error;
   /// Per-stratum maintenance detail of the publishing apply (only
   /// meaningful when Maintained).
@@ -124,11 +125,10 @@ struct SessionOptions {
   /// Per-side engine configuration (backend, threads, stats, ...).
   interp::EngineOptions Engine;
   /// Compile-time choices (--sips/--feedback join planning, ...) for the
-  /// fromSource/fromFile convenience constructors. EmitUpdateProgram and
-  /// EmitMaintenance are forced on regardless: sessions always want the
-  /// incremental paths, and the one-shot, update and maintenance programs
-  /// are planned under the same strategy so resident re-derivation matches
-  /// a cold run's plans.
+  /// fromSource/fromFile convenience constructors. EmitMaintenance is
+  /// forced on regardless: sessions always want the incremental path, and
+  /// the one-shot and maintenance programs are planned under the same
+  /// strategy so resident re-derivation matches a cold run's plans.
   core::CompileOptions Compile;
   /// Execute the program's .input/.output directives during the bootstrap
   /// run. Off by default: a serving session starts from an empty database
@@ -216,10 +216,9 @@ public:
 
   /// Applies one mixed insert/retract batch. When the program carries a
   /// maintenance plan, every batch — even a pure-insert one — routes
-  /// through it so the support counts stay exact; otherwise retracting
-  /// batches fall back to a net-replay full re-evaluation and pure-insert
-  /// batches keep the legacy update path. A rejected batch sets
-  /// BatchResult::Error and applies (and logs) nothing.
+  /// through it so the support counts stay exact; otherwise every batch
+  /// re-evaluates from the net EDB. A rejected batch sets
+  /// BatchResult::Error and applies (and retains) nothing.
   BatchResult applyMixed(const inc::MixedBatch &Batch);
 
   /// Textual variant of applyMixed (error reporting as for
@@ -241,10 +240,6 @@ public:
   /// One-shot convenience: snapshot() + query on it.
   std::vector<DynTuple> query(const std::string &Relation,
                               const Pattern &P) const;
-
-  /// Whether batches apply in place (maintenance or update program)
-  /// instead of re-evaluating from scratch.
-  bool isIncremental() const;
 
   /// Batches applied so far.
   std::uint64_t epoch() const;
@@ -271,18 +266,17 @@ private:
   explicit EngineSession(std::shared_ptr<core::Program> Program,
                          const SessionOptions &Options);
 
-  /// Brings \p S fully up to date with the batch log.
-  void catchUp(Side &S);
-  /// Applies one logged batch to a side. \p Result is non-null only for
-  /// the publishing apply (telemetry and counters are recorded once, not
-  /// per side).
-  void applyOne(Side &S, const inc::MixedBatch &Batch, BatchResult *Result);
-  /// Legacy pure-insert path: delta-seeded update program.
-  std::pair<std::size_t, std::size_t> applyInserts(Side &S,
-                                                   const inc::MixedBatch &Batch);
-  /// Full re-evaluation fallback: fresh engine, net-replay the whole log.
-  void rebuild(Side &S);
-  /// Validates a batch before it is logged; "" when acceptable.
+  /// Maintained write path: runs one batch through \p S's maintenance
+  /// plan. \p Result is non-null only for the publishing apply (telemetry
+  /// and counters are recorded once, not per side).
+  void applyMaintained(Side &S, const inc::MixedBatch &Batch,
+                       BatchResult *Result);
+  /// Rebuilding write path: counts the batch against \p Current (the
+  /// published side's engine), folds it into the net EDB and replaces \p
+  /// S's engine with a fresh one evaluated over it.
+  void applyRebuilding(Side &S, const interp::Engine &Current,
+                       const inc::MixedBatch &Batch, BatchResult &Result);
+  /// Validates a batch before it is applied; "" when acceptable.
   std::string validateMixed(const inc::MixedBatch &Batch) const;
   /// Records one fallback execution (scoped Reeval stratum or rebuild)
   /// and emits the once-per-session warning line.
@@ -292,12 +286,11 @@ private:
 
   std::shared_ptr<core::Program> Prog;
   SessionOptions Options;
-  bool Incremental;
-  /// True when the program carries a maintenance plan (mixed batches stay
-  /// incremental).
+  /// True when the program carries a maintenance plan (batches apply in
+  /// place); false when every batch rebuilds.
   bool Maintained;
   /// Relations defined by rules — retraction targets to reject on the
-  /// non-maintained fallback path.
+  /// rebuild path.
   std::unordered_set<std::string> DerivedRels;
 
   std::unique_ptr<Side> Sides[2];
@@ -305,11 +298,17 @@ private:
   /// store-releases after the passive side is fully caught up.
   std::atomic<const Side *> Active;
 
-  /// Writer state, all under WriterMutex: the full batch log (replayed by
-  /// the rebuild fallback and by lagging sides) and which side is passive.
+  /// Writer state, all under WriterMutex. Bounded by live data, never by
+  /// batch history.
   std::mutex WriterMutex;
-  std::vector<inc::MixedBatch> Log;
   std::size_t PassiveIdx = 1;
+  /// Maintained sessions: the last published batch, which the passive
+  /// side applies before the next one (left-right alternation keeps it at
+  /// most one batch behind).
+  inc::MixedBatch Pending;
+  /// Rebuilding sessions: the live EDB facts the batches left behind,
+  /// folded retract-before-insert within each batch.
+  std::map<std::string, std::set<DynTuple>> NetEdb;
 
   /// Maintenance telemetry, recorded only by publishing applies. Guarded
   /// by TelemetryMutex so stats/metrics readers never take WriterMutex.

@@ -285,7 +285,9 @@ static Value mixedBatchReply(EngineSession &Session,
                  static_cast<std::uint64_t>(Result.Duplicates));
   O.emplace_back("deleted", static_cast<std::uint64_t>(Result.Deleted));
   O.emplace_back("missing", static_cast<std::uint64_t>(Result.Missing));
-  O.emplace_back("incremental", Result.Incremental);
+  // "incremental" predates "maintained" and stays for wire compatibility;
+  // the two are equal now that every in-place batch is maintained.
+  O.emplace_back("incremental", Result.Maintained);
   O.emplace_back("maintained", Result.Maintained);
   if (Result.Maintained)
     O.emplace_back("reeval_strata", Result.Maint.ReevalStrata);
@@ -500,10 +502,10 @@ static Value handleStats(const RequestContext &Ctx) {
   O.emplace_back("ok", true);
   O.emplace_back("protocol", WireProtocolVersion);
   O.emplace_back("epoch", Snap.epoch());
-  O.emplace_back("incremental", Session.isIncremental());
+  O.emplace_back("incremental", Session.isMaintained());
 
-  // Declared relations only; the update program's aux relations are an
-  // implementation detail.
+  // Declared relations only; the maintenance program's aux relations are
+  // an implementation detail.
   Array Relations;
   const obs::StatsBlock &Stats = Snap.stats();
   const auto &StatsRels = Snap.statsRelations();

@@ -262,8 +262,6 @@ public:
     }
     Prog->setMain(std::make_unique<ram::Sequence>(std::move(Main)));
 
-    if (Options.EmitUpdateProgram)
-      emitUpdateProgram();
     if (Options.EmitMaintenance)
       emitMaintenance();
   }
@@ -401,236 +399,6 @@ private:
       Main.push_back(
           std::make_unique<ram::Clear>(NewRel.at(Decl->getName())));
     }
-  }
-
-  //===--------------------------------------------------------------------===
-  // Incremental-update program emission
-  //===--------------------------------------------------------------------===
-
-  /// Whether the program supports incremental (monotonic-additions-only)
-  /// re-evaluation. Negation and aggregates are non-monotonic under
-  /// additions (a previously derived tuple could become wrong), `$` would
-  /// mint fresh ids for re-derived tuples, and eqrel closures cannot be
-  /// driven from deltas (same reason recursive eqrel strata run naive).
-  bool updateEligible() const {
-    if (Options.ForceNaiveEvaluation)
-      return false;
-    for (const auto &Decl : AstProg.Relations)
-      if (Decl->getStructure() == ast::StructureKind::Eqrel)
-        return false;
-    std::function<bool(const ast::Argument &)> ArgOk =
-        [&](const ast::Argument &Arg) -> bool {
-      switch (Arg.getKind()) {
-      case ast::Argument::Kind::Counter:
-      case ast::Argument::Kind::Aggregator:
-        return false;
-      case ast::Argument::Kind::Functor:
-        for (const auto &Operand :
-             static_cast<const ast::Functor &>(Arg).getArgs())
-          if (!ArgOk(*Operand))
-            return false;
-        return true;
-      default:
-        return true;
-      }
-    };
-    for (const auto &C : AstProg.Clauses) {
-      for (const auto &Arg : C->getHead().getArgs())
-        if (!ArgOk(*Arg))
-          return false;
-      for (const auto &Lit : C->getBody()) {
-        switch (Lit->getKind()) {
-        case ast::Literal::Kind::Negation:
-          return false;
-        case ast::Literal::Kind::Atom:
-          for (const auto &Arg :
-               static_cast<const ast::Atom &>(*Lit).getArgs())
-            if (!ArgOk(*Arg))
-              return false;
-          break;
-        case ast::Literal::Kind::Constraint: {
-          const auto &Con = static_cast<const ast::Constraint &>(*Lit);
-          if (!ArgOk(Con.getLhs()) || !ArgOk(Con.getRhs()))
-            return false;
-          break;
-        }
-        }
-      }
-    }
-    return true;
-  }
-
-  /// Emits the incremental-update statement. Contract with the executing
-  /// session: each genuinely new EDB tuple of a batch has been inserted
-  /// into BOTH the full relation and its delta relation (so delta ⊆ full
-  /// holds throughout); running the statement then derives every IDB
-  /// consequence and leaves each delta relation cleared.
-  ///
-  /// Per stratum, in the main program's bottom-up order:
-  ///  1. Pre-loop versions: for every clause and every body-atom position
-  ///     whose relation is outside the stratum's SCC, one version reading
-  ///     that position's delta (full everywhere else, NOT-in-full guard,
-  ///     into new_H). Any new tuple has a derivation with at least one new
-  ///     body tuple, so emitting one version per position covers them all;
-  ///     set semantics make the overlap between versions harmless.
-  ///  2. new_H is merged into both the full relation and delta_H (making
-  ///     this stratum's additions visible downstream) and cleared.
-  ///  3. Recursive strata re-enter the ordinary semi-naive loop with
-  ///     delta_R holding only this batch's additions; added_R accumulates
-  ///     every frontier so that, post-loop, delta_R can be rebuilt as the
-  ///     stratum's total additions for downstream strata.
-  /// The statement ends by clearing every delta so it is re-entrant.
-  void emitUpdateProgram() {
-    if (!updateEligible())
-      return;
-
-    // Auxiliary relations: reuse the main program's delta_/new_ pair where
-    // the recursive strata already created them, create the missing ones
-    // (plus the added_ accumulators for recursive relations).
-    std::unordered_map<std::string, ram::Relation *> UDelta, UNew, UAdded;
-    std::unordered_set<std::string> Recursive;
-    for (const auto &Stratum : Info.Strata)
-      if (Stratum.Recursive)
-        for (const auto *Decl : Stratum.Relations)
-          Recursive.insert(Decl->getName());
-    for (const auto &Decl : AstProg.Relations) {
-      const std::string &Name = Decl->getName();
-      ram::Relation *Full = RelOf.at(Name);
-      auto Aux = [&](const std::string &Prefix,
-                     const std::unordered_map<std::string, ram::Relation *>
-                         &MainAux) -> ram::Relation * {
-        auto It = MainAux.find(Name);
-        if (It != MainAux.end())
-          return It->second;
-        return Prog->addRelation(Prefix + Name, Full->getColumnTypes(),
-                                 Full->getStructure());
-      };
-      UDelta[Name] = Aux("delta_", MainDeltaRel);
-      UNew[Name] = Aux("new_", MainNewRel);
-      if (Recursive.count(Name))
-        UAdded[Name] = Prog->addRelation("added_" + Name,
-                                         Full->getColumnTypes(),
-                                         Full->getStructure());
-      ram::Program::UpdateAux Names;
-      Names.Delta = UDelta.at(Name)->getName();
-      Names.New = UNew.at(Name)->getName();
-      if (Recursive.count(Name))
-        Names.Added = UAdded.at(Name)->getName();
-      Prog->setUpdateAux(Name, std::move(Names));
-    }
-    // Make the update program's aux relations visible to the maintenance
-    // emission: its DRed strata reuse the same delta_/new_ scratch pair,
-    // and re-creating them here would collide on relation names.
-    MainDeltaRel.insert(UDelta.begin(), UDelta.end());
-    MainNewRel.insert(UNew.begin(), UNew.end());
-
-    std::vector<ram::StmtPtr> Upd;
-    for (std::size_t SI = 0; SI < Info.Strata.size(); ++SI) {
-      const ast::Stratum &Stratum = Info.Strata[SI];
-      const int StratumId = static_cast<int>(SI);
-      std::unordered_set<std::string> Scc;
-      for (const auto *Decl : Stratum.Relations)
-        Scc.insert(Decl->getName());
-
-      // 1. Pre-loop versions over non-SCC delta positions.
-      for (const auto *Decl : Stratum.Relations) {
-        ram::Relation *Full = RelOf.at(Decl->getName());
-        ram::Relation *NewR = UNew.at(Decl->getName());
-        for (const auto *C : clausesOf(Decl->getName())) {
-          std::size_t AtomIdx = 0;
-          for (const auto &Lit : C->getBody()) {
-            if (Lit->getKind() != ast::Literal::Kind::Atom)
-              continue;
-            const std::size_t Idx = AtomIdx++;
-            if (Scc.count(static_cast<const ast::Atom &>(*Lit).getName()))
-              continue;
-            RuleVariant Variant;
-            Variant.AbsDeltaIdx = static_cast<int>(Idx);
-            Variant.AbsDeltaMap = &UDelta;
-            Variant.LabelSuffix = " [upd]";
-            emitRule(*C, NewR, Scc, /*DeltaPos=*/-1, /*GuardRel=*/Full, {},
-                     StratumId, Upd, Variant);
-          }
-        }
-      }
-
-      // 2. Publish the pre-loop additions.
-      for (const auto *Decl : Stratum.Relations) {
-        ram::Relation *Full = RelOf.at(Decl->getName());
-        ram::Relation *NewR = UNew.at(Decl->getName());
-        Upd.push_back(std::make_unique<ram::MergeInto>(NewR, Full));
-        Upd.push_back(std::make_unique<ram::MergeInto>(
-            NewR, UDelta.at(Decl->getName())));
-        Upd.push_back(std::make_unique<ram::Clear>(NewR));
-      }
-
-      if (!Stratum.Recursive)
-        continue;
-
-      // 3. Semi-naive loop seeded from the batch deltas. added_R tracks
-      // every frontier so delta_R can be rebuilt afterwards.
-      for (const auto *Decl : Stratum.Relations)
-        Upd.push_back(std::make_unique<ram::MergeInto>(
-            UDelta.at(Decl->getName()), UAdded.at(Decl->getName())));
-
-      std::vector<ram::StmtPtr> LoopBody;
-      for (const auto *Decl : Stratum.Relations) {
-        ram::Relation *Full = RelOf.at(Decl->getName());
-        for (const auto *C : clausesOf(Decl->getName())) {
-          if (!isRecursiveClause(*C, Scc))
-            continue;
-          int NumSccAtoms = 0;
-          for (const auto &Lit : C->getBody())
-            if (Lit->getKind() == ast::Literal::Kind::Atom &&
-                Scc.count(static_cast<const ast::Atom &>(*Lit).getName()))
-              ++NumSccAtoms;
-          RuleVariant Variant;
-          Variant.LabelSuffix = " [upd]";
-          for (int Version = 0; Version < NumSccAtoms; ++Version)
-            emitRule(*C, UNew.at(Decl->getName()), Scc, Version, Full,
-                     UDelta, StratumId, LoopBody, Variant);
-        }
-      }
-
-      ram::CondPtr ExitCond;
-      for (const auto *Decl : Stratum.Relations) {
-        ram::CondPtr Part = std::make_unique<ram::EmptinessCheck>(
-            UNew.at(Decl->getName()));
-        ExitCond = ExitCond ? std::make_unique<ram::Conjunction>(
-                                  std::move(ExitCond), std::move(Part))
-                            : std::move(Part);
-      }
-      LoopBody.push_back(std::make_unique<ram::Exit>(std::move(ExitCond)));
-
-      for (const auto *Decl : Stratum.Relations) {
-        ram::Relation *Full = RelOf.at(Decl->getName());
-        ram::Relation *NewR = UNew.at(Decl->getName());
-        LoopBody.push_back(std::make_unique<ram::MergeInto>(NewR, Full));
-        LoopBody.push_back(std::make_unique<ram::MergeInto>(
-            NewR, UAdded.at(Decl->getName())));
-        LoopBody.push_back(std::make_unique<ram::Swap>(
-            UDelta.at(Decl->getName()), NewR));
-        LoopBody.push_back(std::make_unique<ram::Clear>(NewR));
-      }
-      Upd.push_back(std::make_unique<ram::Loop>(
-          std::make_unique<ram::Sequence>(std::move(LoopBody))));
-
-      // 4. delta_R := every addition of this stratum, for downstream use.
-      for (const auto *Decl : Stratum.Relations) {
-        ram::Relation *Delta = UDelta.at(Decl->getName());
-        ram::Relation *Added = UAdded.at(Decl->getName());
-        Upd.push_back(std::make_unique<ram::Clear>(Delta));
-        Upd.push_back(std::make_unique<ram::MergeInto>(Added, Delta));
-        Upd.push_back(std::make_unique<ram::Clear>(Added));
-      }
-    }
-
-    // Re-entrancy: the next batch starts from empty deltas.
-    for (const auto &Decl : AstProg.Relations)
-      Upd.push_back(
-          std::make_unique<ram::Clear>(UDelta.at(Decl->getName())));
-
-    Prog->setUpdate(std::make_unique<ram::Sequence>(std::move(Upd)));
   }
 
   //===--------------------------------------------------------------------===
@@ -1507,14 +1275,10 @@ private:
   // Rule emission
   //===--------------------------------------------------------------------===
 
-  /// Non-default rule-version shapes used by the update program: \p
-  /// AbsDeltaIdx, when >= 0, makes the atom at that absolute body position
-  /// read the delta of its relation from \p AbsDeltaMap (any relation, not
-  /// just SCC members); \p LabelSuffix keeps update-rule profile labels
-  /// distinct from the main program's.
+  /// Non-default rule-version shapes used by the maintenance program: \p
+  /// LabelSuffix keeps maintenance-rule profile labels distinct from the
+  /// main program's.
   struct RuleVariant {
-    int AbsDeltaIdx;
-    const std::unordered_map<std::string, ram::Relation *> *AbsDeltaMap;
     const char *LabelSuffix;
     /// Plans the body with MaxBound SIPS regardless of the session
     /// strategy. Maintenance delta rules set this: their pivot atom sits
@@ -1525,12 +1289,8 @@ private:
     bool ForceMaxBound;
     // Explicitly defaulted arguments instead of member initializers: the
     // latter cannot feed a default argument of the enclosing class.
-    RuleVariant(int AbsDeltaIdx = -1,
-                const std::unordered_map<std::string, ram::Relation *>
-                    *AbsDeltaMap = nullptr,
-                const char *LabelSuffix = "", bool ForceMaxBound = false)
-        : AbsDeltaIdx(AbsDeltaIdx), AbsDeltaMap(AbsDeltaMap),
-          LabelSuffix(LabelSuffix), ForceMaxBound(ForceMaxBound) {}
+    RuleVariant(const char *LabelSuffix = "", bool ForceMaxBound = false)
+        : LabelSuffix(LabelSuffix), ForceMaxBound(ForceMaxBound) {}
   };
 
   /// Translates one rule version.
@@ -1557,13 +1317,11 @@ private:
       std::string Label = C.toString();
       if (DeltaPos >= 0)
         Label += " [v" + std::to_string(DeltaPos) + "]";
-      else if (Variant.AbsDeltaIdx >= 0)
-        Label += " [u" + std::to_string(Variant.AbsDeltaIdx) + "]";
       Label += Variant.LabelSuffix;
       ram::LogTimer::RuleInfo Info;
       Info.Stratum = StratumId;
       Info.Relation = C.getHead().getName();
-      Info.Version = DeltaPos >= 0 ? DeltaPos : Variant.AbsDeltaIdx;
+      Info.Version = DeltaPos;
       // GuardRel is set exactly for rules inside a fixpoint loop (both the
       // semi-naive versions and naive loop bodies).
       Info.Recursive = GuardRel != nullptr;
@@ -1649,12 +1407,6 @@ private:
                                       : nullptr;
       if (!Full)
         return nullptr;
-      if (Variant.AbsDeltaIdx >= 0 &&
-          static_cast<std::size_t>(Variant.AbsDeltaIdx) == AtomIdx) {
-        auto It = Variant.AbsDeltaMap->find(A->getName());
-        if (It != Variant.AbsDeltaMap->end())
-          return It->second;
-      }
       if (DeltaPos < 0 || !Scc.count(A->getName()))
         return Full;
       // Count which SCC occurrence this is.
@@ -2294,7 +2046,7 @@ private:
   ram::Program *Prog = nullptr;
   std::unordered_map<std::string, ram::Relation *> RelOf;
   /// The delta_/new_ aux relations the main program's semi-naive strata
-  /// created, for reuse by the update program.
+  /// created, for reuse by the maintenance program's DRed strata.
   std::unordered_map<std::string, ram::Relation *> MainDeltaRel, MainNewRel;
   /// Half-open [begin, end) child ranges of the main Sequence, one per
   /// stratum — the re-run spans for Reeval maintenance strata.

@@ -40,17 +40,6 @@ struct TranslationOptions {
   /// delta relations; every round rescans the full relations). Slower but
   /// semantically identical — used by the semi-naive equivalence tests.
   bool ForceNaiveEvaluation = false;
-  /// Additionally emit an incremental-update statement
-  /// (ram::Program::getUpdate()) that re-derives the fixpoint after a
-  /// monotonic batch of EDB additions, seeding semi-naive evaluation from
-  /// per-relation delta relations instead of recomputing from scratch.
-  /// Programs using negation, aggregates, `$` or eqrel relations are not
-  /// eligible (additions are not monotonic for them, or deltas lose the
-  /// closure semantics); for those no update statement is emitted and
-  /// resident sessions fall back to re-running main. Off by default: the
-  /// extra aux relations would perturb dumps and index-selection goldens
-  /// of the one-shot pipeline.
-  bool EmitUpdateProgram = false;
   /// Additionally emit the incremental maintenance program for mixed
   /// insert/retract batches (src/inc): per-stratum update statements
   /// selected between exact derivation counting (non-recursive strata)
@@ -60,11 +49,11 @@ struct TranslationOptions {
   /// aggregates fall back to a scoped per-stratum re-evaluation recorded
   /// in the plan; programs using `$` get no maintenance at all and the
   /// reason is recorded via ram::Program::setMaintIneligibleReason. Off by
-  /// default for the same reason as EmitUpdateProgram: the aux relations
-  /// would perturb dumps and index-selection goldens.
+  /// default: the extra aux relations would perturb dumps and
+  /// index-selection goldens of the one-shot pipeline.
   bool EmitMaintenance = false;
-  /// Join-ordering strategy applied to every rule body (including update
-  /// rules, so the resident-session path plans identically to the one-shot
+  /// Join-ordering strategy applied to every rule body (including
+  /// maintenance rules, so the resident-session path plans identically to the one-shot
   /// path). Defaults to source order: plans and RAM goldens only change
   /// when a caller opts in.
   SipsStrategy Sips = SipsStrategy::Source;

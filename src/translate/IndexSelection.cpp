@@ -252,12 +252,9 @@ IndexSelectionResult stird::translate::selectIndexes(ram::Program &Prog) {
   SearchCollector Collector(Searches);
   if (Prog.hasMain())
     Collector.visitStmt(Prog.getMain());
-  // The incremental-update statement runs over the same relations; its
-  // searches (delta scans, guards) must be index-served too.
-  if (Prog.hasUpdate())
-    Collector.visitStmt(Prog.getUpdate());
-  // Same for the maintenance programs: their signed delta versions search
-  // the ins_/del_/rederive_ aux relations with bound patterns.
+  // The maintenance programs run over the same relations: their signed
+  // delta versions search the ins_/del_/rederive_ aux relations with bound
+  // patterns, and those searches must be index-served too.
   for (const auto &S : Prog.getMaintStrata())
     if (S.Stmt)
       Collector.visitStmt(*S.Stmt);
@@ -302,8 +299,6 @@ IndexSelectionResult stird::translate::selectIndexes(ram::Program &Prog) {
       };
   if (Prog.hasMain())
     FindSwaps(Prog.getMain());
-  if (Prog.hasUpdate())
-    FindSwaps(Prog.getUpdate());
   for (const auto &S : Prog.getMaintStrata())
     if (S.Stmt)
       FindSwaps(*S.Stmt);

@@ -9,9 +9,7 @@
 /// under the printer, over a kitchen-sink program exercising recursion
 /// (Loop/Exit/Swap/MergeInto), negation (Negation/ExistenceCheck),
 /// aggregates, constants and compound arguments (Intrinsic), IO directives
-/// and printsize, and the planner's LogTimer annotations. cloneProgram()
-/// additionally gets independence checks: fresh relations, no pointer
-/// shared with the original, update statement and aux table included.
+/// and printsize, and the planner's LogTimer annotations.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,12 +51,9 @@ same(x) :- edge(x, x).
 stats(n, t) :- n = count : { path(_, _) }, t = sum y : { edge(3, y) }.
 )";
 
-std::shared_ptr<core::Program> compile(const char *Source,
-                                       bool EmitUpdate = false) {
-  core::CompileOptions Options;
-  Options.EmitUpdateProgram = EmitUpdate;
+std::shared_ptr<core::Program> compile(const char *Source) {
   std::vector<std::string> Errors;
-  auto Prog = core::Program::fromSource(Source, &Errors, Options);
+  auto Prog = core::Program::fromSource(Source, &Errors);
   EXPECT_NE(Prog, nullptr) << (Errors.empty() ? "" : Errors[0]);
   return Prog;
 }
@@ -70,79 +64,6 @@ TEST(CloneTest, StatementCloneRoundTripsThroughPrinter) {
   const ram::Statement &Main = Prog->getRam().getMain();
   ram::StmtPtr Copy = ram::clone(Main);
   EXPECT_EQ(ram::print(Main), ram::print(*Copy));
-}
-
-TEST(CloneTest, ProgramCloneRoundTripsThroughPrinter) {
-  auto Prog = compile(KitchenSink);
-  ASSERT_NE(Prog, nullptr);
-  std::unique_ptr<ram::Program> Copy = ram::cloneProgram(Prog->getRam());
-  EXPECT_EQ(ram::print(Prog->getRam()), ram::print(*Copy));
-}
-
-TEST(CloneTest, ProgramCloneSharesNoRelations) {
-  auto Prog = compile(KitchenSink);
-  ASSERT_NE(Prog, nullptr);
-  std::unique_ptr<ram::Program> Copy = ram::cloneProgram(Prog->getRam());
-  ASSERT_EQ(Copy->getRelations().size(),
-            Prog->getRam().getRelations().size());
-  for (const auto &Rel : Copy->getRelations()) {
-    const ram::Relation *Original =
-        Prog->getRam().findRelation(Rel->getName());
-    ASSERT_NE(Original, nullptr) << Rel->getName();
-    EXPECT_NE(Original, Rel.get()) << "relation object shared";
-    EXPECT_EQ(Original->getColumnTypes(), Rel->getColumnTypes());
-    EXPECT_EQ(Original->getOrders(), Rel->getOrders());
-    EXPECT_EQ(Original->isInput(), Rel->isInput());
-    EXPECT_EQ(Original->isOutput(), Rel->isOutput());
-    EXPECT_EQ(Original->isPrintSize(), Rel->isPrintSize());
-  }
-}
-
-TEST(CloneTest, ProgramCloneCarriesUpdateStatement) {
-  // An update-eligible program (no negation/aggregates): the clone must
-  // reproduce the update statement and the delta/new aux name table.
-  auto Prog = compile(".decl e(a:number, b:number)\n"
-                      ".decl p(a:number, b:number)\n"
-                      "p(x, y) :- e(x, y).\n"
-                      "p(x, z) :- p(x, y), e(y, z).\n",
-                      /*EmitUpdate=*/true);
-  ASSERT_NE(Prog, nullptr);
-  ASSERT_TRUE(Prog->getRam().hasUpdate());
-  std::unique_ptr<ram::Program> Copy = ram::cloneProgram(Prog->getRam());
-  ASSERT_TRUE(Copy->hasUpdate());
-  EXPECT_EQ(ram::print(Prog->getRam().getUpdate()),
-            ram::print(Copy->getUpdate()));
-  EXPECT_EQ(Copy->getUpdateAuxMap().size(),
-            Prog->getRam().getUpdateAuxMap().size());
-  const ram::Program::UpdateAux *Aux = Copy->getUpdateAux("p");
-  ASSERT_NE(Aux, nullptr);
-  EXPECT_EQ(Aux->Delta, Prog->getRam().getUpdateAux("p")->Delta);
-}
-
-TEST(CloneTest, RelationMapRedirectsReferences) {
-  auto Prog = compile(KitchenSink);
-  ASSERT_NE(Prog, nullptr);
-  // Redirect every reference onto a decoy and check the printed text now
-  // names it — proof the map reaches every node kind holding a relation.
-  ram::Program Decoys;
-  ram::RelationMap Map;
-  for (const auto &Rel : Prog->getRam().getRelations())
-    Map[Rel.get()] = Decoys.addRelation("decoy_" + Rel->getName(),
-                                        Rel->getColumnTypes(),
-                                        Rel->getStructure());
-  ram::StmtPtr Copy = ram::clone(Prog->getRam().getMain(), &Map);
-  const std::string Text = ram::print(*Copy);
-  for (const auto &Rel : Prog->getRam().getRelations()) {
-    // No bare original name may survive: every occurrence must be inside
-    // a decoy_ prefix. Check by stripping decoy names first.
-    std::string Stripped = Text;
-    const std::string Decoy = "decoy_" + Rel->getName();
-    for (std::size_t At = Stripped.find(Decoy); At != std::string::npos;
-         At = Stripped.find(Decoy, At))
-      Stripped.erase(At, Decoy.size());
-    EXPECT_EQ(Stripped.find(" " + Rel->getName() + " "), std::string::npos)
-        << "unredirected reference to " << Rel->getName();
-  }
 }
 
 } // namespace

@@ -7,15 +7,16 @@
 /// \file
 /// The serving layer's correctness contract: feeding a program's input
 /// facts through an EngineSession in k batches — whether the session runs
-/// the delta-seeded incremental update or the re-evaluation fallback —
-/// must yield exactly the relation contents of a one-shot engine run over
-/// the same facts, at every thread count. Symbol columns are compared by
+/// the incremental maintenance plan or rebuilds from the net EDB — must
+/// yield exactly the relation contents of a one-shot engine run over the
+/// same facts, at every thread count. Symbol columns are compared by
 /// resolved string (ordinal assignment differs across program instances).
 ///
 /// Beyond equivalence: snapshot isolation (a pinned snapshot never sees a
 /// later batch), concurrent readers against a writer (the TSan subject for
-/// the left-right scheme), duplicate accounting, and the textual loadFacts
-/// error path.
+/// the left-right scheme), duplicate accounting, the rebuild class of
+/// programs without a maintenance plan, and the textual loadFacts error
+/// path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,10 +47,10 @@ struct Subject {
   std::string Source;
   std::vector<std::string> Outputs;
   std::function<FactBatch(core::Program &)> MakeInputs;
-  /// Whether the session should apply batches in place (maintenance or
-  /// update program). All current subjects are maintained; the flag stays
-  /// so future counter-style subjects can assert the rebuild path.
-  bool ExpectIncremental = true;
+  /// Whether the session should apply batches in place through the
+  /// maintenance plan. All subjects here are maintained; the rebuild class
+  /// has its own stream tests below.
+  bool ExpectMaintained = true;
   /// Whether the maintenance plan should contain scoped Reeval strata
   /// (aggregates, eqrel). Asserted both ways, so precise maintenance of
   /// negation-only programs cannot silently regress into fallbacks — and
@@ -159,7 +162,7 @@ Subject pointstoSubject() {
 }
 
 /// Interning functors in the recursive section: workers intern new label
-/// strings while the update program re-derives paths.
+/// strings while the maintenance program re-derives paths.
 Subject internSubject() {
   Subject S;
   S.Name = "intern_path_labels";
@@ -351,8 +354,8 @@ resolveTuples(const SymbolTable &Symbols,
 using NamedContents =
     std::vector<std::pair<std::string, std::vector<std::vector<std::string>>>>;
 
-/// The one-shot reference: a plain engine (no update program emitted) over
-/// all facts at once — exactly the pipeline a batch-mode user runs.
+/// The one-shot reference: a plain engine (no maintenance plan emitted)
+/// over all facts at once — exactly the pipeline a batch-mode user runs.
 NamedContents runOneShot(const Subject &S, std::size_t NumThreads,
                          translate::SipsStrategy Sips) {
   core::CompileOptions Compile;
@@ -397,7 +400,7 @@ NamedContents runSession(const Subject &S, std::size_t NumBatches,
   EXPECT_NE(Session, nullptr) << (Errors.empty() ? "" : Errors[0]);
   if (!Session)
     return {};
-  EXPECT_EQ(Session->isIncremental(), S.ExpectIncremental) << S.Name;
+  EXPECT_EQ(Session->isMaintained(), S.ExpectMaintained) << S.Name;
 
   // Intern through the session's own symbol table, then split.
   auto MutableProg = const_cast<core::Program *>(&Session->program());
@@ -405,13 +408,13 @@ NamedContents runSession(const Subject &S, std::size_t NumBatches,
       splitBatches(S.MakeInputs(*MutableProg), NumBatches);
   for (const FactBatch &Batch : Batches) {
     const BatchResult R = Session->loadFacts(Batch);
-    EXPECT_EQ(R.Incremental, S.ExpectIncremental) << S.Name;
+    EXPECT_EQ(R.Maintained, S.ExpectMaintained) << S.Name;
     EXPECT_TRUE(R.Error.empty()) << S.Name << ": " << R.Error;
   }
   EXPECT_EQ(Session->epoch(), NumBatches);
 
   const MaintTelemetry Tel = Session->maintTelemetry();
-  EXPECT_EQ(Tel.Enabled, S.ExpectIncremental) << S.Name;
+  EXPECT_EQ(Tel.Enabled, S.ExpectMaintained) << S.Name;
   EXPECT_EQ(Tel.ReevalStrata > 0, S.ExpectReevalFallback)
       << S.Name << " scoped-fallback expectation flipped";
   EXPECT_EQ(Tel.Rebuilds, 0u)
@@ -432,9 +435,9 @@ NamedContents runSession(const Subject &S, std::size_t NumBatches,
 }
 
 /// (subject, threads, sips): the resident session must match the one-shot
-/// pipeline under every join-ordering strategy too — the update program is
-/// planned by the same SIPS pass, so reordered delta joins get the same
-/// differential scrutiny as the cold path.
+/// pipeline under every join-ordering strategy too — the maintenance
+/// program is planned by the same SIPS pass, so reordered delta joins get
+/// the same differential scrutiny as the cold path.
 class SessionEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -674,6 +677,198 @@ TEST(SessionTest, ConcurrentReadersObserveConsistentRetractions) {
   EXPECT_GE(Observations.load(), 8u);
   EXPECT_EQ(Session->query("path", Pattern(2)).size(), 0u);
   EXPECT_EQ(Session->maintTelemetry().Rebuilds, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The rebuild class: programs without a maintenance plan
+//===----------------------------------------------------------------------===//
+
+/// One step of a served stream: a mixed batch and what applying it must
+/// report. A rejected step expects an error and no change at all.
+struct StreamStep {
+  inc::MixedBatch Batch;
+  bool Rejected = false;
+  std::size_t Inserted = 0, Duplicates = 0, Deleted = 0, Missing = 0;
+};
+
+inc::MixedBatch mixedOps(const std::string &Relation,
+                         std::vector<DynTuple> Inserts,
+                         std::vector<DynTuple> Retracts = {}) {
+  inc::RelationOps Ops;
+  Ops.Relation = Relation;
+  Ops.Inserts = std::move(Inserts);
+  Ops.Retracts = std::move(Retracts);
+  return {std::move(Ops)};
+}
+
+/// What a served rebuild-class stream left behind, for the per-subject
+/// telemetry expectations.
+struct StreamOutcome {
+  std::uint64_t Accepted = 0;
+  std::uint64_t AcceptedWithRetracts = 0;
+  MaintTelemetry Tel;
+};
+
+/// Serves \p Steps through a session over \p Source and, after every step,
+/// compares \p Outputs with a one-shot run seeded with the net EDB the
+/// accepted batches leave behind (retract-before-insert within a batch).
+/// Also checks each step's counts and that the epoch advances exactly on
+/// accepted batches.
+StreamOutcome serveRebuildStream(const std::string &Source,
+                                 const std::vector<std::string> &Outputs,
+                                 const std::vector<StreamStep> &Steps) {
+  StreamOutcome Out;
+  auto Session = EngineSession::fromSource(Source);
+  EXPECT_NE(Session, nullptr);
+  if (!Session)
+    return Out;
+  EXPECT_FALSE(Session->isMaintained());
+
+  std::map<std::string, std::set<DynTuple>> NetEdb;
+  for (std::size_t Step = 0; Step < Steps.size(); ++Step) {
+    const StreamStep &Expect = Steps[Step];
+    const std::uint64_t Before = Session->epoch();
+    const BatchResult R = Session->applyMixed(Expect.Batch);
+    EXPECT_FALSE(R.Maintained) << "step " << Step;
+    if (Expect.Rejected) {
+      EXPECT_FALSE(R.Error.empty()) << "step " << Step;
+      EXPECT_EQ(Session->epoch(), Before) << "step " << Step;
+      EXPECT_EQ(R.Epoch, Before) << "step " << Step;
+    } else {
+      EXPECT_TRUE(R.Error.empty()) << "step " << Step << ": " << R.Error;
+      EXPECT_EQ(Session->epoch(), Before + 1) << "step " << Step;
+      EXPECT_EQ(R.Epoch, Before + 1) << "step " << Step;
+      EXPECT_EQ(R.Inserted, Expect.Inserted) << "step " << Step;
+      EXPECT_EQ(R.Duplicates, Expect.Duplicates) << "step " << Step;
+      EXPECT_EQ(R.Deleted, Expect.Deleted) << "step " << Step;
+      EXPECT_EQ(R.Missing, Expect.Missing) << "step " << Step;
+      ++Out.Accepted;
+      bool AnyRetracts = false;
+      for (const inc::RelationOps &Ops : Expect.Batch) {
+        std::set<DynTuple> &Rel = NetEdb[Ops.Relation];
+        for (const DynTuple &Tuple : Ops.Retracts)
+          Rel.erase(Tuple);
+        for (const DynTuple &Tuple : Ops.Inserts)
+          Rel.insert(Tuple);
+        AnyRetracts = AnyRetracts || !Ops.Retracts.empty();
+      }
+      Out.AcceptedWithRetracts += AnyRetracts;
+    }
+
+    auto Prog = core::Program::fromSource(Source);
+    EXPECT_NE(Prog, nullptr);
+    if (!Prog)
+      return Out;
+    interp::EngineOptions Options;
+    Options.EchoPrintSize = false;
+    Options.SuppressIo = true;
+    auto Engine = Prog->makeEngine(Options);
+    for (const auto &[Relation, Tuples] : NetEdb)
+      Engine->insertTuples(Relation, std::vector<DynTuple>(Tuples.begin(),
+                                                           Tuples.end()));
+    Engine->run();
+    Snapshot Snap = Session->snapshot();
+    for (const std::string &Relation : Outputs) {
+      std::vector<DynTuple> Expected = Engine->getTuples(Relation);
+      std::sort(Expected.begin(), Expected.end());
+      EXPECT_EQ(Snap.tuples(Relation), Expected)
+          << Relation << " differs from one-shot after step " << Step;
+    }
+  }
+  Out.Tel = Session->maintTelemetry();
+  EXPECT_FALSE(Out.Tel.Enabled);
+  EXPECT_EQ(Out.Tel.Batches, 0u);
+  std::uint64_t Recorded = 0;
+  for (const auto &[Reason, Count] : Out.Tel.FallbackReasons)
+    Recorded += Count;
+  EXPECT_EQ(Out.Tel.Rebuilds, Recorded)
+      << "every rebuild is recorded under exactly one fallback reason";
+  EXPECT_LE(Out.Tel.Rebuilds, Out.Accepted);
+  return Out;
+}
+
+/// The count of \p Reason among a session's fallback records.
+std::uint64_t fallbacksFor(const MaintTelemetry &Tel,
+                           const std::string &Reason) {
+  for (const auto &[Recorded, Count] : Tel.FallbackReasons)
+    if (Recorded == Reason)
+      return Count;
+  return 0;
+}
+
+/// An `.input` relation that also has an inline fact is "derived" to the
+/// maintenance plan, so the session rebuilds. Retractions from it are
+/// rejected (it has clauses); inserts extend the inline fact, and a batch
+/// re-inserting the inline fact counts it as a duplicate.
+TEST(SessionRebuildTest, InputWithInlineFactsMatchesOneShot) {
+  constexpr const char *Source = R"(
+    .decl edge(a:number, b:number)
+    .input edge
+    .decl path(a:number, b:number)
+    edge(1, 2).
+    path(x, y) :- edge(x, y).
+    path(x, z) :- path(x, y), edge(y, z).
+  )";
+  std::vector<StreamStep> Steps(5);
+  Steps[0].Batch = mixedOps("edge", {{2, 3}, {3, 4}});
+  Steps[0].Inserted = 2;
+  Steps[1].Batch = mixedOps("edge", {}, {{2, 3}});
+  Steps[1].Rejected = true;
+  Steps[2].Batch = mixedOps("edge", {{1, 2}, {4, 5}, {4, 5}});
+  Steps[2].Inserted = 1;
+  Steps[2].Duplicates = 2;
+  Steps[3].Batch = mixedOps("edge", {{5, 6}}, {{3, 4}});
+  Steps[3].Rejected = true;
+  Steps[4].Batch = mixedOps("edge", {{5, 1}});
+  Steps[4].Inserted = 1;
+  const StreamOutcome Out = serveRebuildStream(Source, {"edge", "path"}, Steps);
+  EXPECT_EQ(Out.Accepted, 3u);
+
+  const std::string Reason =
+      "relation 'edge' is both .input and derived by rules";
+  EXPECT_EQ(Out.Tel.IneligibleReason, Reason);
+  EXPECT_EQ(fallbacksFor(Out.Tel, Reason), Out.Tel.Rebuilds);
+}
+
+/// `$` mints fresh ids on every derivation, so counter programs get no
+/// maintenance plan: every accepted batch — insert-only or retracting —
+/// rebuilds, and the numbering matches a cold run over the same net EDB.
+TEST(SessionRebuildTest, CounterProgramRebuildsEveryBatch) {
+  constexpr const char *Source = R"(
+    .decl item(x:number)
+    .decl tagged(id:number, x:number)
+    tagged($, x) :- item(x).
+    .decl pair(a:number, b:number)
+    pair(a, b) :- tagged(a, x), tagged(b, y), x < y.
+  )";
+  std::vector<StreamStep> Steps(5);
+  Steps[0].Batch = mixedOps("item", {{10}, {20}, {30}});
+  Steps[0].Inserted = 3;
+  Steps[1].Batch = mixedOps("item", {}, {{20}, {99}});
+  Steps[1].Deleted = 1;
+  Steps[1].Missing = 1;
+  Steps[2].Batch = mixedOps("item", {{20}, {40}}, {{10}});
+  Steps[2].Inserted = 2;
+  Steps[2].Deleted = 1;
+  // An insert cancels the same batch's retraction: the tuple stays.
+  Steps[3].Batch = mixedOps("item", {{40}, {50}}, {{40}});
+  Steps[3].Inserted = 1;
+  Steps[3].Duplicates = 1;
+  Steps[4].Batch = mixedOps("item", {}, {{30}, {50}});
+  Steps[4].Deleted = 2;
+  const StreamOutcome Out =
+      serveRebuildStream(Source, {"item", "tagged", "pair"}, Steps);
+  EXPECT_EQ(Out.Accepted, 5u);
+  EXPECT_EQ(Out.AcceptedWithRetracts, 4u);
+
+  const std::string &Reason = Out.Tel.IneligibleReason;
+  EXPECT_NE(Reason.find("'$' counter"), std::string::npos) << Reason;
+  EXPECT_EQ(Out.Tel.Rebuilds, Out.Accepted);
+  EXPECT_EQ(fallbacksFor(Out.Tel, Reason),
+            Out.Accepted - Out.AcceptedWithRetracts);
+  EXPECT_EQ(fallbacksFor(Out.Tel,
+                         "retraction without maintenance plan: " + Reason),
+            Out.AcceptedWithRetracts);
 }
 
 //===----------------------------------------------------------------------===//

@@ -210,12 +210,12 @@ int main(int Argc, char **Argv) {
   if (!Server.UnixPath.empty())
     std::fprintf(stderr, "stird-serve: listening on %s (%zu tenants, %s)\n",
                  Server.UnixPath.c_str(), Tenants.size(),
-                 Sess.isIncremental() ? "incremental" : "re-evaluating");
+                 Sess.isMaintained() ? "maintained" : "re-evaluating");
   else
     std::fprintf(stderr,
                  "stird-serve: listening on %s:%d (%zu tenants, %s)\n",
                  Server.Host.c_str(), Srv.boundPort(), Tenants.size(),
-                 Sess.isIncremental() ? "incremental" : "re-evaluating");
+                 Sess.isMaintained() ? "maintained" : "re-evaluating");
   if (Srv.metricsPort() != 0)
     std::fprintf(stderr, "stird-serve: metrics on http://%s:%d/metrics\n",
                  Server.UnixPath.empty() ? Server.Host.c_str()
