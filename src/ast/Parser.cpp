@@ -418,7 +418,10 @@ private:
       // Fold a literal-negation into a constant.
       if (at(TokenKind::Number)) {
         const Token &Tok = advance();
-        return std::make_unique<NumberConstant>(-Tok.Number, Loc);
+        // Negated in two's complement: -2147483648 lexes as INT_MIN.
+        return std::make_unique<NumberConstant>(
+            ramBitCast<RamDomain>(0U - ramBitCast<RamUnsigned>(Tok.Number)),
+            Loc);
       }
       if (at(TokenKind::Float)) {
         const Token &Tok = advance();

@@ -5,615 +5,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The dynamic-adapter executor: every relation access goes through the
-/// virtual RelationWrapper interface, iterators are virtualized TupleStreams
-/// amortized by the 128-tuple buffer, and tuple buffers live on the heap
-/// because arities are only known at runtime (Section 3). This is the
-/// baseline the static instruction generation of Section 4.1 is measured
-/// against (Fig 18), and — paired with LegacyRelation storage — the legacy
-/// interpreter of Section 5.1.
+/// The dynamic-adapter executor: the generic subset of the one executor
+/// body, with the specialized cases compiled out. Every relation access
+/// goes through the virtual RelationWrapper interface, iterators are
+/// virtualized TupleStreams amortized by the 128-tuple buffer, and tuple
+/// buffers live on the heap because arities are only known at runtime
+/// (Section 3). This is the baseline the static instruction generation of
+/// Section 4.1 is measured against (Fig 18), and — paired with
+/// LegacyRelation storage — the legacy interpreter of Section 5.1.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "interp/Engine.h"
+#define STIRD_USE_LAMBDA_CASE 0
+#define STIRD_SPECIALIZE 0
+#define STIRD_EXECUTOR_CLASS DynamicExecutor
+#include "interp/StaticEngineImpl.inc"
+#undef STIRD_EXECUTOR_CLASS
+#undef STIRD_SPECIALIZE
+#undef STIRD_USE_LAMBDA_CASE
 
-#include "inc/CountedRelation.h"
-#include "interp/Context.h"
-#include "interp/EvalUtil.h"
-#include "interp/Parallel.h"
-#include "interp/Scheduler.h"
-#include "obs/Stats.h"
-#include "obs/Trace.h"
-#include "util/MiscUtil.h"
-#include "util/Timer.h"
+namespace stird::interp {
 
-using namespace stird;
-using namespace stird::interp;
-
-namespace {
-
-class DynamicExecutor final : public ExecutorBase {
-public:
-  explicit DynamicExecutor(EngineState &State)
-      : State(State), Dispatches(&State.NumDispatches),
-        StatsArr(State.CollectStats ? State.Stats.data() : nullptr) {}
-
-  /// Worker-side instance for one morsel of a parallel scan or one rule
-  /// job of a ParallelSequence: dispatches count into a local counter
-  /// (summed at the job barrier), inserts are buffered instead of applied
-  /// when \p Buffer is set, relation counters go into a private block
-  /// (merged at the barrier), and trace events go into a private buffer
-  /// tagged with the executing scheduler slot. Worker instances never
-  /// re-enter the scheduler: nested parallel nodes degrade to their
-  /// sequential form.
-  DynamicExecutor(EngineState &State, std::uint64_t *Dispatches,
-                  TupleBuffer *Buffer, obs::RelationStats *Stats,
-                  std::vector<obs::TraceEvent> *TraceBuf,
-                  std::uint64_t TraceTid)
-      : State(State), Dispatches(Dispatches), Buffer(Buffer),
-        StatsArr(Stats), TraceBuf(TraceBuf), TraceTid(TraceTid),
-        IsMain(false) {}
-
-  void run(const Node &Root) override {
-    Context Empty(0);
-    execute(&Root, Empty);
-  }
-
-private:
-  /// Builds the (possibly encoded) search key of a primitive search into
-  /// \p Key, which must be zero-initialized with the relation's arity.
-  void buildKey(const SuperInstruction &Pattern, bool NeedsEncode,
-                const Order &Ord, std::vector<RamDomain> &Key,
-                Context &Ctx) {
-    fillSuper(Pattern, Key.data(), Ctx,
-              [&](const Node &Expr) { return execute(&Expr, Ctx); });
-    if (NeedsEncode) {
-      std::vector<RamDomain> Source = Key;
-      Ord.encode(Source.data(), Key.data());
-    }
-  }
-
-  RamDomain execute(const Node *N, Context &Ctx) {
-    ++*Dispatches;
-    switch (N->Type) {
-    //===-------------------------- Expressions --------------------------===//
-    case NodeType::Constant:
-      return static_cast<const ConstantNode *>(N)->Value;
-    case NodeType::TupleElement: {
-      const auto *TE = static_cast<const TupleElementNode *>(N);
-      return Ctx[TE->TupleId][TE->Element];
-    }
-    case NodeType::Intrinsic: {
-      const auto *Op = static_cast<const IntrinsicNode *>(N);
-      RamDomain Args[8];
-      assert(Op->Args.size() <= 8 && "intrinsic arity too large");
-      for (std::size_t I = 0; I < Op->Args.size(); ++I)
-        Args[I] = execute(Op->Args[I].get(), Ctx);
-      return applyIntrinsic(Op->Op, Args, Op->Args.size(), State.Symbols);
-    }
-    case NodeType::AutoIncrement:
-      // Relaxed fetch-add: ids must be unique and dense, not ordered.
-      return State.Counter.fetch_add(1, std::memory_order_relaxed);
-
-    //===-------------------------- Conditions ---------------------------===//
-    case NodeType::True:
-      return 1;
-    case NodeType::Conjunction: {
-      const auto *C = static_cast<const ConjunctionNode *>(N);
-      return execute(C->Lhs.get(), Ctx) && execute(C->Rhs.get(), Ctx);
-    }
-    case NodeType::Negation:
-      return !execute(static_cast<const NegationNode *>(N)->Inner.get(),
-                      Ctx);
-    case NodeType::Constraint: {
-      const auto *C = static_cast<const ConstraintNode *>(N);
-      return applyCmp(C->Op, execute(C->Lhs.get(), Ctx),
-                      execute(C->Rhs.get(), Ctx))
-                 ? 1
-                 : 0;
-    }
-    case NodeType::FusedCondition:
-      return runFusedCondition(*static_cast<const FusedConditionNode *>(N),
-                               Ctx)
-                 ? 1
-                 : 0;
-    case NodeType::EmptinessCheck: {
-      const auto *E = static_cast<const EmptinessCheckNode *>(N);
-      if (obs::RelationStats *RS = statsFor(E->Rel))
-        ++RS->Contains;
-      return E->Rel->empty() ? 1 : 0;
-    }
-    case NodeType::GenericExistence: {
-      const auto *E = static_cast<const ExistenceNode *>(N);
-      if (obs::RelationStats *RS = statsFor(E->Rel)) {
-        ++RS->Contains;
-        RS->Reorders += E->NeedsEncode ? 1 : 0;
-        obs::noteSearchPattern(RS, E->Mask, E->Rel->getArity());
-      }
-      std::vector<RamDomain> Key(E->Rel->getArity(), 0);
-      buildKey(E->Pattern, E->NeedsEncode, E->Rel->getOrder(E->IndexPos),
-               Key, Ctx);
-      return E->Rel->containsRange(E->IndexPos, Key.data(), E->PrefixLen,
-                                   E->Mask)
-                 ? 1
-                 : 0;
-    }
-
-    //===-------------------------- Operations ---------------------------===//
-    case NodeType::GenericScan: {
-      const auto *S = static_cast<const ScanNode *>(N);
-      obs::RelationStats *RS = statsFor(S->Rel);
-      if (RS)
-        ++RS->Scans;
-      BufferedTupleSource Source(S->Rel->scan(S->IndexPos, S->Decode),
-                                 S->Rel->getArity(),
-                                 State.StreamBufferCapacity);
-      std::uint64_t Count = 0;
-      while (const RamDomain *Tuple = Source.next()) {
-        ++Count;
-        Ctx[S->TupleId] = Tuple;
-        execute(S->Nested.get(), Ctx);
-      }
-      if (RS) {
-        RS->ScanTuples += Count;
-        RS->Reorders += S->Decode ? Count : 0;
-      }
-      return 1;
-    }
-    case NodeType::GenericIndexScan: {
-      const auto *S = static_cast<const IndexScanNode *>(N);
-      obs::RelationStats *RS = statsFor(S->Rel);
-      if (RS) {
-        ++RS->IndexScans;
-        RS->Reorders += S->NeedsEncode ? 1 : 0;
-        obs::noteSearchPattern(RS, S->Mask, S->Rel->getArity());
-      }
-      std::vector<RamDomain> Key(S->Rel->getArity(), 0);
-      buildKey(S->Pattern, S->NeedsEncode, S->Rel->getOrder(S->IndexPos),
-               Key, Ctx);
-      BufferedTupleSource Source(
-          S->Rel->range(S->IndexPos, Key.data(), S->PrefixLen, S->Mask,
-                        S->Decode),
-          S->Rel->getArity(), State.StreamBufferCapacity);
-      std::uint64_t Count = 0;
-      while (const RamDomain *Tuple = Source.next()) {
-        ++Count;
-        Ctx[S->TupleId] = Tuple;
-        execute(S->Nested.get(), Ctx);
-      }
-      if (RS) {
-        RS->IndexScanTuples += Count;
-        RS->IndexScanHits += Count > 0 ? 1 : 0;
-        RS->Reorders += S->Decode ? Count : 0;
-      }
-      return 1;
-    }
-    case NodeType::ParallelScan: {
-      const auto *S = static_cast<const ParallelScanNode *>(N);
-      obs::RelationStats *RS = statsFor(S->Rel);
-      if (RS)
-        ++RS->Scans;
-      auto Streams = S->Rel->partitionScan(
-          S->IndexPos, State.morselParts(S->Rel->size()), S->Decode);
-      return runPartitions(*S->Rel, S->TupleId, *S->Nested, S->NumTupleIds,
-                           Streams, RS, /*IsIndex=*/false, S->Decode);
-    }
-    case NodeType::ParallelIndexScan: {
-      const auto *S = static_cast<const ParallelIndexScanNode *>(N);
-      obs::RelationStats *RS = statsFor(S->Rel);
-      if (RS) {
-        ++RS->IndexScans;
-        RS->Reorders += S->NeedsEncode ? 1 : 0;
-        obs::noteSearchPattern(RS, S->Mask, S->Rel->getArity());
-      }
-      std::vector<RamDomain> Key(S->Rel->getArity(), 0);
-      if (IsMain && State.Trace && S->NeedsEncode)
-        State.Trace->begin("index reorder " + S->Rel->getName());
-      buildKey(S->Pattern, S->NeedsEncode, S->Rel->getOrder(S->IndexPos),
-               Key, Ctx);
-      if (IsMain && State.Trace && S->NeedsEncode)
-        State.Trace->end();
-      auto Streams = S->Rel->partitionRange(
-          S->IndexPos, Key.data(), S->PrefixLen, S->Mask, S->Decode,
-          State.morselParts(S->Rel->size()));
-      return runPartitions(*S->Rel, S->TupleId, *S->Nested, S->NumTupleIds,
-                           Streams, RS, /*IsIndex=*/true, S->Decode);
-    }
-    case NodeType::Filter: {
-      const auto *F = static_cast<const FilterNode *>(N);
-      if (execute(F->Cond.get(), Ctx))
-        execute(F->Nested.get(), Ctx);
-      return 1;
-    }
-    case NodeType::GenericProject: {
-      const auto *P = static_cast<const ProjectNode *>(N);
-      std::vector<RamDomain> Tuple(P->Rel->getArity(), 0);
-      fillSuper(P->Values, Tuple.data(), Ctx,
-                [&](const Node &Expr) { return execute(&Expr, Ctx); });
-      obs::RelationStats *RS = statsFor(P->Rel);
-      if (RS)
-        ++RS->Inserts;
-      if (Buffer) {
-        // InsertsNew is counted at the flushAll barrier, where the insert
-        // actually happens.
-        Buffer->add(*P->Rel, Tuple.data());
-      } else {
-        bool Grew = P->Rel->insert(Tuple.data());
-        if (RS)
-          RS->InsertsNew += Grew ? 1 : 0;
-      }
-      return 1;
-    }
-    case NodeType::GenericAggregate: {
-      const auto *A = static_cast<const AggregateNode *>(N);
-      obs::RelationStats *RS = statsFor(A->Rel);
-      if (RS) {
-        ++RS->IndexScans;
-        RS->Reorders += A->NeedsEncode ? 1 : 0;
-        obs::noteSearchPattern(RS, A->Mask, A->Rel->getArity());
-      }
-      std::vector<RamDomain> Key(A->Rel->getArity(), 0);
-      buildKey(A->Pattern, A->NeedsEncode, A->Rel->getOrder(A->IndexPos),
-               Key, Ctx);
-      BufferedTupleSource Source(
-          A->Rel->range(A->IndexPos, Key.data(), A->PrefixLen, A->Mask,
-                        A->Decode),
-          A->Rel->getArity(), State.StreamBufferCapacity);
-      AggAccumulator Acc;
-      Acc.init(A->Func);
-      std::uint64_t Count = 0;
-      while (const RamDomain *Tuple = Source.next()) {
-        ++Count;
-        Ctx[A->TupleId] = Tuple;
-        if (A->Cond && !execute(A->Cond.get(), Ctx))
-          continue;
-        Acc.step(A->Func,
-                 A->Target ? execute(A->Target.get(), Ctx) : 0);
-      }
-      if (RS) {
-        RS->IndexScanTuples += Count;
-        RS->IndexScanHits += Count > 0 ? 1 : 0;
-        RS->Reorders += A->Decode ? Count : 0;
-      }
-      if (Acc.hasResult(A->Func)) {
-        RamDomain Result[1] = {Acc.Value};
-        Ctx[A->TupleId] = Result;
-        execute(A->Nested.get(), Ctx);
-      }
-      return 1;
-    }
-
-    //===-------------------------- Statements ---------------------------===//
-    case NodeType::Sequence: {
-      const auto *Seq = static_cast<const SequenceNode *>(N);
-      for (const auto &Child : Seq->Children)
-        if (!execute(Child.get(), Ctx))
-          return 0;
-      return 1;
-    }
-    case NodeType::ParallelSequence:
-      return runRuleGroup(*static_cast<const ParallelSequenceNode *>(N),
-                          Ctx);
-    case NodeType::Loop: {
-      const auto *L = static_cast<const LoopNode *>(N);
-      while (execute(L->Body.get(), Ctx)) {
-      }
-      return 1;
-    }
-    case NodeType::Exit:
-      return execute(static_cast<const ExitNode *>(N)->Cond.get(), Ctx) ? 0
-                                                                        : 1;
-    case NodeType::Query: {
-      const auto *Q = static_cast<const QueryNode *>(N);
-      Context QueryCtx(Q->NumTupleIds);
-      execute(Q->Root.get(), QueryCtx);
-      return 1;
-    }
-    case NodeType::Clear: {
-      const auto *C = static_cast<const ClearNode *>(N);
-      if (obs::RelationStats *RS = statsFor(C->Rel))
-        RS->notePeak(C->Rel->size());
-      C->Rel->clear();
-      return 1;
-    }
-    case NodeType::SwapRel: {
-      const auto *S = static_cast<const SwapNode *>(N);
-      if (obs::RelationStats *RS = statsFor(S->Rel))
-        RS->notePeak(S->Rel->size());
-      if (obs::RelationStats *RS = statsFor(S->Second))
-        RS->notePeak(S->Second->size());
-      S->Rel->swap(*S->Second);
-      return 1;
-    }
-    case NodeType::Merge: {
-      const auto *M = static_cast<const MergeNode *>(N);
-      if (StatsArr) {
-        const std::uint64_t SrcSize = M->Rel->size();
-        obs::RelationStats *SrcRS = statsFor(M->Rel);
-        ++SrcRS->Scans;
-        SrcRS->ScanTuples += SrcSize;
-        obs::RelationStats *DstRS = statsFor(M->Destination);
-        DstRS->Inserts += SrcSize;
-        const std::uint64_t Before = M->Destination->size();
-        M->Destination->insertAll(*M->Rel);
-        DstRS->InsertsNew += M->Destination->size() - Before;
-      } else {
-        M->Destination->insertAll(*M->Rel);
-      }
-      return 1;
-    }
-    case NodeType::EraseRel: {
-      // Maintenance statements only ever run on this executor (see
-      // Engine::runStatement); batch deltas are small, so the virtual
-      // adapter path is the right cost model.
-      const auto *E = static_cast<const EraseNode *>(N);
-      if (obs::RelationStats *RS = statsFor(E->Rel)) {
-        ++RS->Scans;
-        RS->ScanTuples += E->Rel->size();
-      }
-      if (obs::RelationStats *RS = statsFor(E->Destination))
-        RS->notePeak(E->Destination->size());
-      E->Rel->forEach(
-          [&](const RamDomain *Tuple) { E->Destination->erase(Tuple); });
-      return 1;
-    }
-    case NodeType::Subtract: {
-      const auto *S = static_cast<const SubtractNode *>(N);
-      if (obs::RelationStats *RS = statsFor(S->Rel)) {
-        ++RS->Scans;
-        RS->ScanTuples += S->Rel->size();
-      }
-      obs::RelationStats *FilterRS = statsFor(S->Filter);
-      obs::RelationStats *DstRS = statsFor(S->Destination);
-      S->Rel->forEach([&](const RamDomain *Tuple) {
-        if (FilterRS)
-          ++FilterRS->Contains;
-        if (S->Filter->contains(Tuple))
-          return;
-        bool Grew = S->Destination->insert(Tuple);
-        if (DstRS) {
-          ++DstRS->Inserts;
-          DstRS->InsertsNew += Grew ? 1 : 0;
-        }
-      });
-      return 1;
-    }
-    case NodeType::FoldCounts: {
-      const auto *F = static_cast<const FoldCountsNode *>(N);
-      auto &Add = static_cast<inc::CountedRelation &>(*F->Rel);
-      auto &Dec = static_cast<inc::CountedRelation &>(*F->Dec);
-      auto &Support = static_cast<inc::CountedRelation &>(*F->Support);
-      // Net the per-batch derivation counts into the support store; only
-      // support transitions to/from zero change membership of the target.
-      auto Apply = [&](const DynTuple &Key, std::int64_t Net) {
-        if (Net == 0)
-          return;
-        const std::uint64_t Old = Support.countOf(Key);
-        const std::uint64_t New = Support.adjust(Key, Net);
-        if (Old == 0 && New > 0) {
-          F->Target->insert(Key.data());
-          F->InsOut->insert(Key.data());
-        } else if (Old > 0 && New == 0) {
-          F->Target->erase(Key.data());
-          F->DelOut->insert(Key.data());
-        }
-      };
-      Add.forEachCount([&](const DynTuple &Key, std::uint64_t Count) {
-        Apply(Key, static_cast<std::int64_t>(Count) -
-                       static_cast<std::int64_t>(Dec.countOf(Key)));
-      });
-      Dec.forEachCount([&](const DynTuple &Key, std::uint64_t Count) {
-        if (Add.countOf(Key) == 0)
-          Apply(Key, -static_cast<std::int64_t>(Count));
-      });
-      return 1;
-    }
-    case NodeType::Io:
-      State.executeIo(*static_cast<const IoNode *>(N));
-      return 1;
-    case NodeType::LogTimer: {
-      const auto *Log = static_cast<const LogTimerNode *>(N);
-      // Main thread uses the shared span stack; rule jobs record into
-      // their private trace buffer under the executing scheduler slot.
-      if (IsMain && State.Trace)
-        State.Trace->begin(Log->Label);
-      const std::uint64_t Start =
-          !IsMain && TraceBuf ? State.Trace->now() : 0;
-      const std::uint64_t SizeBefore =
-          Log->DeltaRel ? Log->DeltaRel->size() : 0;
-      Timer T;
-      std::uint64_t Before = *Dispatches;
-      RamDomain Result = execute(Log->Body.get(), Ctx);
-      const std::uint64_t Delta =
-          Log->DeltaRel ? Log->DeltaRel->size() - SizeBefore : 0;
-      State.Prof.record(Log->ProfileId, T.seconds(), *Dispatches - Before,
-                        Delta);
-      if (IsMain && State.Trace) {
-        State.Trace->end();
-      } else if (TraceBuf) {
-        TraceBuf->push_back({Log->Label, 'B', Start, TraceTid,
-                             std::string()});
-        TraceBuf->push_back({std::string(), 'E', State.Trace->now(),
-                             TraceTid, std::string()});
-      }
-      return Result;
-    }
-
-    default:
-      fatal("specialized opcode reached the dynamic-adapter executor");
-    }
-  }
-
-  /// Applies the combined tuple count of a partitioned scan to the scanned
-  /// relation's counters. The total is accumulated across partitions and
-  /// applied once on the main thread, so hit/tuple counts are identical to
-  /// the single-threaded scan path at any -jN.
-  static void noteScanTotal(obs::RelationStats *RS, bool IsIndex,
-                            bool Decode, std::uint64_t Total) {
-    if (!RS)
-      return;
-    if (IsIndex) {
-      RS->IndexScanTuples += Total;
-      RS->IndexScanHits += Total > 0 ? 1 : 0;
-    } else {
-      RS->ScanTuples += Total;
-    }
-    RS->Reorders += Decode ? Total : 0;
-  }
-
-  /// Executes the morsel streams of a parallel scan: on this thread when
-  /// there is at most one morsel (or no scheduler, or this is already a
-  /// worker instance), else as one scheduler job per morsel — one sibling
-  /// executor, context and insert buffer per morsel, merged back in
-  /// ascending morsel index at the barrier so the result is bit-identical
-  /// to the sequential scan no matter which thread ran (or stole) which
-  /// morsel. \p RS (nullable) is the scanned relation's counter slot; the
-  /// caller has already counted the scan initiation.
-  RamDomain runPartitions(RelationWrapper &Rel, std::uint32_t TupleId,
-                          const Node &Nested, std::size_t NumTupleIds,
-                          std::vector<std::unique_ptr<TupleStream>> &Streams,
-                          obs::RelationStats *RS, bool IsIndex,
-                          bool Decode) {
-    if (Streams.empty())
-      return 1;
-    const std::size_t Arity = Rel.getArity();
-    if (Streams.size() == 1 || !State.Sched || !IsMain) {
-      std::uint64_t Total = 0;
-      for (auto &Stream : Streams) {
-        BufferedTupleSource Source(std::move(Stream), Arity,
-                                   State.StreamBufferCapacity);
-        Context Ctx(NumTupleIds);
-        while (const RamDomain *Tuple = Source.next()) {
-          ++Total;
-          Ctx[TupleId] = Tuple;
-          execute(&Nested, Ctx);
-        }
-      }
-      noteScanTotal(RS, IsIndex, Decode, Total);
-      return 1;
-    }
-    std::vector<TupleBuffer> Buffers(Streams.size());
-    std::vector<std::uint64_t> Counts(Streams.size(), 0);
-    std::vector<std::uint64_t> TupleCounts(Streams.size(), 0);
-    // Private counter block per morsel, merged below at the barrier.
-    std::vector<obs::StatsBlock> WorkerStats;
-    if (StatsArr)
-      WorkerStats.assign(Streams.size(),
-                         obs::StatsBlock(State.Stats.size()));
-    const obs::TraceRecorder *TR = State.Trace;
-    std::vector<std::vector<obs::TraceEvent>> TraceBufs(
-        TR ? Streams.size() : 0);
-    const std::string SpanName =
-        (IsIndex ? "index scan " : "scan ") + Rel.getName();
-    State.Sched->run(Streams.size(), [&](std::size_t I, std::size_t Slot) {
-      const std::uint64_t Start = TR ? TR->now() : 0;
-      DynamicExecutor Worker(State, &Counts[I], &Buffers[I],
-                             StatsArr ? WorkerStats[I].data() : nullptr,
-                             TR ? &TraceBufs[I] : nullptr, Slot);
-      Context Ctx(NumTupleIds);
-      BufferedTupleSource Source(std::move(Streams[I]), Arity,
-                                 State.StreamBufferCapacity);
-      std::uint64_t Count = 0;
-      while (const RamDomain *Tuple = Source.next()) {
-        ++Count;
-        Ctx[TupleId] = Tuple;
-        Worker.execute(&Nested, Ctx);
-      }
-      TupleCounts[I] = Count;
-      if (TR) {
-        TraceBufs[I].push_back(
-            {SpanName, 'B', Start, Slot,
-             "{\"tuples\":" + std::to_string(Count) + "}"});
-        TraceBufs[I].push_back(
-            {std::string(), 'E', TR->now(), Slot, std::string()});
-      }
-    });
-    if (State.Trace)
-      State.Trace->begin("merge " + Rel.getName());
-    TupleBuffer::flushAll(Buffers, StatsArr);
-    if (StatsArr)
-      for (const obs::StatsBlock &WS : WorkerStats)
-        obs::mergeStats(State.Stats, WS);
-    if (State.Trace) {
-      State.Trace->end();
-      for (auto &Buf : TraceBufs)
-        State.Trace->append(std::move(Buf));
-    }
-    std::uint64_t Total = 0;
-    for (std::size_t I = 0; I < Streams.size(); ++I) {
-      *Dispatches += Counts[I];
-      Total += TupleCounts[I];
-    }
-    noteScanTotal(RS, IsIndex, Decode, Total);
-    return 1;
-  }
-
-  /// Executes the children of a ParallelSequence — a group of pairwise
-  /// independent rules — as concurrent scheduler jobs. The generator
-  /// guarantees no member writes a relation another member reads or
-  /// writes, so jobs insert directly (no TupleBuffer) and the result set
-  /// is the same as running the children in order. Dispatch counts,
-  /// relation counters and trace events go into per-job privates merged
-  /// at the barrier, keeping every observable total thread-invariant.
-  RamDomain runRuleGroup(const ParallelSequenceNode &Seq, Context &Ctx) {
-    if (!State.Sched || !IsMain) {
-      for (const auto &Child : Seq.Children)
-        if (!execute(Child.get(), Ctx))
-          return 0;
-      return 1;
-    }
-    const std::size_t N = Seq.Children.size();
-    std::vector<std::uint64_t> Counts(N, 0);
-    std::vector<obs::StatsBlock> JobStats;
-    if (StatsArr)
-      JobStats.assign(N, obs::StatsBlock(State.Stats.size()));
-    const obs::TraceRecorder *TR = State.Trace;
-    std::vector<std::vector<obs::TraceEvent>> TraceBufs(TR ? N : 0);
-    State.Sched->run(N, [&](std::size_t I, std::size_t Slot) {
-      DynamicExecutor Job(State, &Counts[I], /*Buffer=*/nullptr,
-                          StatsArr ? JobStats[I].data() : nullptr,
-                          TR ? &TraceBufs[I] : nullptr, Slot);
-      Context JobCtx(0);
-      Job.execute(Seq.Children[I].get(), JobCtx);
-    });
-    if (StatsArr)
-      for (const obs::StatsBlock &JS : JobStats)
-        obs::mergeStats(State.Stats, JS);
-    if (TR)
-      for (auto &Buf : TraceBufs)
-        State.Trace->append(std::move(Buf));
-    for (std::size_t I = 0; I < N; ++I)
-      *Dispatches += Counts[I];
-    return 1;
-  }
-
-  obs::RelationStats *statsFor(const RelationWrapper *Rel) const {
-    return StatsArr ? StatsArr + Rel->getStatsId() : nullptr;
-  }
-
-  EngineState &State;
-  /// Dispatch counter target: the shared engine counter on the main
-  /// executor, a partition-local counter on workers.
-  std::uint64_t *Dispatches;
-  /// Set on worker instances only: inserts go here instead of into the
-  /// relations, and the main thread flushes at the barrier.
-  TupleBuffer *Buffer = nullptr;
-  /// StatsId-indexed counter array: the engine block on the main executor,
-  /// a job-private block on workers, null when stats are off.
-  obs::RelationStats *StatsArr = nullptr;
-  /// Worker instances append their trace events here (tagged TraceTid, the
-  /// executing scheduler slot); the job barrier moves them into the shared
-  /// recorder. Null on the main executor and when tracing is off.
-  std::vector<obs::TraceEvent> *TraceBuf = nullptr;
-  std::uint64_t TraceTid = 0;
-  /// False on worker instances: nested parallel nodes run sequentially
-  /// and the shared trace span stack is off limits.
-  bool IsMain = true;
-};
-
-} // namespace
-
-std::unique_ptr<ExecutorBase>
-stird::interp::createDynamicExecutor(EngineState &State) {
+std::unique_ptr<ExecutorBase> createDynamicExecutor(EngineState &State) {
   return std::make_unique<DynamicExecutor>(State);
 }
+
+} // namespace stird::interp

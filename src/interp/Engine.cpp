@@ -196,36 +196,11 @@ void Engine::run() {
       State.Stats[I].notePeak(State.StatsRelations[I]->size());
 }
 
-ExecutorBase &Engine::ensureMaintExecutor() {
-  switch (Options.TheBackend) {
-  case Backend::DynamicAdapter:
-  case Backend::Legacy:
-    // Already the dynamic-adapter executor; share it (and its stream
-    // buffer sizing).
-    return ensureExecutor();
-  case Backend::StaticLambda:
-  case Backend::StaticPlain:
-    break;
-  }
-  if (!MaintExecutor)
-    MaintExecutor = createDynamicExecutor(State);
-  return *MaintExecutor;
-}
-
 void Engine::runStatement(const ram::Statement &Stmt) {
   NodePtr &Tree = StmtTrees[&Stmt];
-  if (!Tree) {
-    // Force the de-specialized opcodes: the dynamic-adapter executor is
-    // the only one that carries the generic operations and the
-    // maintenance statements, and it drives any relation kind — including
-    // the specialized structures of a static backend — through the
-    // virtual RelationWrapper interface.
-    GeneratorOptions Gen = generatorOptions(Options);
-    Gen.Specialize = false;
-    Tree = generateTree(Stmt, Indexes, State, Gen);
-  }
-  ExecutorBase &Exec = ensureMaintExecutor();
-  Exec.run(*Tree);
+  if (!Tree)
+    Tree = generateTree(Stmt, Indexes, State, generatorOptions(Options));
+  ensureExecutor().run(*Tree);
   if (State.CollectStats)
     for (std::size_t I = 0; I < State.StatsRelations.size(); ++I)
       State.Stats[I].notePeak(State.StatsRelations[I]->size());

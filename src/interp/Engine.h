@@ -7,7 +7,7 @@
 /// \file
 /// The interpreter engine facade. One Engine owns the runtime relations,
 /// generates the interpreter tree from a RAM program, and executes it with
-/// one of four executors:
+/// one of four backends:
 ///
 ///  * StaticLambda — the STI: specialized instructions, with the
 ///    register-pressure lambda-CASE trick of Section 4.3 enabled;
@@ -16,7 +16,12 @@
 ///  * DynamicAdapter — the de-specialized virtual-adapter interpreter with
 ///    buffered iterators (the Fig 18 baseline);
 ///  * Legacy — the pre-STI interpreter with runtime-order comparators
-///    (Section 5.1).
+///    (Section 5.1), run by the dynamic-adapter executor.
+///
+/// All three executors are one body (StaticEngineImpl.inc) compiled three
+/// ways; the dynamic adapter is its generic subset. Whatever the backend,
+/// the full program (run()) and every maintenance statement
+/// (runStatement()) execute on the same executor.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,9 +133,9 @@ struct EngineState {
   /// Malformed fact-file rows encountered by Load statements: the rows are
   /// skipped and reported here instead of aborting the run.
   std::vector<FactError> IoErrors;
-  /// Tuples buffered per virtual iterator refill in the dynamic executor:
-  /// 128 for the de-specialized adapter, 1 for the legacy interpreter
-  /// (which predates the buffering mechanism).
+  /// Tuples buffered per virtual iterator refill of the generic
+  /// operations: 128 for the de-specialized adapter, 1 for the legacy
+  /// interpreter (which predates the buffering mechanism).
   std::size_t StreamBufferCapacity = StreamBufferTuples;
   /// Results of .printsize directives, in execution order.
   std::vector<std::pair<std::string, std::size_t>> PrintSizes;
@@ -200,10 +205,11 @@ public:
   /// and recorded Main sub-ranges for re-evaluated strata. The statement
   /// must belong to (or be reachable from) the engine's ram::Program so
   /// its relation references resolve. Trees are generated on first use and
-  /// cached per statement; execution always goes through the de-specialized
-  /// dynamic-adapter executor, which is the only one carrying the
-  /// maintenance opcodes (Erase / Subtract / FoldCounts) and every generic
-  /// operation.
+  /// cached per statement, with the configured backend's opcodes, and run
+  /// on the same executor as run(): under the STI a maintained batch gets
+  /// specialized instructions on B-tree, Brie, ART and eqrel relations,
+  /// while counted support stores stay on the generic opcodes every
+  /// executor carries.
   void runStatement(const ram::Statement &Stmt);
 
   const ram::Program &getProgram() const { return Prog; }
@@ -247,7 +253,6 @@ public:
 
 private:
   ExecutorBase &ensureExecutor();
-  ExecutorBase &ensureMaintExecutor();
 
   const ram::Program &Prog;
   const translate::IndexSelectionResult &Indexes;
@@ -259,9 +264,6 @@ private:
   /// batches).
   std::unordered_map<const ram::Statement *, NodePtr> StmtTrees;
   std::unique_ptr<ExecutorBase> Executor;
-  /// Dynamic-adapter executor for runStatement, distinct from Executor
-  /// when the configured backend is static.
-  std::unique_ptr<ExecutorBase> MaintExecutor;
   std::unique_ptr<obs::TraceRecorder> TraceRec;
 };
 

@@ -145,7 +145,7 @@ inline bool runFusedCondition(const FusedConditionNode &Node,
       --Top;
       break;
     case Op::Neg:
-      Stack[Top - 1] = -Stack[Top - 1];
+      Stack[Top - 1] = ram::negWrap(Stack[Top - 1]);
       break;
     case Op::BNot:
       Stack[Top - 1] = ~Stack[Top - 1];
@@ -163,8 +163,8 @@ inline bool runFusedCondition(const FusedConditionNode &Node,
       STIRD_FUSED_BINOP(Add, ramBitCast<RamDomain>(U(A) + U(B)))
       STIRD_FUSED_BINOP(Sub, ramBitCast<RamDomain>(U(A) - U(B)))
       STIRD_FUSED_BINOP(Mul, ramBitCast<RamDomain>(U(A) * U(B)))
-      STIRD_FUSED_BINOP(Div, B == 0 ? 0 : A / B)
-      STIRD_FUSED_BINOP(Mod, B == 0 ? 0 : A % B)
+      STIRD_FUSED_BINOP(Div, ram::divWrap(A, B))
+      STIRD_FUSED_BINOP(Mod, ram::modWrap(A, B))
       STIRD_FUSED_BINOP(Band, A &B)
       STIRD_FUSED_BINOP(Bor, A | B)
       STIRD_FUSED_BINOP(Bxor, A ^ B)

@@ -13,9 +13,11 @@
 //===----------------------------------------------------------------------===//
 
 #define STIRD_USE_LAMBDA_CASE 1
+#define STIRD_SPECIALIZE 1
 #define STIRD_EXECUTOR_CLASS StaticExecutorLambda
 #include "interp/StaticEngineImpl.inc"
 #undef STIRD_EXECUTOR_CLASS
+#undef STIRD_SPECIALIZE
 #undef STIRD_USE_LAMBDA_CASE
 
 namespace stird::interp {

@@ -41,9 +41,21 @@ inline RamDomain ipow(RamDomain Base, RamDomain Exponent) {
   return Result;
 }
 
-/// Applies an intrinsic functor to already-evaluated arguments. Division
-/// and modulo by zero yield 0 (documented deviation from C++ UB; Soufflé
-/// leaves these undefined).
+/// Signed negation, division and modulo, total over every operand: they
+/// wrap in two's complement like Add/Sub/Mul (-INT_MIN = INT_MIN / -1 =
+/// INT_MIN, INT_MIN % -1 = 0), and division and modulo by zero yield 0
+/// (documented deviation from C++ UB; Soufflé leaves these undefined).
+inline RamDomain negWrap(RamDomain A) {
+  return ramBitCast<RamDomain>(0U - ramBitCast<RamUnsigned>(A));
+}
+inline RamDomain divWrap(RamDomain A, RamDomain B) {
+  return B == -1 ? negWrap(A) : B == 0 ? 0 : A / B;
+}
+inline RamDomain modWrap(RamDomain A, RamDomain B) {
+  return B == 0 || B == -1 ? 0 : A % B;
+}
+
+/// Applies an intrinsic functor to already-evaluated arguments.
 inline RamDomain applyIntrinsic(IntrinsicOp Op, const RamDomain *Args,
                                 std::size_t NumArgs, SymbolTable &Symbols) {
   auto F = [](RamDomain V) { return ramBitCast<RamFloat>(V); };
@@ -53,7 +65,7 @@ inline RamDomain applyIntrinsic(IntrinsicOp Op, const RamDomain *Args,
 
   switch (Op) {
   case IntrinsicOp::Neg:
-    return -Args[0];
+    return negWrap(Args[0]);
   case IntrinsicOp::FNeg:
     return FV(-F(Args[0]));
   case IntrinsicOp::BNot:
@@ -77,7 +89,7 @@ inline RamDomain applyIntrinsic(IntrinsicOp Op, const RamDomain *Args,
   case IntrinsicOp::Mul:
     return UV(U(Args[0]) * U(Args[1]));
   case IntrinsicOp::Div:
-    return Args[1] == 0 ? 0 : Args[0] / Args[1];
+    return divWrap(Args[0], Args[1]);
   case IntrinsicOp::UDiv:
     return Args[1] == 0 ? 0 : UV(U(Args[0]) / U(Args[1]));
   case IntrinsicOp::FAdd:
@@ -89,7 +101,7 @@ inline RamDomain applyIntrinsic(IntrinsicOp Op, const RamDomain *Args,
   case IntrinsicOp::FDiv:
     return FV(F(Args[0]) / F(Args[1]));
   case IntrinsicOp::Mod:
-    return Args[1] == 0 ? 0 : Args[0] % Args[1];
+    return modWrap(Args[0], Args[1]);
   case IntrinsicOp::UMod:
     return Args[1] == 0 ? 0 : UV(U(Args[0]) % U(Args[1]));
   case IntrinsicOp::Exp:

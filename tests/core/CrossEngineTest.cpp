@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 
 using namespace stird;
@@ -31,6 +32,9 @@ struct CorpusEntry {
   std::vector<const char *> Outputs;
   /// Input relation -> tuples.
   std::vector<std::pair<const char *, std::vector<DynTuple>>> Inputs;
+  /// Exact contents of each output relation, when the entry pins them
+  /// (empty: the reference STI run is the only oracle).
+  std::vector<std::vector<DynTuple>> Expected = {};
 };
 
 std::vector<DynTuple> randomPairs(std::size_t Count, RamDomain Range,
@@ -112,11 +116,24 @@ const CorpusEntry *corpus() {
          "x * x + y * y < 900.",
          {"w"},
          {{"v", randomPairs(90, 28, 9)}}});
+    // Signed division, modulo and negation wrap in two's complement: the
+    // operand pairs that trap in C++ (INT_MIN / -1, INT_MIN % -1) have
+    // defined results, also when the constant folder evaluates them.
+    constexpr RamDomain IntMin = std::numeric_limits<RamDomain>::min();
+    Result.push_back(
+        {"int_min_wrap",
+         ".decl s(x:number)\n.decl q(a:number, b:number, c:number)\n"
+         ".decl z(x:number)\n"
+         "q(x / -1, x % -1, -x) :- s(x), x / -1 != 5.\n"
+         "z(v) :- v = (-2147483647 - 1) / -1.",
+         {"q", "z"},
+         {{"s", {{IntMin}, {-6}, {7}}}},
+         {{{IntMin, 0, IntMin}, {-7, 0, -7}, {6, 0, 6}}, {{IntMin}}}});
     return Result;
   }();
   return Entries.data();
 }
-constexpr std::size_t CorpusSize = 8;
+constexpr std::size_t CorpusSize = 9;
 
 class CrossEngineTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -174,6 +191,9 @@ TEST_P(CrossEngineTest, BackendMatchesReferenceSti) {
   for (const auto &Tuples : Reference)
     EXPECT_FALSE(Tuples.empty())
         << Entry.Name << ": corpus entry produced no tuples";
+  if (!Entry.Expected.empty()) {
+    EXPECT_EQ(Reference, Entry.Expected) << Entry.Name;
+  }
   auto Other = runOn(Entry, backendOf(BackendIndex));
   ASSERT_EQ(Reference.size(), Other.size());
   for (std::size_t I = 0; I < Reference.size(); ++I)

@@ -9,9 +9,11 @@
 /// insert/retract streams replayed through the Maintainer, with exact
 /// equality against a one-shot evaluation of the net EDB at EVERY batch
 /// prefix. Each subject runs the full matrix of batch splits k in
-/// {1, 2, 5} and thread counts -j{1, 4}, so counting, DRed and the scoped
-/// Reeval fallback are all exercised under both sequential and parallel
-/// evaluation.
+/// {1, 2, 5}, the four backends and thread counts -j{1, 4}, so counting,
+/// DRed and the scoped Reeval fallback are all exercised on every executor
+/// under both sequential and parallel evaluation. Every batch's
+/// MaintenanceReport must also equal the StaticLambda -j1 report: the
+/// executor and thread count change how a batch runs, never what it did.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +25,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 using namespace stird;
 
@@ -157,6 +161,40 @@ std::unique_ptr<interp::Engine> runOracle(core::Program &Prog,
   return Eng;
 }
 
+const char *backendName(interp::Backend B) {
+  switch (B) {
+  case interp::Backend::StaticLambda:
+    return "StaticLambda";
+  case interp::Backend::StaticPlain:
+    return "StaticPlain";
+  case interp::Backend::DynamicAdapter:
+    return "DynamicAdapter";
+  case interp::Backend::Legacy:
+    return "Legacy";
+  }
+  return "?";
+}
+
+void expectSameReport(const inc::MaintenanceReport &Want,
+                      const inc::MaintenanceReport &Got,
+                      const std::string &Where) {
+  EXPECT_EQ(Want.Maintained, Got.Maintained) << Where;
+  EXPECT_EQ(Want.Inserted, Got.Inserted) << Where;
+  EXPECT_EQ(Want.Duplicates, Got.Duplicates) << Where;
+  EXPECT_EQ(Want.Deleted, Got.Deleted) << Where;
+  EXPECT_EQ(Want.Missing, Got.Missing) << Where;
+  EXPECT_EQ(Want.ReevalStrata, Got.ReevalStrata) << Where;
+  ASSERT_EQ(Want.Strata.size(), Got.Strata.size()) << Where;
+  for (std::size_t I = 0; I < Want.Strata.size(); ++I) {
+    const inc::StratumReport &A = Want.Strata[I];
+    const inc::StratumReport &B = Got.Strata[I];
+    EXPECT_EQ(A.Strategy, B.Strategy) << Where << " stratum " << I;
+    EXPECT_EQ(A.Inserted, B.Inserted) << Where << " stratum " << I;
+    EXPECT_EQ(A.Deleted, B.Deleted) << Where << " stratum " << I;
+    EXPECT_EQ(A.Rederived, B.Rederived) << Where << " stratum " << I;
+  }
+}
+
 void runSubject(const Subject &S, std::uint64_t Seed, std::size_t NumOps) {
   auto Prog = core::Program::fromSource(S.Source, nullptr, withMaint());
   ASSERT_NE(Prog, nullptr) << S.Name;
@@ -169,30 +207,50 @@ void runSubject(const Subject &S, std::uint64_t Seed, std::size_t NumOps) {
     Relations.push_back(Decl->getName());
 
   for (std::size_t K : {std::size_t(1), std::size_t(2), std::size_t(5)}) {
-    for (std::size_t J : {std::size_t(1), std::size_t(4)}) {
-      interp::EngineOptions Opts;
-      Opts.SuppressIo = true;
-      Opts.NumThreads = J;
-      auto Eng = Prog->makeEngine(Opts);
-      Eng->run();
-      inc::Maintainer Maint(Prog->getRam(), *Eng);
-      Maint.bootstrap();
+    // The StaticLambda -j1 reports, one per batch; it runs first.
+    std::vector<inc::MaintenanceReport> Reference;
+    for (interp::Backend B :
+         {interp::Backend::StaticLambda, interp::Backend::StaticPlain,
+          interp::Backend::DynamicAdapter, interp::Backend::Legacy}) {
+      for (std::size_t J : {std::size_t(1), std::size_t(4)}) {
+        const std::string Config = std::string(S.Name) + " " +
+                                   backendName(B) + " k=" +
+                                   std::to_string(K) + " j=" +
+                                   std::to_string(J);
+        interp::EngineOptions Opts;
+        Opts.TheBackend = B;
+        Opts.SuppressIo = true;
+        Opts.NumThreads = J;
+        auto Eng = Prog->makeEngine(Opts);
+        Eng->run();
+        inc::Maintainer Maint(Prog->getRam(), *Eng);
+        Maint.bootstrap();
+        const bool IsReference = Reference.empty();
 
-      EdbState State(S.Edb.size());
-      const std::size_t PerBatch = (NumOps + K - 1) / K;
-      for (std::size_t Begin = 0; Begin < NumOps; Begin += PerBatch) {
-        const std::size_t End = std::min(NumOps, Begin + PerBatch);
-        inc::MixedBatch Batch = makeBatch(S, Ops, Begin, End);
-        ASSERT_EQ(Maint.rejectReason(Batch), "")
-            << S.Name << " k=" << K << " j=" << J;
-        Maint.apply(Batch);
-        applyToState(State, Ops, Begin, End);
+        EdbState State(S.Edb.size());
+        const std::size_t PerBatch = (NumOps + K - 1) / K;
+        std::size_t BatchIndex = 0;
+        for (std::size_t Begin = 0; Begin < NumOps;
+             Begin += PerBatch, ++BatchIndex) {
+          const std::size_t End = std::min(NumOps, Begin + PerBatch);
+          inc::MixedBatch Batch = makeBatch(S, Ops, Begin, End);
+          ASSERT_EQ(Maint.rejectReason(Batch), "") << Config;
+          inc::MaintenanceReport Report = Maint.apply(Batch);
+          applyToState(State, Ops, Begin, End);
+          const std::string Where =
+              Config + " prefix=[0," + std::to_string(End) + ")";
+          if (IsReference) {
+            Reference.push_back(std::move(Report));
+          } else {
+            ASSERT_LT(BatchIndex, Reference.size()) << Where;
+            expectSameReport(Reference[BatchIndex], Report, Where);
+          }
 
-        auto Oracle = runOracle(*Prog, S, State);
-        for (const std::string &Rel : Relations)
-          ASSERT_EQ(Eng->getTuples(Rel), Oracle->getTuples(Rel))
-              << S.Name << " relation=" << Rel << " k=" << K << " j=" << J
-              << " prefix=[0," << End << ")";
+          auto Oracle = runOracle(*Prog, S, State);
+          for (const std::string &Rel : Relations)
+            ASSERT_EQ(Eng->getTuples(Rel), Oracle->getTuples(Rel))
+                << Where << " relation=" << Rel;
+        }
       }
     }
   }

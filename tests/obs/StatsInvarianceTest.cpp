@@ -12,11 +12,14 @@
 /// run a skewed transitive closure — a hub vertex owning most edges, the
 /// shape that maximizes stealing — at -j1 and -j8 (morsel size 1, so a
 /// -j8 run really cuts hundreds of morsels) and demand equality of every
-/// RelationStats field and every per-rule profile total on both executors.
+/// RelationStats field and every per-rule profile total on both executors
+/// — after a one-shot run, and after a maintained mixed batch, which runs
+/// through the same morsel and rule-job runners.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Program.h"
+#include "inc/Maintainer.h"
 #include "interp/Engine.h"
 #include "obs/Stats.h"
 
@@ -52,9 +55,10 @@ struct TcRun {
   std::unique_ptr<Engine> E;
 };
 
-TcRun runSkewedTc(Backend TheBackend, std::size_t NumThreads) {
+TcRun runSkewedTc(Backend TheBackend, std::size_t NumThreads,
+                  const core::CompileOptions &Compile = {}) {
   TcRun R;
-  R.Prog = core::Program::fromSource(SkewedTcSource);
+  R.Prog = core::Program::fromSource(SkewedTcSource, nullptr, Compile);
   EXPECT_NE(R.Prog, nullptr);
   if (!R.Prog)
     return R;
@@ -104,6 +108,41 @@ void expectEqualStats(const std::string &Rel, const obs::RelationStats &A,
   EXPECT_EQ(A.RangeScans, B.RangeScans) << Rel;
 }
 
+/// Same answers first — counter equality over diverged relations would be
+/// meaningless — then every counter of every relation.
+void expectSameAnswersAndStats(const Engine &Sequential,
+                               const Engine &Parallel) {
+  for (const char *Rel : {"path", "near"})
+    EXPECT_EQ(Sequential.getTuples(Rel), Parallel.getTuples(Rel)) << Rel;
+  const auto SeqStats = statsByName(Sequential);
+  const auto ParStats = statsByName(Parallel);
+  ASSERT_EQ(SeqStats.size(), ParStats.size());
+  for (const auto &[Rel, A] : SeqStats) {
+    ASSERT_TRUE(ParStats.count(Rel)) << Rel;
+    expectEqualStats(Rel, A, ParStats.at(Rel));
+  }
+}
+
+/// Delta samples merge to the same totals regardless of which thread
+/// produced which tuples; wall time is the one legitimate variance.
+void expectSameRuleProfiles(const Engine &Sequential,
+                            const Engine &Parallel) {
+  const auto SeqRules = Sequential.getProfiler().rules();
+  ASSERT_FALSE(SeqRules.empty());
+  for (const RuleProfile &Seq : SeqRules) {
+    const std::optional<RuleProfile> Par =
+        Parallel.getProfiler().find(Seq.Label);
+    ASSERT_TRUE(Par.has_value()) << Seq.Label;
+    EXPECT_EQ(Seq.Invocations, Par->Invocations) << Seq.Label;
+    EXPECT_EQ(Seq.DeltaTuples, Par->DeltaTuples) << Seq.Label;
+    EXPECT_EQ(Seq.Iterations.size(), Par->Iterations.size()) << Seq.Label;
+    for (std::size_t I = 0;
+         I < Seq.Iterations.size() && I < Par->Iterations.size(); ++I)
+      EXPECT_EQ(Seq.Iterations[I].DeltaTuples, Par->Iterations[I].DeltaTuples)
+          << Seq.Label << " iteration " << I;
+  }
+}
+
 TEST(StatsInvarianceTest, CountersMatchAcrossThreadCounts) {
   for (Backend TheBackend :
        {Backend::DynamicAdapter, Backend::StaticLambda}) {
@@ -111,29 +150,12 @@ TEST(StatsInvarianceTest, CountersMatchAcrossThreadCounts) {
     const TcRun Par = runSkewedTc(TheBackend, 8);
     ASSERT_NE(Seq.E, nullptr);
     ASSERT_NE(Par.E, nullptr);
-    const Engine &Sequential = *Seq.E;
-    const Engine &Parallel = *Par.E;
+    expectSameAnswersAndStats(*Seq.E, *Par.E);
 
-    // Same answers first — counter equality over diverged relations would
-    // be meaningless.
-    for (const char *Rel : {"path", "near"}) {
-      std::vector<DynTuple> A = Sequential.getTuples(Rel);
-      std::vector<DynTuple> B = Parallel.getTuples(Rel);
-      std::sort(A.begin(), A.end());
-      std::sort(B.begin(), B.end());
-      EXPECT_EQ(A, B) << Rel;
-    }
-
-    const auto SeqStats = statsByName(Sequential);
-    const auto ParStats = statsByName(Parallel);
-    ASSERT_EQ(SeqStats.size(), ParStats.size());
-    for (const auto &[Rel, A] : SeqStats) {
-      ASSERT_TRUE(ParStats.count(Rel)) << Rel;
-      expectEqualStats(Rel, A, ParStats.at(Rel));
-    }
     // The workload actually exercised the counters being compared. The
     // recursive rule probes path with a bounded prefix (range scans) and
     // the counters never exceed the searches that initiated them.
+    const auto SeqStats = statsByName(*Seq.E);
     EXPECT_GT(SeqStats.at("path").InsertsNew, 100u);
     EXPECT_GT(SeqStats.at("near").InsertsNew, 0u);
     EXPECT_GT(SeqStats.at("edge").RangeScans, 0u);
@@ -150,25 +172,41 @@ TEST(StatsInvarianceTest, RuleProfilesMatchAcrossThreadCounts) {
     const TcRun ParRun = runSkewedTc(TheBackend, 8);
     ASSERT_NE(SeqRun.E, nullptr);
     ASSERT_NE(ParRun.E, nullptr);
+    expectSameRuleProfiles(*SeqRun.E, *ParRun.E);
+  }
+}
 
-    const auto SeqRules = SeqRun.E->getProfiler().rules();
-    ASSERT_FALSE(SeqRules.empty());
-    for (const RuleProfile &Seq : SeqRules) {
-      const std::optional<RuleProfile> Par =
-          ParRun.E->getProfiler().find(Seq.Label);
-      ASSERT_TRUE(Par.has_value()) << Seq.Label;
-      // Delta samples merge to the same totals regardless of which thread
-      // produced which tuples; wall time is the one legitimate variance.
-      EXPECT_EQ(Seq.Invocations, Par->Invocations) << Seq.Label;
-      EXPECT_EQ(Seq.DeltaTuples, Par->DeltaTuples) << Seq.Label;
-      EXPECT_EQ(Seq.Iterations.size(), Par->Iterations.size()) << Seq.Label;
-      for (std::size_t I = 0; I < Seq.Iterations.size() &&
-                              I < Par->Iterations.size();
-           ++I)
-        EXPECT_EQ(Seq.Iterations[I].DeltaTuples,
-                  Par->Iterations[I].DeltaTuples)
-            << Seq.Label << " iteration " << I;
+TEST(StatsInvarianceTest, MaintainedBatchMatchesAcrossThreadCounts) {
+  // A mixed batch on the skewed TC: retracting hub edges over-deletes most
+  // of path (DRed), the inserted chain edges extend it, and near's support
+  // counts move both ways.
+  inc::MixedBatch Batch(1);
+  Batch[0].Relation = "edge";
+  for (RamDomain I = 1; I <= 30; ++I)
+    Batch[0].Retracts.push_back({0, I});
+  for (RamDomain I = 11; I <= 20; ++I)
+    Batch[0].Inserts.push_back({I, I + 1});
+  core::CompileOptions Compile;
+  Compile.EmitMaintenance = true;
+  for (Backend TheBackend :
+       {Backend::DynamicAdapter, Backend::StaticLambda}) {
+    TcRun Seq = runSkewedTc(TheBackend, 1, Compile);
+    TcRun Par = runSkewedTc(TheBackend, 8, Compile);
+    ASSERT_NE(Seq.E, nullptr);
+    ASSERT_NE(Par.E, nullptr);
+    inc::MaintenanceReport Reports[2];
+    TcRun *Runs[2] = {&Seq, &Par};
+    for (std::size_t I = 0; I < 2; ++I) {
+      inc::Maintainer Maint(Runs[I]->Prog->getRam(), *Runs[I]->E);
+      ASSERT_TRUE(Maint.eligible()) << Maint.ineligibleReason();
+      Maint.bootstrap();
+      ASSERT_EQ(Maint.rejectReason(Batch), "");
+      Reports[I] = Maint.apply(Batch);
     }
+    EXPECT_EQ(Reports[0].Deleted, 30u);
+    EXPECT_EQ(Reports[0].Inserted, 10u);
+    expectSameAnswersAndStats(*Seq.E, *Par.E);
+    expectSameRuleProfiles(*Seq.E, *Par.E);
   }
 }
 

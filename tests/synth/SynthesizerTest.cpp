@@ -126,9 +126,17 @@ TEST(SynthesizerTest, FullFeatureProgramMatchesInterpreter) {
     tagged(x, cat(s, "!")) :- name(x, s), e(x, _).
     .decl same(a:number, b:number) eqrel
     same(a, b) :- rev(a, b).
+    .decl s(x:number)
+    .input s
+    .decl q(a:number, b:number, c:number)
+    q(x / -1, x % -1, -x) :- s(x), x / -1 != 5.
+    .decl z(x:number)
+    z(v) :- v = (-2147483647 - 1) / -1.
     .output r
     .output deg
     .output tagged
+    .output q
+    .output z
     .printsize same
   )";
   std::string EdgeFacts, BlockedFacts, NameFacts;
@@ -141,7 +149,8 @@ TEST(SynthesizerTest, FullFeatureProgramMatchesInterpreter) {
   SynthFixture F = SynthFixture::build("full", Source,
                                        {{"e.facts", EdgeFacts},
                                         {"blocked.facts", BlockedFacts},
-                                        {"name.facts", NameFacts}});
+                                        {"name.facts", NameFacts},
+                                        {"s.facts", "-2147483648\n-6\n7\n"}});
   ASSERT_NE(F.Prog, nullptr);
 
   interp::EngineOptions Options;
@@ -151,14 +160,15 @@ TEST(SynthesizerTest, FullFeatureProgramMatchesInterpreter) {
   auto E = F.Prog->makeEngine(Options);
   E->run();
 
-  for (const char *Rel : {"r", "deg", "tagged", "same", "rev"}) {
+  for (const char *Rel : {"r", "deg", "tagged", "same", "rev", "q", "z"}) {
     ASSERT_TRUE(F.Outcome.RelationSizes.count(Rel)) << Rel;
     EXPECT_EQ(F.Outcome.RelationSizes.at(Rel), E->getTuples(Rel).size())
         << "relation " << Rel;
   }
 
   // Output files byte-identical.
-  for (const char *File : {"r.csv", "deg.csv", "tagged.csv"}) {
+  for (const char *File :
+       {"r.csv", "deg.csv", "tagged.csv", "q.csv", "z.csv"}) {
     std::ifstream A(F.Dir + "/" + File);
     std::ifstream B(Options.OutputDir + "/" + File);
     ASSERT_TRUE(A.good()) << File;
@@ -169,6 +179,17 @@ TEST(SynthesizerTest, FullFeatureProgramMatchesInterpreter) {
                          std::istreambuf_iterator<char>());
     EXPECT_EQ(ContentA, ContentB) << File;
   }
+
+  // INT_MIN / -1, INT_MIN % -1 and -INT_MIN wrap instead of trapping, in
+  // the generated code and in the constant folder alike.
+  std::ifstream Q(F.Dir + "/q.csv");
+  EXPECT_EQ(std::string((std::istreambuf_iterator<char>(Q)),
+                        std::istreambuf_iterator<char>()),
+            "-2147483648\t0\t-2147483648\n-7\t0\t-7\n6\t0\t6\n");
+  std::ifstream Z(F.Dir + "/z.csv");
+  EXPECT_EQ(std::string((std::istreambuf_iterator<char>(Z)),
+                        std::istreambuf_iterator<char>()),
+            "-2147483648\n");
 
   // Per-rule profile records exist for the recursive program.
   EXPECT_FALSE(F.Outcome.RuleSeconds.empty());

@@ -164,6 +164,34 @@ TEST(CliTest, ThreadCountFlagRejectsGarbage) {
   }
 }
 
+TEST(CliTest, IntMinDivisionWrapsInsteadOfTrapping) {
+  // INT_MIN / -1 and INT_MIN % -1 raise SIGFPE in C++; the engine defines
+  // them (two's-complement wrap), in rule bodies, fused filters and the
+  // constant folder alike.
+  std::string Dir = makeFixture("int_min");
+  std::ofstream(Dir + "/wrap.dl")
+      << ".decl s(x:number)\n"
+         ".decl q(a:number, b:number, c:number)\n"
+         ".decl z(x:number)\n"
+         "s(-2147483648).\n"
+         "q(x / -1, x % -1, -x) :- s(x), x / -1 != 5.\n"
+         "z(v) :- v = (-2147483647 - 1) / -1.\n"
+         ".output q\n.output z\n";
+  for (const char *Backend : {"sti", "sti-plain", "dynamic", "legacy"}) {
+    for (const char *Fuse : {"", " --fuse-conditions"}) {
+      std::filesystem::remove(Dir + "/q.csv");
+      std::filesystem::remove(Dir + "/z.csv");
+      CommandResult Result = runTool(Dir + "/wrap.dl -D " + Dir +
+                                         " --backend " + Backend + Fuse,
+                                     Dir);
+      EXPECT_EQ(Result.ExitCode, 0) << Backend << Fuse << Result.Output;
+      EXPECT_EQ(readFile(Dir + "/q.csv"), "-2147483648\t0\t-2147483648\n")
+          << Backend << Fuse;
+      EXPECT_EQ(readFile(Dir + "/z.csv"), "-2147483648\n") << Backend << Fuse;
+    }
+  }
+}
+
 TEST(CliTest, AblationFlagsAccepted) {
   std::string Dir = makeFixture("flags");
   CommandResult Result = runTool(
