@@ -13,9 +13,13 @@
 /// of the churn) and a doop-like points-to program (mutually recursive
 /// vpt/heap plus a non-recursive consumer, partitioned into modules the
 /// way intra-procedural locality partitions real call graphs).
-/// Every batch is cross-checked: the maintained engine's relations must
-/// equal the from-scratch oracle's exactly, so the numbers are only
-/// reported for runs that were also correct.
+/// A session leg runs the same batches through EngineSession::applyMixed,
+/// the left-right write path: the passive side replays the previous
+/// batch's change set, then maintains the new batch and publishes it.
+/// Every batch is cross-checked: the maintained engine's relations and the
+/// session's published side must both equal the from-scratch oracle's
+/// exactly, so the numbers are only reported for runs that were also
+/// correct.
 ///
 /// Emits one JSON document (array of per-batch records, then one summary
 /// record per workload) on stdout:
@@ -23,12 +27,15 @@
 ///   [{"workload": "skewed-tc", "batch": 1, "ops": 24, "inserts": 13,
 ///     "retracts": 11, "deleted_edb": 9, "rederived": 2,
 ///     "reeval_strata": 0, "incremental_seconds": ...,
-///     "full_seconds": ..., "speedup": ...},
+///     "session_seconds": ..., "full_seconds": ..., "speedup": ...},
 ///    ...,
 ///    {"workload": "skewed-tc", "summary": true, "batches": 20,
-///     "incremental_seconds": ..., "full_seconds": ..., "speedup": ...}]
+///     "incremental_seconds": ..., "session_seconds": ...,
+///     "leftright_ratio": ..., "full_seconds": ..., "speedup": ...}]
 ///
-/// Exits nonzero when any batch's maintained contents diverge from the
+/// leftright_ratio is session_seconds / incremental_seconds: what the
+/// left-right write costs over one Maintainer::apply. Exits nonzero when
+/// any batch's maintained or published contents diverge from the
 /// oracle. Speedups are hardware-honest; the aggregate ratio is what the
 /// roadmap's >=10x target for the doop-like stream refers to.
 ///
@@ -37,6 +44,7 @@
 #include "core/Program.h"
 #include "inc/Maintainer.h"
 #include "interp/Engine.h"
+#include "srv/Session.h"
 
 #include <algorithm>
 #include <chrono>
@@ -142,12 +150,12 @@ double seconds(std::chrono::steady_clock::time_point From,
 struct BatchRecord {
   std::size_t Batch;
   std::size_t Inserts, Retracts, DeletedEdb, Rederived, ReevalStrata;
-  double IncSeconds, FullSeconds;
+  double IncSeconds, SessionSeconds, FullSeconds;
 };
 
 struct WorkloadResult {
   std::vector<BatchRecord> Batches;
-  double IncSeconds = 0, FullSeconds = 0;
+  double IncSeconds = 0, SessionSeconds = 0, FullSeconds = 0;
   bool Correct = true;
 };
 
@@ -184,6 +192,20 @@ WorkloadResult runWorkload(const UpdateWorkload &W, std::size_t NumBatches,
   inc::Maintainer Maint(Prog->getRam(), *Eng);
   Maint.bootstrap();
 
+  // The session leg over its own compilation of the program, loaded with
+  // the same initial facts. The empty batch lets the passive side replay
+  // the initial load, so the first timed write pays for one batch only.
+  auto Session = srv::EngineSession::fromSource(W.Source);
+  {
+    srv::FactBatch Initial;
+    for (std::size_t Rel = 0; Rel < W.Edb.size(); ++Rel)
+      Initial.emplace_back(W.Edb[Rel].Name,
+                           std::vector<DynTuple>(State[Rel].begin(),
+                                                 State[Rel].end()));
+    Session->loadFacts(Initial);
+    Session->applyMixed(inc::MixedBatch{});
+  }
+
   for (std::size_t B = 1; B <= NumBatches; ++B) {
     // ~35% retractions of live tuples, the rest fresh inserts; net-effect
     // per tuple (last op wins) so the batch and the tracked state agree.
@@ -203,7 +225,7 @@ WorkloadResult runWorkload(const UpdateWorkload &W, std::size_t NumBatches,
       }
     }
     inc::MixedBatch Batch;
-    BatchRecord Rec{B, 0, 0, 0, 0, 0, 0, 0};
+    BatchRecord Rec{B, 0, 0, 0, 0, 0, 0, 0, 0};
     for (std::size_t Rel = 0; Rel < W.Edb.size(); ++Rel) {
       if (Net[Rel].empty())
         continue;
@@ -224,6 +246,15 @@ WorkloadResult runWorkload(const UpdateWorkload &W, std::size_t NumBatches,
     for (const inc::StratumReport &SR : Report.Strata)
       Rec.Rederived += SR.Rederived;
 
+    const auto SessionFrom = std::chrono::steady_clock::now();
+    const srv::BatchResult Served = Session->applyMixed(Batch);
+    const auto SessionTo = std::chrono::steady_clock::now();
+    if (!Served.Error.empty()) {
+      std::fprintf(stderr, "micro_update: %s batch %zu: session: %s\n",
+                   W.Name, B, Served.Error.c_str());
+      Result.Correct = false;
+    }
+
     // The full re-evaluation this batch would have cost: fresh engine,
     // net EDB, one run from scratch. Also the correctness oracle.
     const auto FullFrom = std::chrono::steady_clock::now();
@@ -234,23 +265,29 @@ WorkloadResult runWorkload(const UpdateWorkload &W, std::size_t NumBatches,
     Oracle->run();
     const auto FullTo = std::chrono::steady_clock::now();
 
+    const srv::Snapshot Published = Session->snapshot();
     for (const std::string &Rel : Relations) {
-      std::vector<DynTuple> Got = Eng->getTuples(Rel);
       std::vector<DynTuple> Want = Oracle->getTuples(Rel);
-      std::sort(Got.begin(), Got.end());
       std::sort(Want.begin(), Want.end());
-      if (Got != Want) {
+      auto Check = [&](std::vector<DynTuple> Got, const char *Leg) {
+        std::sort(Got.begin(), Got.end());
+        if (Got == Want)
+          return;
         std::fprintf(stderr,
                      "micro_update: %s batch %zu: relation %s diverged "
-                     "(%zu maintained vs %zu oracle tuples)\n",
-                     W.Name, B, Rel.c_str(), Got.size(), Want.size());
+                     "(%zu %s vs %zu oracle tuples)\n",
+                     W.Name, B, Rel.c_str(), Got.size(), Leg, Want.size());
         Result.Correct = false;
-      }
+      };
+      Check(Eng->getTuples(Rel), "maintained");
+      Check(Published.tuples(Rel), "published");
     }
 
     Rec.IncSeconds = seconds(IncFrom, IncTo);
+    Rec.SessionSeconds = seconds(SessionFrom, SessionTo);
     Rec.FullSeconds = seconds(FullFrom, FullTo);
     Result.IncSeconds += Rec.IncSeconds;
+    Result.SessionSeconds += Rec.SessionSeconds;
     Result.FullSeconds += Rec.FullSeconds;
     Result.Batches.push_back(Rec);
   }
@@ -261,11 +298,11 @@ void printBatch(const char *Workload, const BatchRecord &R, bool First) {
   std::printf("%s\n  {\"workload\": \"%s\", \"batch\": %zu, \"ops\": %zu, "
               "\"inserts\": %zu, \"retracts\": %zu, \"deleted_edb\": %zu, "
               "\"rederived\": %zu, \"reeval_strata\": %zu, "
-              "\"incremental_seconds\": %.6f, \"full_seconds\": %.6f, "
-              "\"speedup\": %.2f}",
+              "\"incremental_seconds\": %.6f, \"session_seconds\": %.6f, "
+              "\"full_seconds\": %.6f, \"speedup\": %.2f}",
               First ? "" : ",", Workload, R.Batch, R.Inserts + R.Retracts,
               R.Inserts, R.Retracts, R.DeletedEdb, R.Rederived,
-              R.ReevalStrata, R.IncSeconds, R.FullSeconds,
+              R.ReevalStrata, R.IncSeconds, R.SessionSeconds, R.FullSeconds,
               R.IncSeconds > 0 ? R.FullSeconds / R.IncSeconds : 0.0);
 }
 
@@ -292,22 +329,28 @@ int main(int argc, char **argv) {
     const double Speedup = Result.IncSeconds > 0
                                ? Result.FullSeconds / Result.IncSeconds
                                : 0.0;
+    const double LeftRight = Result.IncSeconds > 0
+                                 ? Result.SessionSeconds / Result.IncSeconds
+                                 : 0.0;
     std::printf("%s\n  {\"workload\": \"%s\", \"summary\": true, "
                 "\"batches\": %zu, \"incremental_seconds\": %.6f, "
+                "\"session_seconds\": %.6f, \"leftright_ratio\": %.2f, "
                 "\"full_seconds\": %.6f, \"speedup\": %.2f}",
                 First ? "" : ",", W->Name, Result.Batches.size(),
-                Result.IncSeconds, Result.FullSeconds, Speedup);
+                Result.IncSeconds, Result.SessionSeconds, LeftRight,
+                Result.FullSeconds, Speedup);
     First = false;
     std::fprintf(stderr,
-                 "%-10s %zu batches  incremental %.4f s  full %.4f s  "
-                 "speedup %.1fx\n",
+                 "%-10s %zu batches  incremental %.4f s  session %.4f s "
+                 "(%.2fx)  full %.4f s  speedup %.1fx\n",
                  W->Name, Result.Batches.size(), Result.IncSeconds,
-                 Result.FullSeconds, Speedup);
+                 Result.SessionSeconds, LeftRight, Result.FullSeconds,
+                 Speedup);
   }
   std::printf("\n]\n");
   if (!Correct)
     std::fprintf(stderr,
-                 "micro_update: maintained contents diverged from the "
-                 "oracle\n");
+                 "micro_update: maintained or published contents diverged "
+                 "from the oracle\n");
   return Correct ? 0 : 1;
 }

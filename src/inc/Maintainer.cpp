@@ -6,6 +6,7 @@
 
 #include "inc/Maintainer.h"
 
+#include "inc/CountedRelation.h"
 #include "util/MiscUtil.h"
 
 #include <cassert>
@@ -18,6 +19,18 @@ Maintainer::Maintainer(const ram::Program &Prog, interp::Engine &Eng)
     : Prog(Prog), Eng(Eng) {
   for (const auto &MS : Prog.getMaintStrata())
     Derived.insert(MS.Relations.begin(), MS.Relations.end());
+  for (const auto &Decl : Prog.getRelations()) {
+    const ram::Program::MaintAux *Aux = Prog.getMaintAux(Decl->getName());
+    if (!Aux)
+      continue;
+    Tracked T{&rel(Decl->getName()), &rel(Aux->Ins), &rel(Aux->Del)};
+    if (!Aux->Support.empty()) {
+      T.Support = counted(Aux->Support);
+      T.CntAdd = counted(Aux->CntAdd);
+      T.CntDec = counted(Aux->CntDec);
+    }
+    Relations.push_back(T);
+  }
 }
 
 interp::RelationWrapper &Maintainer::rel(const std::string &Name) const {
@@ -25,6 +38,12 @@ interp::RelationWrapper &Maintainer::rel(const std::string &Name) const {
   if (!R)
     fatal("maintenance relation '" + Name + "' missing from engine");
   return *R;
+}
+
+CountedRelation *Maintainer::counted(const std::string &Name) const {
+  interp::RelationWrapper &R = rel(Name);
+  assert(R.getKind() == interp::RelKind::Counts && "not a count store");
+  return static_cast<CountedRelation *>(&R);
 }
 
 void Maintainer::bootstrap() {
@@ -62,7 +81,8 @@ std::string Maintainer::rejectReason(const MixedBatch &Batch) const {
   return "";
 }
 
-MaintenanceReport Maintainer::apply(const MixedBatch &Batch) {
+MaintenanceReport Maintainer::apply(const MixedBatch &Batch,
+                                    ChangeSet *Changes) {
   assert(Bootstrapped && "apply() before bootstrap()");
   MaintenanceReport Report;
   Report.Maintained = true;
@@ -125,9 +145,87 @@ MaintenanceReport Maintainer::apply(const MixedBatch &Batch) {
     }
     Report.Strata.push_back(std::move(SR));
   }
+  if (Changes)
+    harvest(*Changes);
   if (const ram::Statement *Epi = Prog.getMaintEpilogue())
     Eng.runStatement(*Epi);
   return Report;
+}
+
+/// Appends every tuple of \p Rel to \p Out, arity-strided.
+static void appendTuples(const interp::RelationWrapper &Rel,
+                         std::vector<RamDomain> &Out) {
+  Out.reserve(Out.size() + Rel.size() * Rel.getArity());
+  Rel.forEach([&](const RamDomain *Tuple) {
+    Out.insert(Out.end(), Tuple, Tuple + Rel.getArity());
+  });
+}
+
+void Maintainer::harvest(ChangeSet &Out) const {
+  Out.Relations.clear();
+  Out.Supports.clear();
+  for (std::size_t Slot = 0; Slot < Relations.size(); ++Slot) {
+    const Tracked &T = Relations[Slot];
+    if (!T.Ins->empty() || !T.Del->empty()) {
+      ChangeSet::RelationDelta D;
+      D.Slot = Slot;
+      // An equivalence relation has no per-tuple erase.
+      if (T.Full->getKind() == interp::RelKind::Eqrel && !T.Del->empty()) {
+        D.CopyFrom = T.Full;
+      } else {
+        appendTuples(*T.Del, D.Deleted);
+        appendTuples(*T.Ins, D.Inserted);
+      }
+      Out.Relations.push_back(std::move(D));
+    }
+    if (!T.Support || (T.CntAdd->empty() && T.CntDec->empty()))
+      continue;
+    // The same netting FoldCounts applied to the support store.
+    ChangeSet::SupportDelta S;
+    S.Slot = Slot;
+    auto Record = [&](const DynTuple &Key, std::int64_t Net) {
+      if (Net == 0)
+        return;
+      S.Keys.insert(S.Keys.end(), Key.begin(), Key.end());
+      S.Adjust.push_back(Net);
+    };
+    T.CntAdd->forEachCount([&](const DynTuple &Key, std::uint64_t Count) {
+      Record(Key, static_cast<std::int64_t>(Count) -
+                      static_cast<std::int64_t>(T.CntDec->countOf(Key)));
+    });
+    T.CntDec->forEachCount([&](const DynTuple &Key, std::uint64_t Count) {
+      if (T.CntAdd->countOf(Key) == 0)
+        Record(Key, -static_cast<std::int64_t>(Count));
+    });
+    if (!S.Adjust.empty())
+      Out.Supports.push_back(std::move(S));
+  }
+}
+
+void Maintainer::replay(const ChangeSet &Changes) {
+  assert(Bootstrapped && "replay() before bootstrap()");
+  for (const ChangeSet::RelationDelta &D : Changes.Relations) {
+    assert(D.Slot < Relations.size() && "change set of another program");
+    interp::RelationWrapper &Full = *Relations[D.Slot].Full;
+    if (D.CopyFrom) {
+      Full.clear();
+      Full.insertAll(*D.CopyFrom);
+      continue;
+    }
+    const std::size_t Arity = Full.getArity();
+    for (std::size_t I = 0; I < D.Deleted.size(); I += Arity)
+      Full.erase(D.Deleted.data() + I);
+    for (std::size_t I = 0; I < D.Inserted.size(); I += Arity)
+      Full.insert(D.Inserted.data() + I);
+  }
+  for (const ChangeSet::SupportDelta &S : Changes.Supports) {
+    CountedRelation &Support = *Relations[S.Slot].Support;
+    const std::size_t Arity = Support.getArity();
+    for (std::size_t I = 0; I < S.Adjust.size(); ++I) {
+      const RamDomain *Key = S.Keys.data() + I * Arity;
+      Support.adjust(DynTuple(Key, Key + Arity), S.Adjust[I]);
+    }
+  }
 }
 
 void Maintainer::reevalStratum(const ram::Program::MaintStratum &MS) {

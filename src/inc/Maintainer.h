@@ -13,6 +13,12 @@
 /// scoped snapshot/clear/re-run/diff of that stratum's main statements —
 /// and reports what happened per stratum.
 ///
+/// A maintained batch can also leave behind its ChangeSet: the net change
+/// it made to every declared relation and support store. replay() applies
+/// a ChangeSet to a second engine in the same state as the first was
+/// before the batch, running no rule, which is how the serving layer's
+/// passive side catches up.
+///
 /// The driver is deliberately engine-agnostic about tuple ownership: it
 /// only touches relations through the virtual RelationWrapper interface,
 /// so it works identically over the dynamic and static backends.
@@ -31,6 +37,8 @@
 #include <vector>
 
 namespace stird::inc {
+
+class CountedRelation;
 
 /// One relation's portion of a mixed batch. Within a batch, retractions
 /// are applied before insertions: a tuple both retracted and inserted ends
@@ -72,6 +80,36 @@ struct MaintenanceReport {
   std::uint64_t ReevalStrata = 0;
 };
 
+/// The net change one maintained batch made to an engine's state, in a
+/// form another engine over the same program replays without running any
+/// rule. Tuples are flat arity-strided buffers.
+struct ChangeSet {
+  /// One declared relation's net change: its final delta_del_R and
+  /// delta_ins_R. A DRed relation may lose a tuple and regain it in the
+  /// same batch, so replay erases before it inserts.
+  struct RelationDelta {
+    /// Index into the maintainer's relation table (the same for every
+    /// maintainer over one program).
+    std::size_t Slot = 0;
+    std::vector<RamDomain> Deleted;
+    std::vector<RamDomain> Inserted;
+    /// Set instead of the buffers when the relation lost tuples but has no
+    /// per-tuple erase (an eqrel in a Reeval stratum): replay clears the
+    /// relation and copies this one, the maintaining engine's, which must
+    /// still hold the batch's result when replay runs.
+    const interp::RelationWrapper *CopyFrom = nullptr;
+  };
+  /// One counting relation's net support adjustment (cadd_R - cdec_R) per
+  /// key, zero adjustments omitted.
+  struct SupportDelta {
+    std::size_t Slot = 0;
+    std::vector<RamDomain> Keys;
+    std::vector<std::int64_t> Adjust;
+  };
+  std::vector<RelationDelta> Relations;
+  std::vector<SupportDelta> Supports;
+};
+
 /// Drives the maintenance plan of one engine. The engine and program must
 /// outlive the maintainer; one maintainer per resident engine instance.
 class Maintainer {
@@ -97,11 +135,33 @@ public:
   std::string rejectReason(const MixedBatch &Batch) const;
 
   /// Stages \p Batch and runs the maintenance plan. The caller must have
-  /// checked rejectReason() first.
-  MaintenanceReport apply(const MixedBatch &Batch);
+  /// checked rejectReason() first. When \p Changes is non-null it is
+  /// overwritten with the batch's net change, harvested just before the
+  /// epilogue clears the deltas.
+  MaintenanceReport apply(const MixedBatch &Batch,
+                          ChangeSet *Changes = nullptr);
+
+  /// Applies a ChangeSet harvested by another maintainer over the same
+  /// program whose engine was, before that batch, in the state this one
+  /// is in now: erases, inserts and support adjustments only, no rule.
+  void replay(const ChangeSet &Changes);
 
 private:
+  /// One declared relation and the maintenance aux relations replay and
+  /// harvest touch.
+  struct Tracked {
+    interp::RelationWrapper *Full;
+    interp::RelationWrapper *Ins;
+    interp::RelationWrapper *Del;
+    /// Counting relations only, else null.
+    CountedRelation *Support = nullptr;
+    CountedRelation *CntAdd = nullptr;
+    CountedRelation *CntDec = nullptr;
+  };
+
   interp::RelationWrapper &rel(const std::string &Name) const;
+  CountedRelation *counted(const std::string &Name) const;
+  void harvest(ChangeSet &Out) const;
   /// Scoped re-evaluation of one Reeval stratum: snapshot, clear, re-run
   /// its main statements, diff into the ins/del deltas.
   void reevalStratum(const ram::Program::MaintStratum &MS);
@@ -111,6 +171,9 @@ private:
   /// Relations defined by some maintained stratum (everything else
   /// declared is EDB).
   std::unordered_set<std::string> Derived;
+  /// Every declared relation, in the program's relation order: the slots
+  /// of a ChangeSet.
+  std::vector<Tracked> Relations;
   bool Bootstrapped = false;
 };
 

@@ -836,7 +836,8 @@ public:
   const Statement *getMaintPrologue() const { return MaintPrologue.get(); }
 
   /// Clears every maintenance aux relation (ins/del deltas and
-  /// collectors); run after the serving layer has harvested telemetry.
+  /// collectors); run after the Maintainer has harvested the batch's
+  /// telemetry and change set.
   void setMaintEpilogue(StmtPtr Stmt) { MaintEpilogue = std::move(Stmt); }
   const Statement *getMaintEpilogue() const { return MaintEpilogue.get(); }
 

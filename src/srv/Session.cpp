@@ -169,17 +169,16 @@ static bool hasRetracts(const inc::MixedBatch &Batch) {
 }
 
 void EngineSession::applyMaintained(Side &S, const inc::MixedBatch &Batch,
-                                    BatchResult *Result) {
+                                    BatchResult &Result) {
   // Every batch — pure inserts included — goes through the maintenance
-  // plan; bypassing it would let the support counts drift.
-  inc::MaintenanceReport Report = S.Maint->apply(Batch);
-  if (!Result)
-    return;
-  Result->Maintained = true;
-  Result->Inserted = Report.Inserted;
-  Result->Duplicates = Report.Duplicates;
-  Result->Deleted = Report.Deleted;
-  Result->Missing = Report.Missing;
+  // plan; bypassing it would let the support counts drift. The batch's net
+  // change replaces the one the passive side just replayed.
+  inc::MaintenanceReport Report = S.Maint->apply(Batch, &Pending);
+  Result.Maintained = true;
+  Result.Inserted = Report.Inserted;
+  Result.Duplicates = Report.Duplicates;
+  Result.Deleted = Report.Deleted;
+  Result.Missing = Report.Missing;
   {
     std::lock_guard<std::mutex> Lock(TelemetryMutex);
     ++Telemetry.Batches;
@@ -192,7 +191,7 @@ void EngineSession::applyMaintained(Side &S, const inc::MixedBatch &Batch,
   for (const inc::StratumReport &SR : Report.Strata)
     if (!SR.FallbackReason.empty())
       recordFallback(SR.FallbackReason);
-  Result->Maint = std::move(Report);
+  Result.Maint = std::move(Report);
 }
 
 void EngineSession::applyRebuilding(Side &S, const interp::Engine &Current,
@@ -318,13 +317,14 @@ BatchResult EngineSession::applyMixed(const inc::MixedBatch &Batch) {
   waitQuiesce(W);
   if (Maintained) {
     // Left-right alternation: the passive side missed exactly the batch
-    // the other side published last.
+    // the other side published last, and replays its net change.
     if (W.Epoch != Published.Epoch) {
       assert(W.Epoch + 1 == Published.Epoch && "passive side lags by one");
-      applyMaintained(W, Pending, nullptr);
+      Timer CatchUp;
+      W.Maint->replay(Pending);
+      Result.CatchUpSeconds = CatchUp.seconds();
     }
-    applyMaintained(W, Batch, &Result);
-    Pending = Batch;
+    applyMaintained(W, Batch, Result);
   } else {
     applyRebuilding(W, *Published.Eng, Batch, Result);
   }

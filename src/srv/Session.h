@@ -24,11 +24,13 @@
 /// the active side with a Snapshot and are never blocked by a writer;
 /// writers (serialized by a mutex) bring the passive side up to date,
 /// apply the new batch, and publish it as the new active side after
-/// waiting for the old side's readers to drain. The cost is the classic
-/// one: every batch is applied twice, and resident memory doubles. The
-/// writer keeps no batch history: a maintained session holds the one
-/// batch the passive side has not applied yet, a rebuilding session the
-/// net EDB its batches left behind.
+/// waiting for the old side's readers to drain. Each batch runs the
+/// maintenance plan once: the passive side catches up by replaying the net
+/// change set (inc::ChangeSet) the published side's apply harvested —
+/// plain erases, inserts and support adjustments, no rule. Resident memory
+/// still doubles. The writer keeps no batch history: a maintained session
+/// holds the one change set the passive side has not replayed yet, a
+/// rebuilding session the net EDB its batches left behind.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,8 +93,13 @@ struct BatchResult {
   bool Maintained = false;
   /// Batch sequence number after this load (1-based).
   std::uint64_t Epoch = 0;
-  /// Wall-clock seconds spent applying the batch to the published side.
+  /// Wall-clock seconds of the whole write: waiting for the writer lock
+  /// and for the passive side's readers to drain, the passive side's
+  /// catch-up, and applying the batch.
   double Seconds = 0;
+  /// The part of Seconds the passive side spent replaying the previous
+  /// batch's change set (0 when it had nothing to catch up on).
+  double CatchUpSeconds = 0;
   /// Non-empty when the batch was rejected before application (unknown
   /// relation, arity mismatch, derived-relation target or eqrel retraction
   /// under maintenance, ...). A rejected batch mutates and retains
@@ -267,10 +274,9 @@ private:
                          const SessionOptions &Options);
 
   /// Maintained write path: runs one batch through \p S's maintenance
-  /// plan. \p Result is non-null only for the publishing apply (telemetry
-  /// and counters are recorded once, not per side).
+  /// plan, records its telemetry and harvests its change set into Pending.
   void applyMaintained(Side &S, const inc::MixedBatch &Batch,
-                       BatchResult *Result);
+                       BatchResult &Result);
   /// Rebuilding write path: counts the batch against \p Current (the
   /// published side's engine), folds it into the net EDB and replaces \p
   /// S's engine with a fresh one evaluated over it.
@@ -302,10 +308,12 @@ private:
   /// batch history.
   std::mutex WriterMutex;
   std::size_t PassiveIdx = 1;
-  /// Maintained sessions: the last published batch, which the passive
-  /// side applies before the next one (left-right alternation keeps it at
-  /// most one batch behind).
-  inc::MixedBatch Pending;
+  /// Maintained sessions: the net change of the last published batch,
+  /// which the passive side replays before the next one (left-right
+  /// alternation keeps it at most one batch behind). Its CopyFrom
+  /// pointers name the published side's relations, which hold the
+  /// target state as long as WriterMutex is held.
+  inc::ChangeSet Pending;
   /// Rebuilding sessions: the live EDB facts the batches left behind,
   /// folded retract-before-insert within each batch.
   std::map<std::string, std::set<DynTuple>> NetEdb;

@@ -293,6 +293,7 @@ static Value mixedBatchReply(EngineSession &Session,
     O.emplace_back("reeval_strata", Result.Maint.ReevalStrata);
   O.emplace_back("epoch", Result.Epoch);
   O.emplace_back("seconds", Result.Seconds);
+  O.emplace_back("catch_up_seconds", Result.CatchUpSeconds);
   Array Warnings;
   for (const FactError &Err : Errors)
     Warnings.emplace_back(Err.render());

@@ -508,7 +508,9 @@ private:
     ScratchDelta, ///< Positive atom over the semi-naive scratch delta_B.
     InsScan,      ///< Positive atom over delta_ins_B (negations: the
                   ///< literal is replaced by the positive scan).
-    DelScan,      ///< Positive atom over delta_del_B.
+    DelScan,      ///< Positive atom over delta_del_B (negations with
+                  ///< wildcards: plus a NOT B guard, since losing one
+                  ///< matching tuple need not make NOT B true).
     OldKeep,      ///< Counting trailing atom at OLD: B plus a NOT-in-
                   ///< delta_ins_B guard over the same arguments.
     OldDel,       ///< Counting trailing atom at OLD: delta_del_B scan.
@@ -613,6 +615,14 @@ private:
         case LitMode::DelScan:
           Body.push_back(cloneAtomMaint(A, delName(A.getName()), false,
                                         Fresh));
+          if (std::any_of(A.getArgs().begin(), A.getArgs().end(),
+                          [](const auto &Arg) {
+                            return Arg->getKind() ==
+                                   ast::Argument::Kind::UnnamedVariable;
+                          }))
+            Guards.push_back(std::make_unique<ast::Negation>(
+                cloneAtomMaint(A, A.getName(), false, Fresh),
+                Lit->getLoc()));
           break;
         case LitMode::NegOldKeep:
           Body.push_back(std::make_unique<ast::Negation>(
@@ -937,7 +947,8 @@ private:
           std::make_unique<ram::Sequence>(std::move(InitRules)));
 
     // Epilogue: clear every staging/interface aux so the next batch starts
-    // clean (run after the serving layer has harvested telemetry).
+    // clean (run after the Maintainer has harvested telemetry and the
+    // batch's change set, count collectors included).
     std::vector<ram::StmtPtr> Epi;
     for (const auto &Decl : AstProg.Relations) {
       const std::string &Name = Decl->getName();
@@ -945,6 +956,10 @@ private:
       Epi.push_back(std::make_unique<ram::Clear>(Del.at(Name)));
       if (Rederive.count(Name))
         Epi.push_back(std::make_unique<ram::Clear>(Rederive.at(Name)));
+      if (CAdd.count(Name)) {
+        Epi.push_back(std::make_unique<ram::Clear>(CAdd.at(Name)));
+        Epi.push_back(std::make_unique<ram::Clear>(CDec.at(Name)));
+      }
     }
     Prog->setMaintEpilogue(
         std::make_unique<ram::Sequence>(std::move(Epi)));
@@ -953,8 +968,10 @@ private:
   }
 
   /// Emits the counting-stratum statement (signed delta versions into the
-  /// cadd/cdec collectors, FOLD COUNTS, collector clears) and appends the
-  /// stratum's count-bootstrap rules to \p InitRules.
+  /// cadd/cdec collectors, then FOLD COUNTS) and appends the stratum's
+  /// count-bootstrap rules to \p InitRules. The collectors stay filled
+  /// until the epilogue clears them, so the batch's net support change can
+  /// be harvested.
   ram::StmtPtr emitCountingStratum(
       const ast::Stratum &Stratum, int StratumId,
       std::unordered_map<std::string, ram::Relation *> &Cnt,
@@ -1019,8 +1036,6 @@ private:
       Out.push_back(std::make_unique<ram::FoldCounts>(
           CAdd.at(Name), CDec.at(Name), Cnt.at(Name), RelOf.at(Name),
           Ins.at(Name), Del.at(Name)));
-      Out.push_back(std::make_unique<ram::Clear>(CAdd.at(Name)));
-      Out.push_back(std::make_unique<ram::Clear>(CDec.at(Name)));
     }
     return std::make_unique<ram::Sequence>(std::move(Out));
   }

@@ -9,17 +9,30 @@
 /// insert/retract streams replayed through the Maintainer, with exact
 /// equality against a one-shot evaluation of the net EDB at EVERY batch
 /// prefix. Each subject runs the full matrix of batch splits k in
-/// {1, 2, 5}, the four backends and thread counts -j{1, 4}, so counting,
-/// DRed and the scoped Reeval fallback are all exercised on every executor
-/// under both sequential and parallel evaluation. Every batch's
+/// {1, 2, 5, 8}, the four backends and thread counts -j{1, 4}, so
+/// counting, DRed and the scoped Reeval fallback are all exercised on every
+/// executor under both sequential and parallel evaluation. Every batch's
 /// MaintenanceReport must also equal the StaticLambda -j1 report: the
 /// executor and thread count change how a batch runs, never what it did.
+/// A replica engine replays every batch's ChangeSet and must equal the
+/// maintained engine in every declared relation and cnt_ support store.
+///
+/// The session leg runs the same streams through EngineSession::applyMixed,
+/// where the two left-right sides alternate: one maintains a batch, the
+/// other catches up by replaying its change set. After every batch the
+/// published side must equal the oracle in every declared relation and
+/// every cnt_ support store (tuples and counts), and an empty batch must
+/// publish the other, replayed side with the same contents.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "inc/Maintainer.h"
 
 #include "core/Program.h"
+#include "inc/CountedRelation.h"
+#include "srv/Session.h"
+
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -195,6 +208,57 @@ void expectSameReport(const inc::MaintenanceReport &Want,
   }
 }
 
+/// Tuple -> multiplicity for every compared relation: 1 per tuple of a set
+/// relation, the support count of a cnt_ store.
+using Contents = std::map<std::string, std::map<DynTuple, std::uint64_t>>;
+
+Contents
+contentsOf(const std::vector<std::string> &Names,
+           const std::function<const interp::RelationWrapper *(
+               const std::string &)> &Lookup) {
+  Contents Out;
+  for (const std::string &Name : Names) {
+    const interp::RelationWrapper *Rel = Lookup(Name);
+    EXPECT_NE(Rel, nullptr) << Name;
+    if (!Rel)
+      continue;
+    std::map<DynTuple, std::uint64_t> &Rows = Out[Name];
+    if (Rel->getKind() == interp::RelKind::Counts) {
+      static_cast<const inc::CountedRelation &>(*Rel).forEachCount(
+          [&](const DynTuple &Key, std::uint64_t Count) {
+            Rows[Key] = Count;
+          });
+    } else {
+      Rel->forEach([&](const RamDomain *Tuple) {
+        Rows[DynTuple(Tuple, Tuple + Rel->getArity())] = 1;
+      });
+    }
+  }
+  return Out;
+}
+
+/// Every declared relation plus every counting relation's support store.
+std::vector<std::string> comparedRelations(const core::Program &Prog) {
+  std::vector<std::string> Names;
+  for (const auto &Decl : Prog.getAst().Relations) {
+    Names.push_back(Decl->getName());
+    const ram::Program::MaintAux *Aux =
+        Prog.getRam().getMaintAux(Decl->getName());
+    if (!Aux->Support.empty())
+      Names.push_back(Aux->Support);
+  }
+  return Names;
+}
+
+void expectSameContents(const Contents &Want, const Contents &Got,
+                        const std::string &Where) {
+  for (const auto &[Name, Rows] : Want) {
+    auto It = Got.find(Name);
+    ASSERT_NE(It, Got.end()) << Where << " relation=" << Name;
+    EXPECT_EQ(Rows, It->second) << Where << " relation=" << Name;
+  }
+}
+
 void runSubject(const Subject &S, std::uint64_t Seed, std::size_t NumOps) {
   auto Prog = core::Program::fromSource(S.Source, nullptr, withMaint());
   ASSERT_NE(Prog, nullptr) << S.Name;
@@ -205,8 +269,10 @@ void runSubject(const Subject &S, std::uint64_t Seed, std::size_t NumOps) {
   std::vector<std::string> Relations;
   for (const auto &Decl : Prog->getAst().Relations)
     Relations.push_back(Decl->getName());
+  const std::vector<std::string> Compared = comparedRelations(*Prog);
 
-  for (std::size_t K : {std::size_t(1), std::size_t(2), std::size_t(5)}) {
+  for (std::size_t K :
+       {std::size_t(1), std::size_t(2), std::size_t(5), std::size_t(8)}) {
     // The StaticLambda -j1 reports, one per batch; it runs first.
     std::vector<inc::MaintenanceReport> Reference;
     for (interp::Backend B :
@@ -225,6 +291,16 @@ void runSubject(const Subject &S, std::uint64_t Seed, std::size_t NumOps) {
         Eng->run();
         inc::Maintainer Maint(Prog->getRam(), *Eng);
         Maint.bootstrap();
+        // Replays every batch's change set and must stay equal to Eng,
+        // support counts included. (A session never observes a replayed
+        // side before maintaining a batch on it, and a Reeval stratum
+        // recomputes itself then, so only this check sees the replay of
+        // an eqrel.)
+        auto Replica = Prog->makeEngine(Opts);
+        Replica->run();
+        inc::Maintainer ReplicaMaint(Prog->getRam(), *Replica);
+        ReplicaMaint.bootstrap();
+        inc::ChangeSet Changes;
         const bool IsReference = Reference.empty();
 
         EdbState State(S.Edb.size());
@@ -235,7 +311,8 @@ void runSubject(const Subject &S, std::uint64_t Seed, std::size_t NumOps) {
           const std::size_t End = std::min(NumOps, Begin + PerBatch);
           inc::MixedBatch Batch = makeBatch(S, Ops, Begin, End);
           ASSERT_EQ(Maint.rejectReason(Batch), "") << Config;
-          inc::MaintenanceReport Report = Maint.apply(Batch);
+          inc::MaintenanceReport Report = Maint.apply(Batch, &Changes);
+          ReplicaMaint.replay(Changes);
           applyToState(State, Ops, Begin, End);
           const std::string Where =
               Config + " prefix=[0," + std::to_string(End) + ")";
@@ -250,8 +327,113 @@ void runSubject(const Subject &S, std::uint64_t Seed, std::size_t NumOps) {
           for (const std::string &Rel : Relations)
             ASSERT_EQ(Eng->getTuples(Rel), Oracle->getTuples(Rel))
                 << Where << " relation=" << Rel;
+          auto Lookup = [](const interp::Engine &E) {
+            return [&E](const std::string &Name) {
+              return E.getRelation(Name);
+            };
+          };
+          expectSameContents(contentsOf(Compared, Lookup(*Eng)),
+                             contentsOf(Compared, Lookup(*Replica)),
+                             Where + " replica");
         }
       }
+    }
+  }
+}
+
+void runSessionSubject(const Subject &S, std::uint64_t Seed,
+                       std::size_t NumOps) {
+  std::shared_ptr<core::Program> Prog =
+      core::Program::fromSource(S.Source, nullptr, withMaint());
+  ASSERT_NE(Prog, nullptr) << S.Name;
+  ASSERT_TRUE(Prog->getRam().hasMaintenance()) << S.Name;
+
+  const std::vector<Op> Ops = makeStream(S, Seed, NumOps);
+  const std::vector<std::string> Compared = comparedRelations(*Prog);
+  // The eqrel-derived relations must lose tuples somewhere in the stream
+  // so the replay's copy-from-published path runs.
+  std::vector<std::string> DerivedEqrels;
+  for (const auto &Decl : Prog->getAst().Relations) {
+    const std::string &Name = Decl->getName();
+    if (Prog->getRam().findRelation(Name)->getStructure() ==
+            ram::StructureKind::Eqrel &&
+        std::none_of(S.Edb.begin(), S.Edb.end(),
+                     [&](const EdbSpec &E) { return E.Name == Name; }))
+      DerivedEqrels.push_back(Name);
+  }
+
+  constexpr std::size_t NumBatches = 8;
+  const std::size_t PerBatch = (NumOps + NumBatches - 1) / NumBatches;
+  for (interp::Backend B :
+       {interp::Backend::StaticLambda, interp::Backend::StaticPlain,
+        interp::Backend::DynamicAdapter, interp::Backend::Legacy}) {
+    for (std::size_t J : {std::size_t(1), std::size_t(4)}) {
+      const std::string Config = std::string(S.Name) + " session " +
+                                 backendName(B) + " j=" + std::to_string(J);
+      srv::SessionOptions Options;
+      Options.Engine.TheBackend = B;
+      Options.Engine.NumThreads = J;
+      auto Session = srv::EngineSession::create(Prog, Options);
+      ASSERT_TRUE(Session->isMaintained()) << Config;
+
+      EdbState State(S.Edb.size());
+      std::size_t EqrelShrinks = 0;
+      Contents Previous;
+      for (std::size_t Begin = 0, Index = 0; Begin < NumOps;
+           Begin += PerBatch, ++Index) {
+        const std::size_t End = std::min(NumOps, Begin + PerBatch);
+        const srv::BatchResult R =
+            Session->applyMixed(makeBatch(S, Ops, Begin, End));
+        ASSERT_EQ(R.Error, "") << Config;
+        applyToState(State, Ops, Begin, End);
+        const std::string Where =
+            Config + " prefix=[0," + std::to_string(End) + ")";
+
+        auto Oracle = runOracle(*Prog, S, State);
+        inc::Maintainer(Prog->getRam(), *Oracle).bootstrap();
+        const Contents Want =
+            contentsOf(Compared, [&](const std::string &Name) {
+              return Oracle->getRelation(Name);
+            });
+        for (const std::string &Name : DerivedEqrels)
+          if (Previous.count(Name) &&
+              std::any_of(Previous.at(Name).begin(),
+                          Previous.at(Name).end(), [&](const auto &Row) {
+                            return !Want.at(Name).count(Row.first);
+                          }))
+            ++EqrelShrinks;
+        Previous = Want;
+
+        Contents Got;
+        {
+          srv::Snapshot Published = Session->snapshot();
+          Got = contentsOf(Compared, [&](const std::string &Name) {
+            return Published.relation(Name);
+          });
+        }
+        expectSameContents(Want, Got, Where);
+
+        // One or two empty batches: each publishes the other side after it
+        // replayed the previous change set, and the parity keeps the real
+        // batches alternating between the sides. (No snapshot may be held
+        // here: the second empty batch writes the side it would pin.)
+        for (std::size_t Empty = 0; Empty <= Index % 2; ++Empty) {
+          const srv::BatchResult E = Session->applyMixed(inc::MixedBatch{});
+          ASSERT_EQ(E.Error, "") << Where;
+          srv::Snapshot Replayed = Session->snapshot();
+          ASSERT_EQ(Replayed.epoch(), R.Epoch + Empty + 1) << Where;
+          expectSameContents(
+              Got,
+              contentsOf(Compared,
+                         [&](const std::string &Name) {
+                           return Replayed.relation(Name);
+                         }),
+              Where + " empty batch " + std::to_string(Empty + 1));
+        }
+      }
+      if (!DerivedEqrels.empty())
+        EXPECT_GT(EqrelShrinks, 0u)
+            << Config << ": the stream never split an equivalence class";
     }
   }
 }
@@ -405,6 +587,35 @@ TEST(MaintenanceDifferential, Functor) {
 TEST(MaintenanceDifferential, TcReseeded) { runSubject(TcSubject, 123, 140); }
 TEST(MaintenanceDifferential, DoopReseeded) {
   runSubject(DoopSubject, 321, 90);
+}
+
+// The session leg: every subject's stream through the left-right session.
+TEST(MaintenanceDifferentialSession, Join) {
+  runSessionSubject(JoinSubject, 11, 120);
+}
+TEST(MaintenanceDifferentialSession, Negation) {
+  runSessionSubject(NegationSubject, 22, 120);
+}
+TEST(MaintenanceDifferentialSession, TransitiveClosure) {
+  runSessionSubject(TcSubject, 33, 120);
+}
+TEST(MaintenanceDifferentialSession, TcUnderNegation) {
+  runSessionSubject(TcNegSubject, 44, 100);
+}
+TEST(MaintenanceDifferentialSession, DoopLike) {
+  runSessionSubject(DoopSubject, 55, 100);
+}
+TEST(MaintenanceDifferentialSession, Aggregate) {
+  runSessionSubject(AggregateSubject, 66, 120);
+}
+TEST(MaintenanceDifferentialSession, Eqrel) {
+  runSessionSubject(EqrelSubject, 77, 100);
+}
+TEST(MaintenanceDifferentialSession, WildcardNegation) {
+  runSessionSubject(WildcardNegSubject, 88, 120);
+}
+TEST(MaintenanceDifferentialSession, Functor) {
+  runSessionSubject(FunctorSubject, 99, 120);
 }
 
 } // namespace

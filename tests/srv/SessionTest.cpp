@@ -679,6 +679,82 @@ TEST(SessionTest, ConcurrentReadersObserveConsistentRetractions) {
   EXPECT_EQ(Session->maintTelemetry().Rebuilds, 0u);
 }
 
+// The eqrel variant: every retraction splits the derived class, so the
+// passive side catches up by copying the published side's equivalence
+// relation while readers keep querying that same relation (whose lazily
+// built member index is shared state).
+TEST(SessionTest, ConcurrentReadersObserveConsistentEqrelSplits) {
+  auto Session = EngineSession::fromSource(R"(
+    .decl link(a:number, b:number)
+    .decl same(a:number, b:number) eqrel
+    same(x, y) :- link(x, y).
+  )");
+  ASSERT_NE(Session, nullptr);
+  ASSERT_TRUE(Session->isMaintained());
+  constexpr std::uint64_t NumLinks = 10;
+  // Epochs 1..N link a chain of N + 1 nodes into one class; epochs
+  // N+1..2N unlink it from the front, dropping one node per batch.
+  auto LinksAt = [](std::uint64_t Epoch) {
+    return static_cast<std::size_t>(Epoch <= NumLinks ? Epoch
+                                                      : 2 * NumLinks - Epoch);
+  };
+  auto PairsAt = [&](std::uint64_t Epoch) {
+    const std::size_t L = LinksAt(Epoch);
+    return L == 0 ? 0 : (L + 1) * (L + 1);
+  };
+
+  std::atomic<bool> Done{false};
+  std::vector<std::thread> Readers;
+  std::atomic<std::size_t> Observations{0};
+  for (int R = 0; R < 3; ++R)
+    Readers.emplace_back([&] {
+      while (!Done.load(std::memory_order_acquire)) {
+        Snapshot Snap = Session->snapshot();
+        const std::uint64_t Epoch = Snap.epoch();
+        const std::size_t L = LinksAt(Epoch);
+        EXPECT_EQ(Snap.tuples("link").size(), L);
+        EXPECT_EQ(Snap.tuples("same").size(), PairsAt(Epoch));
+        // An anchored search from a node the chain always keeps: the
+        // first while linking, the last while unlinking.
+        Pattern P(2);
+        P[0] = static_cast<RamDomain>(Epoch <= NumLinks ? 0 : NumLinks);
+        EXPECT_EQ(Snap.query("same", P).size(), L == 0 ? 0 : L + 1);
+        Observations.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+
+  auto linkOp = [](RamDomain From, bool Retract) {
+    inc::RelationOps Ops;
+    Ops.Relation = "link";
+    DynTuple Link(2);
+    Link[0] = From;
+    Link[1] = From + 1;
+    (Retract ? Ops.Retracts : Ops.Inserts).push_back(std::move(Link));
+    return inc::MixedBatch{std::move(Ops)};
+  };
+  for (RamDomain I = 0; I < RamDomain(NumLinks); ++I) {
+    const BatchResult R = Session->applyMixed(linkOp(I, /*Retract=*/false));
+    ASSERT_TRUE(R.Error.empty()) << R.Error;
+    EXPECT_EQ(R.Inserted, 1u);
+  }
+  for (RamDomain I = 0; I < RamDomain(NumLinks); ++I) {
+    const BatchResult R = Session->applyMixed(linkOp(I, /*Retract=*/true));
+    ASSERT_TRUE(R.Error.empty()) << R.Error;
+    EXPECT_EQ(R.Deleted, 1u);
+    EXPECT_TRUE(R.Maintained);
+    EXPECT_EQ(R.Maint.ReevalStrata, 1u);
+  }
+  while (Observations.load(std::memory_order_relaxed) < 8)
+    std::this_thread::yield();
+  Done.store(true, std::memory_order_release);
+  for (std::thread &T : Readers)
+    T.join();
+
+  EXPECT_GE(Observations.load(), 8u);
+  EXPECT_EQ(Session->query("same", Pattern(2)).size(), 0u);
+  EXPECT_EQ(Session->maintTelemetry().Rebuilds, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // The rebuild class: programs without a maintenance plan
 //===----------------------------------------------------------------------===//

@@ -289,6 +289,22 @@ TEST_F(WireRequestTest, RetractCommandRemovesFactsAndDerivations) {
   EXPECT_EQ(Q.find("count")->asNumber(), 3);
 }
 
+TEST_F(WireRequestTest, LoadAndRetractReportCatchUpTime) {
+  // The first write finds both sides current; the second finds the
+  // passive side one batch behind and replays it first.
+  for (const char *Request :
+       {R"({"cmd":"load","facts":{"edge":[[1,2],[2,3]]}})",
+        R"({"cmd":"retract","facts":{"edge":[[1,2]]}})"}) {
+    const Value R = reply(Request);
+    ASSERT_TRUE(okOf(R)) << errorOf(R);
+    const Value *CatchUp = R.find("catch_up_seconds");
+    ASSERT_NE(CatchUp, nullptr) << Request;
+    ASSERT_TRUE(CatchUp->isNumber()) << Request;
+    EXPECT_GE(CatchUp->asNumber(), 0) << Request;
+    EXPECT_LE(CatchUp->asNumber(), R.find("seconds")->asNumber()) << Request;
+  }
+}
+
 TEST_F(WireRequestTest, LoadAcceptsAMixedRetractBlock) {
   reply(R"({"cmd":"load","facts":{"edge":[[1,2],[2,3]]}})");
   const Value R = reply(
