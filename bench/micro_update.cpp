@@ -30,9 +30,11 @@
 ///     "session_seconds": ..., "full_seconds": ..., "speedup": ...},
 ///    ...,
 ///    {"workload": "skewed-tc", "summary": true, "batches": 20,
-///     "incremental_seconds": ..., "session_seconds": ...,
+///     "rederived": ..., "incremental_seconds": ..., "session_seconds": ...,
 ///     "leftright_ratio": ..., "full_seconds": ..., "speedup": ...}]
 ///
+/// rederived counts the DRed tuples over-deleted and then rederived (the
+/// summary sums the batches): over-deletion that was wasted work.
 /// leftright_ratio is session_seconds / incremental_seconds: what the
 /// left-right write costs over one Maintainer::apply. Exits nonzero when
 /// any batch's maintained or published contents diverge from the
@@ -332,18 +334,22 @@ int main(int argc, char **argv) {
     const double LeftRight = Result.IncSeconds > 0
                                  ? Result.SessionSeconds / Result.IncSeconds
                                  : 0.0;
+    std::size_t Rederived = 0;
+    for (const BatchRecord &R : Result.Batches)
+      Rederived += R.Rederived;
     std::printf("%s\n  {\"workload\": \"%s\", \"summary\": true, "
-                "\"batches\": %zu, \"incremental_seconds\": %.6f, "
+                "\"batches\": %zu, \"rederived\": %zu, "
+                "\"incremental_seconds\": %.6f, "
                 "\"session_seconds\": %.6f, \"leftright_ratio\": %.2f, "
                 "\"full_seconds\": %.6f, \"speedup\": %.2f}",
-                First ? "" : ",", W->Name, Result.Batches.size(),
+                First ? "" : ",", W->Name, Result.Batches.size(), Rederived,
                 Result.IncSeconds, Result.SessionSeconds, LeftRight,
                 Result.FullSeconds, Speedup);
     First = false;
     std::fprintf(stderr,
-                 "%-10s %zu batches  incremental %.4f s  session %.4f s "
-                 "(%.2fx)  full %.4f s  speedup %.1fx\n",
-                 W->Name, Result.Batches.size(), Result.IncSeconds,
+                 "%-10s %zu batches  rederived %zu  incremental %.4f s  "
+                 "session %.4f s (%.2fx)  full %.4f s  speedup %.1fx\n",
+                 W->Name, Result.Batches.size(), Rederived, Result.IncSeconds,
                  Result.SessionSeconds, LeftRight, Result.FullSeconds,
                  Speedup);
   }

@@ -60,7 +60,9 @@ struct StratumReport {
   /// Net derived-tuple changes this stratum emitted downstream.
   std::uint64_t Inserted = 0;
   std::uint64_t Deleted = 0;
-  /// DRed only: over-deleted tuples that survived rederivation.
+  /// DRed only: over-deleted tuples that survived rederivation. A
+  /// candidate an exit clause still derives over the final lower strata
+  /// is kept by Phase A, so it is neither over-deleted nor counted here.
   std::uint64_t Rederived = 0;
 };
 

@@ -434,11 +434,16 @@ private:
   //    a semi-naive loop seeded from the lower deletion deltas (non-delta
   //    lower atoms over-approximated as NEW UNION delta_del, negations as
   //    (NOT N) OR delta_ins_N; a head-membership atom keeps candidates
-  //    inside the old fixpoint), erase them, rederive survivors from the
+  //    inside the old fixpoint), pruning each round's frontier of the
+  //    candidates an exit clause (no positive SCC atom) still derives over
+  //    the final lower strata, erase them, rederive survivors from the
   //    remaining tuples (candidate-restricted, so brand-new tuples are
   //    left to the insertion phase and correctly reach delta_ins_R), emit
   //    the net deletions with SUBTRACT, then run the insertion semi-naive
-  //    loop seeded from the lower insertion deltas.
+  //    loop seeded from the lower insertion deltas. A kept candidate is in
+  //    the new fixpoint and is neither over-deleted nor propagated; SCC
+  //    clauses are never checked, since over the not-yet-erased state
+  //    cyclic support alone would satisfy them.
   //  * Reeval (eqrel, aggregates, eqrel body dependencies, or rules too
   //    wide for delta versions): no statement. The maintenance driver
   //    snapshots the stratum's relations, clears them, re-runs the
@@ -1050,6 +1055,17 @@ private:
     std::unordered_set<std::string> Scc;
     for (const auto *Decl : Stratum.Relations)
       Scc.insert(Decl->getName());
+    auto IsSccAtom = [&](const ast::Literal &Lit) {
+      return Lit.getKind() == ast::Literal::Kind::Atom &&
+             Scc.count(static_cast<const ast::Atom &>(Lit).getName());
+    };
+    // An exit clause has no positive body atom in the SCC (facts and
+    // head-functor clauses included): it derives from lower strata only.
+    auto IsExitClause = [&](const ast::Clause &C) {
+      const std::vector<const ast::Literal *> Lits = maintLiterals(C);
+      return std::none_of(Lits.begin(), Lits.end(),
+                          [&](const ast::Literal *L) { return IsSccAtom(*L); });
+    };
 
     std::vector<ram::StmtPtr> Out;
     auto ClearScratch = [&] {
@@ -1114,7 +1130,11 @@ private:
     // atoms are over-approximated at NEW UNION delta_del (mask splits),
     // negations at (NOT N) OR delta_ins_N; SCC atoms read the still-
     // unerased (OLD) relations; a head-membership atom keeps candidates
-    // inside the old fixpoint.
+    // inside the old fixpoint. Each round's frontier is then pruned of the
+    // candidates an exit clause still derives ([keep] versions). Only exit
+    // clauses may be checked: an SCC clause read over the not-yet-erased
+    // state can be satisfied by cyclic support alone (p(1) from p(2) from
+    // p(1)) and would keep a tuple that is not in the new fixpoint.
     Phase(
         [&](std::vector<ram::StmtPtr> &Dst, bool LoopBody) {
           for (const auto *Decl : Stratum.Relations) {
@@ -1123,20 +1143,11 @@ private:
               const std::vector<const ast::Literal *> Lits =
                   maintLiterals(*C);
               std::vector<std::size_t> Lower;
-              for (std::size_t I = 0; I < Lits.size(); ++I) {
-                const bool SccAtom =
-                    Lits[I]->getKind() == ast::Literal::Kind::Atom &&
-                    Scc.count(
-                        static_cast<const ast::Atom &>(*Lits[I]).getName());
-                if (!SccAtom)
+              for (std::size_t I = 0; I < Lits.size(); ++I)
+                if (!IsSccAtom(*Lits[I]))
                   Lower.push_back(I);
-              }
               for (std::size_t D = 0; D < Lits.size(); ++D) {
-                const bool DIsScc =
-                    Lits[D]->getKind() == ast::Literal::Kind::Atom &&
-                    Scc.count(
-                        static_cast<const ast::Atom &>(*Lits[D]).getName());
-                if (DIsScc != LoopBody)
+                if (IsSccAtom(*Lits[D]) != LoopBody)
                   continue;
                 std::vector<std::size_t> Maskable;
                 for (std::size_t I : Lower)
@@ -1173,6 +1184,36 @@ private:
               }
             }
           }
+          // Prune the round's frontier. delta_R is dead between the
+          // versions and Advance, so it collects the kept tuples.
+          std::vector<ram::StmtPtr> Keep, Prune;
+          for (const auto *Decl : Stratum.Relations) {
+            const std::string &Name = Decl->getName();
+            ram::Relation *NewR = MainNewRel.at(Name);
+            ram::Relation *DeltaR = MainDeltaRel.at(Name);
+            bool HasExit = false;
+            for (const auto *C : clausesOf(Name)) {
+              if (!IsExitClause(*C))
+                continue;
+              HasExit = true;
+              RuleVariant V;
+              V.LabelSuffix = " [keep]";
+              V.ForceMaxBound = true;
+              emitRule(*synthesizeMaintClause(
+                           *C,
+                           std::vector<LitMode>(maintLiterals(*C).size(),
+                                                LitMode::Keep),
+                           false, NewR->getName(), ""),
+                       DeltaR, {}, -1, nullptr, {}, StratumId, Keep, V);
+            }
+            if (!HasExit)
+              continue;
+            Dst.push_back(std::make_unique<ram::Clear>(DeltaR));
+            Prune.push_back(std::make_unique<ram::Erase>(DeltaR, NewR));
+          }
+          for (auto *Part : {&Keep, &Prune})
+            for (auto &Stmt : *Part)
+              Dst.push_back(std::move(Stmt));
         },
         &Rederive, nullptr);
 
@@ -1193,6 +1234,10 @@ private:
               const std::vector<const ast::Literal *> Lits =
                   maintLiterals(*C);
               if (!LoopBody) {
+                // Phase A kept every candidate an exit clause derives, so
+                // only clauses over the SCC can rederive one.
+                if (IsExitClause(*C))
+                  continue;
                 std::vector<LitMode> Modes(Lits.size(), LitMode::Keep);
                 RuleVariant V;
                 V.LabelSuffix = " [rdrv]";
@@ -1208,11 +1253,7 @@ private:
                 continue;
               }
               for (std::size_t D = 0; D < Lits.size(); ++D) {
-                const bool DIsScc =
-                    Lits[D]->getKind() == ast::Literal::Kind::Atom &&
-                    Scc.count(
-                        static_cast<const ast::Atom &>(*Lits[D]).getName());
-                if (!DIsScc)
+                if (!IsSccAtom(*Lits[D]))
                   continue;
                 std::vector<LitMode> Modes(Lits.size(), LitMode::Keep);
                 Modes[D] = LitMode::ScratchDelta;
@@ -1248,11 +1289,7 @@ private:
               const std::vector<const ast::Literal *> Lits =
                   maintLiterals(*C);
               for (std::size_t D = 0; D < Lits.size(); ++D) {
-                const bool DIsScc =
-                    Lits[D]->getKind() == ast::Literal::Kind::Atom &&
-                    Scc.count(
-                        static_cast<const ast::Atom &>(*Lits[D]).getName());
-                if (DIsScc != LoopBody)
+                if (IsSccAtom(*Lits[D]) != LoopBody)
                   continue;
                 std::vector<LitMode> Modes(Lits.size(), LitMode::Keep);
                 Modes[D] =

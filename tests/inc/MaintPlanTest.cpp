@@ -7,8 +7,9 @@
 /// \file
 /// Unit tests for the translator's maintenance plan: per-stratum strategy
 /// classification (counting / DRed / scoped Reeval), aux-relation naming,
-/// whole-program ineligibility reporting, and the guarantee that
-/// negation-only programs never fall back to re-evaluation.
+/// whole-program ineligibility reporting, the guarantee that
+/// negation-only programs never fall back to re-evaluation, and DRed's
+/// exit-clause prune (what it keeps, and what it must still delete).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,8 @@
 #include "core/Program.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace stird;
 
@@ -232,6 +235,102 @@ TEST(MaintPlan, ReportCountsNetEdbChanges) {
   EXPECT_EQ(Report.ReevalStrata, 0u);
   EXPECT_EQ(Eng->getTuples("b"),
             (std::vector<DynTuple>{{2}, {3}}));
+}
+
+/// The report of the maintained stratum defining \p Rel (Report.Strata
+/// follows the plan's stratum order).
+const inc::StratumReport &reportOf(const inc::MaintenanceReport &Report,
+                                   const ram::Program &Ram,
+                                   const std::string &Rel) {
+  const ram::Program::MaintStratum *MS = stratumOf(Ram, Rel);
+  EXPECT_NE(MS, nullptr) << Rel;
+  // at() throws (failing the test) when Rel has no maintained stratum.
+  return Report.Strata.at(MS ? MS - Ram.getMaintStrata().data()
+                             : Report.Strata.size());
+}
+
+/// Builds an engine over \p Prog with \p Facts inserted and run.
+std::unique_ptr<interp::Engine>
+runWith(core::Program &Prog,
+        const std::map<std::string, std::vector<DynTuple>> &Facts) {
+  interp::EngineOptions Opts;
+  Opts.SuppressIo = true;
+  auto Eng = Prog.makeEngine(Opts);
+  for (const auto &[Name, Tuples] : Facts)
+    Eng->insertTuples(Name, Tuples);
+  Eng->run();
+  return Eng;
+}
+
+TEST(MaintPlan, ExitDerivableCandidatesAreNotOverDeleted) {
+  // A doop-style clique: every relation saturated over {0, 1, 2}, so vpt
+  // and heap are full and all mutually supporting.
+  auto Prog = core::Program::fromSource(
+      ".decl new(v:number, o:number)\n"
+      ".decl assign(d:number, s:number)\n"
+      ".decl load(d:number, s:number)\n"
+      ".decl store(d:number, s:number)\n"
+      ".decl vpt(v:number, o:number)\n"
+      ".decl heap(o:number, p:number)\n"
+      "vpt(v, o) :- new(v, o).\n"
+      "vpt(d, o) :- assign(d, s), vpt(s, o).\n"
+      "heap(o, p) :- store(d, s), vpt(d, o), vpt(s, p).\n"
+      "vpt(d, p) :- load(d, s), vpt(s, o), heap(o, p).\n",
+      nullptr, withMaint());
+  ASSERT_NE(Prog, nullptr);
+  std::vector<DynTuple> All;
+  for (RamDomain X = 0; X < 3; ++X)
+    for (RamDomain Y = 0; Y < 3; ++Y)
+      All.push_back({X, Y});
+  std::map<std::string, std::vector<DynTuple>> Facts = {
+      {"new", All}, {"assign", All}, {"load", All}, {"store", All}};
+  auto Eng = runWith(*Prog, Facts);
+  ASSERT_EQ(Eng->getTuples("vpt").size(), 9u);
+  ASSERT_EQ(Eng->getTuples("heap").size(), 9u);
+  inc::Maintainer Maint(Prog->getRam(), *Eng);
+  Maint.bootstrap();
+
+  // Retracting store(0, 0) over-deletes heap(o, p) for every vpt(0, o),
+  // vpt(0, p): all 9 heap tuples, each rederived through another store.
+  // Through load they would make every vpt tuple a candidate, but each of
+  // those still has new(v, o), so none is over-deleted or rederived.
+  inc::MixedBatch Retract{{"store", {}, {{0, 0}}}};
+  inc::MaintenanceReport Report = Maint.apply(Retract);
+  ASSERT_TRUE(Report.Maintained);
+  const inc::StratumReport &SR = reportOf(Report, Prog->getRam(), "vpt");
+  EXPECT_EQ(SR.Strategy, Strategy::DRed);
+  EXPECT_EQ(SR.Rederived, 9u);
+  EXPECT_EQ(SR.Deleted, 0u);
+  EXPECT_EQ(SR.Inserted, 0u);
+
+  Facts["store"].erase(Facts["store"].begin());
+  auto Fresh = runWith(*Prog, Facts);
+  for (const char *Rel : {"vpt", "heap"})
+    EXPECT_EQ(Eng->getTuples(Rel), Fresh->getTuples(Rel)) << Rel;
+}
+
+TEST(MaintPlan, CyclicOnlySupportIsStillDeleted) {
+  // p(1) and p(2) support each other through the e cycle; b(1) is their
+  // only exit. Checking the recursive clause over the un-erased state
+  // would keep p(1) (from p(2), e(2, 1)), which is no longer derivable.
+  auto Prog = core::Program::fromSource(
+      ".decl b(x:number)\n.decl e(x:number, y:number)\n.decl p(x:number)\n"
+      "p(x) :- b(x).\n"
+      "p(y) :- p(x), e(x, y).\n",
+      nullptr, withMaint());
+  ASSERT_NE(Prog, nullptr);
+  auto Eng = runWith(*Prog, {{"b", {{1}}}, {"e", {{1, 2}, {2, 1}}}});
+  ASSERT_EQ(Eng->getTuples("p"), (std::vector<DynTuple>{{1}, {2}}));
+  inc::Maintainer Maint(Prog->getRam(), *Eng);
+  Maint.bootstrap();
+
+  inc::MixedBatch Retract{{"b", {}, {{1}}}};
+  inc::MaintenanceReport Report = Maint.apply(Retract);
+  ASSERT_TRUE(Report.Maintained);
+  EXPECT_TRUE(Eng->getTuples("p").empty());
+  const inc::StratumReport &SR = reportOf(Report, Prog->getRam(), "p");
+  EXPECT_EQ(SR.Deleted, 2u);
+  EXPECT_EQ(SR.Rederived, 0u);
 }
 
 } // namespace

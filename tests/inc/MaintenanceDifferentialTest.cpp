@@ -560,6 +560,26 @@ const Subject FunctorSubject = {
     {{"a", 2, 8}},
 };
 
+// 10. DRed's exit-clause prune: the recursive stratum {r, q} has an
+// inline fact, a head-functor exit clause, an exit clause with a
+// constraint, and cycles through e and through q, so candidates are kept
+// by every kind of exit clause while cyclic-only support must still go.
+const Subject ExitPruneSubject = {
+    "exit-prune",
+    ".decl a(x:number, y:number)\n"
+    ".decl e(x:number, y:number)\n"
+    ".decl b(x:number)\n"
+    ".decl r(x:number, y:number)\n"
+    ".decl q(x:number)\n"
+    "r(0, 0).\n"
+    "r(x + 1, y) :- a(x, y).\n"
+    "r(x, z) :- r(x, y), e(y, z).\n"
+    "r(y, y) :- q(y).\n"
+    "q(y) :- r(_, y), b(y).\n"
+    "q(x) :- b(x), x < 2.\n",
+    {{"a", 2, 6}, {"e", 2, 6}, {"b", 1, 6}},
+};
+
 TEST(MaintenanceDifferential, Join) { runSubject(JoinSubject, 11, 120); }
 TEST(MaintenanceDifferential, Negation) {
   runSubject(NegationSubject, 22, 120);
@@ -580,6 +600,10 @@ TEST(MaintenanceDifferential, WildcardNegation) {
 }
 TEST(MaintenanceDifferential, Functor) {
   runSubject(FunctorSubject, 99, 120);
+}
+
+TEST(MaintenanceDifferential, ExitPrune) {
+  runSubject(ExitPruneSubject, 111, 120);
 }
 
 // Different seeds shift which tuples collide; a second pass over the two
@@ -616,6 +640,9 @@ TEST(MaintenanceDifferentialSession, WildcardNegation) {
 }
 TEST(MaintenanceDifferentialSession, Functor) {
   runSessionSubject(FunctorSubject, 99, 120);
+}
+TEST(MaintenanceDifferentialSession, ExitPrune) {
+  runSessionSubject(ExitPruneSubject, 111, 120);
 }
 
 } // namespace
