@@ -49,6 +49,7 @@
 #include "srv/Session.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -167,12 +168,13 @@ WorkloadResult runWorkload(const UpdateWorkload &W, std::size_t NumBatches,
   core::CompileOptions Compile;
   Compile.EmitMaintenance = true;
   auto Prog = core::Program::fromSource(W.Source, nullptr, Compile);
-  if (!Prog || !Prog->getRam().hasMaintenance()) {
-    std::fprintf(stderr, "micro_update: %s has no maintenance plan\n",
-                 W.Name);
+  if (!Prog) {
+    std::fprintf(stderr, "micro_update: %s does not compile\n", W.Name);
     Result.Correct = false;
     return Result;
   }
+  // Every program compiled with EmitMaintenance has a plan.
+  assert(Prog->getRam().hasMaintenance());
   std::vector<std::string> Relations;
   for (const auto &Decl : Prog->getAst().Relations)
     Relations.push_back(Decl->getName());

@@ -140,7 +140,7 @@ private:
 
   std::size_t findRoot(std::size_t Index) const;
   std::size_t internValue(RamDomain Value);
-  /// Rebuilds SortedValues and per-root member lists if stale. Safe to
+  /// Recomputes SortedValues and per-root member lists if stale. Safe to
   /// call from concurrent readers (double-checked locking on Stale).
   void refresh() const;
 

@@ -17,12 +17,15 @@ using namespace stird::inc;
 
 Maintainer::Maintainer(const ram::Program &Prog, interp::Engine &Eng)
     : Prog(Prog), Eng(Eng) {
+  assert(Prog.hasMaintenance() && "program compiled without a plan");
   for (const auto &MS : Prog.getMaintStrata())
     Derived.insert(MS.Relations.begin(), MS.Relations.end());
   for (const auto &Decl : Prog.getRelations()) {
     const ram::Program::MaintAux *Aux = Prog.getMaintAux(Decl->getName());
     if (!Aux)
       continue;
+    if (!Aux->Edb.empty())
+      Shadows.insert(Aux->Edb);
     Tracked T{&rel(Decl->getName()), &rel(Aux->Ins), &rel(Aux->Del)};
     if (!Aux->Support.empty()) {
       T.Support = counted(Aux->Support);
@@ -54,18 +57,20 @@ void Maintainer::bootstrap() {
 }
 
 std::string Maintainer::rejectReason(const MixedBatch &Batch) const {
-  if (!eligible())
-    return ineligibleReason().empty() ? "program has no maintenance plan"
-                                      : ineligibleReason();
   for (const RelationOps &Ops : Batch) {
     // Declared relations all carry a MaintAux entry; anything else (aux
-    // relations included) is not a valid batch target.
+    // relations and EDB shadows included) is not a valid batch target.
     const ram::Program::MaintAux *Aux = Prog.getMaintAux(Ops.Relation);
-    if (!Aux)
+    if (!Aux || Shadows.count(Ops.Relation))
       return "unknown relation '" + Ops.Relation + "'";
-    if (Derived.count(Ops.Relation))
+    // A lifted .input relation takes inserts (into its shadow) but keeps
+    // its derivations: nothing can retract them.
+    if (Derived.count(Ops.Relation) && Aux->Edb.empty())
       return "relation '" + Ops.Relation +
              "' is derived by rules; only EDB relations accept batches";
+    if (Derived.count(Ops.Relation) && !Ops.Retracts.empty())
+      return "relation '" + Ops.Relation +
+             "' is derived by rules; only EDB relations accept retractions";
     const ram::Relation *Decl = Prog.findRelation(Ops.Relation);
     if (Decl->getStructure() == ram::StructureKind::Eqrel &&
         !Ops.Retracts.empty())
@@ -85,16 +90,23 @@ MaintenanceReport Maintainer::apply(const MixedBatch &Batch,
                                     ChangeSet *Changes) {
   assert(Bootstrapped && "apply() before bootstrap()");
   MaintenanceReport Report;
-  Report.Maintained = true;
 
   // Stage the net EDB change of the batch into the ins/del deltas:
   // retractions first, then insertions (an insert cancels a staged
   // deletion), duplicates and misses filtered against the live relation.
+  // A lifted .input relation stages into its EDB shadow: an insert lands
+  // there even when R derives the tuple too, but counts as new only when
+  // R lacks it.
   for (const RelationOps &Ops : Batch) {
-    const ram::Program::MaintAux &Aux = *Prog.getMaintAux(Ops.Relation);
+    const ram::Program::MaintAux *Aux = Prog.getMaintAux(Ops.Relation);
     interp::RelationWrapper &Full = rel(Ops.Relation);
-    interp::RelationWrapper &Ins = rel(Aux.Ins);
-    interp::RelationWrapper &Del = rel(Aux.Del);
+    interp::RelationWrapper *Shadow = nullptr;
+    if (!Aux->Edb.empty()) {
+      Shadow = &rel(Aux->Edb);
+      Aux = Prog.getMaintAux(Aux->Edb);
+    }
+    interp::RelationWrapper &Ins = rel(Aux->Ins);
+    interp::RelationWrapper &Del = rel(Aux->Del);
     for (const DynTuple &Tuple : Ops.Retracts) {
       if (!Full.contains(Tuple.data()) || !Del.insert(Tuple.data()))
         ++Report.Missing;
@@ -107,6 +119,8 @@ MaintenanceReport Maintainer::apply(const MixedBatch &Batch,
         --Report.Deleted;
         ++Report.Duplicates;
       } else if (Full.contains(Tuple.data())) {
+        if (Shadow && !Shadow->contains(Tuple.data()))
+          Ins.insert(Tuple.data());
         ++Report.Duplicates;
       } else if (Ins.insert(Tuple.data())) {
         ++Report.Inserted;
@@ -118,9 +132,10 @@ MaintenanceReport Maintainer::apply(const MixedBatch &Batch,
 
   // EDB prologue, then every stratum bottom-up, exactly once: when a
   // stratum runs, all lower relations are final and the lower deltas
-  // describe the net change.
-  if (const ram::Statement *Pro = Prog.getMaintPrologue())
-    Eng.runStatement(*Pro);
+  // describe the net change. The `$` strata are all Reeval and re-run in
+  // main order from a restarted counter, minting a cold run's ids.
+  Eng.runStatement(*Prog.getMaintPrologue());
+  Eng.resetCounter();
   for (const ram::Program::MaintStratum &MS : Prog.getMaintStrata()) {
     if (MS.Strategy == ram::Program::MaintStrategy::Reeval) {
       reevalStratum(MS);

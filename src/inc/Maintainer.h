@@ -68,9 +68,6 @@ struct StratumReport {
 
 /// Outcome of one maintained batch.
 struct MaintenanceReport {
-  /// True when the maintenance plan ran (vs the caller falling back to a
-  /// full rebuild or rejecting the batch).
-  bool Maintained = false;
   /// EDB accounting (net semantics, see RelationOps).
   std::uint64_t Inserted = 0;   ///< genuinely new EDB tuples
   std::uint64_t Duplicates = 0; ///< inserts of already-present tuples
@@ -116,30 +113,26 @@ struct ChangeSet {
 /// outlive the maintainer; one maintainer per resident engine instance.
 class Maintainer {
 public:
+  /// \p Prog must carry a maintenance plan (ram::Program::hasMaintenance).
   Maintainer(const ram::Program &Prog, interp::Engine &Eng);
-
-  /// Whether the program carries a maintenance plan at all. When false,
-  /// reason() says why the translator refused.
-  bool eligible() const { return Prog.hasMaintenance(); }
-  const std::string &ineligibleReason() const {
-    return Prog.getMaintIneligibleReason();
-  }
 
   /// Seeds the counting strata's support stores from the bootstrapped
   /// relation contents. Must run exactly once, after the engine's initial
-  /// run() (or a rebuild), before the first apply().
+  /// run(), before the first apply().
   void bootstrap();
 
   /// Returns "" when apply() can process \p Batch, else the reason it
-  /// cannot (derived-relation target, eqrel retraction, program
-  /// ineligible). Unknown relations and arity mismatches are also
-  /// reported here so servers can reject instead of crashing.
+  /// cannot (derived-relation target, retraction from a lifted .input
+  /// relation, eqrel retraction). Unknown relations (EDB shadows
+  /// included) and arity mismatches are also reported here so servers can
+  /// reject instead of crashing.
   std::string rejectReason(const MixedBatch &Batch) const;
 
   /// Stages \p Batch and runs the maintenance plan. The caller must have
-  /// checked rejectReason() first. When \p Changes is non-null it is
-  /// overwritten with the batch's net change, harvested just before the
-  /// epilogue clears the deltas.
+  /// checked rejectReason() first. Inserts into a lifted .input relation
+  /// stage into its EDB shadow but count against the relation itself.
+  /// When \p Changes is non-null it is overwritten with the batch's net
+  /// change, harvested just before the epilogue clears the deltas.
   MaintenanceReport apply(const MixedBatch &Batch,
                           ChangeSet *Changes = nullptr);
 
@@ -173,6 +166,9 @@ private:
   /// Relations defined by some maintained stratum (everything else
   /// declared is EDB).
   std::unordered_set<std::string> Derived;
+  /// The hidden EDB shadows of lifted .input relations: maintained, but
+  /// never a batch target.
+  std::unordered_set<std::string> Shadows;
   /// Every declared relation, in the program's relation order: the slots
   /// of a ChangeSet.
   std::vector<Tracked> Relations;

@@ -231,6 +231,10 @@ public:
   /// Snapshot of a relation's tuples in source order, sorted.
   std::vector<DynTuple> getTuples(const std::string &Name) const;
 
+  /// Restarts the `$` counter at 0. The maintenance driver calls it before
+  /// a batch re-runs the strata using `$`, so they mint a cold run's ids.
+  void resetCounter() { State.Counter.store(0, std::memory_order_relaxed); }
+
   std::uint64_t getNumDispatches() const { return State.NumDispatches; }
   const Profiler &getProfiler() const { return State.Prof; }
   /// The engine's observability counter block (StatsId-indexed) and the

@@ -763,7 +763,7 @@ public:
     /// Recursive stratum (or one whose negated literals carry wildcards):
     /// over-delete via delta-deletion rules, rederive from survivors.
     DRed,
-    /// Scoped per-stratum re-evaluation fallback (eqrel or aggregates):
+    /// Scoped per-stratum re-evaluation fallback (eqrel, aggregates, `$`):
     /// the serving layer clears the stratum and re-runs its main
     /// statements, diffing old vs new into the ins/del deltas.
     Reeval,
@@ -788,29 +788,26 @@ public:
   /// and net deletions of the running batch (every declared relation), the
   /// DRed over-deletion set (DRed strata only, else empty), and the
   /// counting support store plus its per-batch collectors (counting strata
-  /// only, else empty).
+  /// only, else empty). Edb names the hidden EDB shadow R@edb of an .input
+  /// relation that also has clauses: loads and batch inserts land there,
+  /// and the clause R(x) :- R@edb(x) derives them into R (else empty).
   struct MaintAux {
     std::string Ins;
     std::string Del;
     std::string Rederive;
     std::string Support, CntAdd, CntDec;
+    std::string Edb;
   };
 
-  bool hasMaintenance() const { return !MaintStrata.empty(); }
+  /// Whether a maintenance plan was emitted. Every program compiled with
+  /// TranslationOptions::EmitMaintenance has one; a rule-free program's
+  /// plan is its prologue alone.
+  bool hasMaintenance() const { return MaintPrologue != nullptr; }
   const std::vector<MaintStratum> &getMaintStrata() const {
     return MaintStrata;
   }
   void setMaintStrata(std::vector<MaintStratum> Strata) {
     MaintStrata = std::move(Strata);
-  }
-
-  /// Why no maintenance program was emitted ("" when one was, or when
-  /// update emission was off entirely).
-  const std::string &getMaintIneligibleReason() const {
-    return MaintIneligibleReason;
-  }
-  void setMaintIneligibleReason(std::string Reason) {
-    MaintIneligibleReason = std::move(Reason);
   }
 
   void setMaintAux(const std::string &Rel, MaintAux Aux) {
@@ -845,7 +842,6 @@ private:
   std::vector<std::unique_ptr<Relation>> Relations;
   StmtPtr Main;
   std::vector<MaintStratum> MaintStrata;
-  std::string MaintIneligibleReason;
   std::unordered_map<std::string, MaintAux> MaintAuxOf;
   StmtPtr CountInit;
   StmtPtr MaintPrologue;

@@ -149,12 +149,12 @@ std::string srv::renderPrometheus(const TenantRegistry &Tenants) {
   for (const Tenant *T : All)
     Maint.push_back(T->Session->maintTelemetry());
   W.header("stird_maintenance_enabled",
-           "Whether mixed batches run the maintenance plan (1) or fall "
-           "back to re-evaluation (0).",
+           "Always 1: every session maintains its batches in place (kept "
+           "for compatibility).",
            "gauge");
   for (std::size_t I = 0; I < All.size(); ++I)
     W.sample("stird_maintenance_enabled", {{"tenant", All[I]->Name}},
-             std::uint64_t(Maint[I].Enabled ? 1 : 0));
+             std::uint64_t(1));
   W.header("stird_maintenance_batches_total",
            "Mixed batches applied through the maintenance plan.",
            "counter");
@@ -173,8 +173,7 @@ std::string srv::renderPrometheus(const TenantRegistry &Tenants) {
     W.sample("stird_maintenance_rederived_total",
              {{"tenant", All[I]->Name}}, Maint[I].Rederived);
   W.header("stird_maintenance_fallbacks_total",
-           "Re-evaluation fallbacks (scoped Reeval strata and whole-batch "
-           "rebuilds), by reason.",
+           "Scoped Reeval stratum re-evaluations, by reason.",
            "counter");
   for (std::size_t I = 0; I < All.size(); ++I)
     for (const auto &[Reason, Count] : Maint[I].FallbackReasons)

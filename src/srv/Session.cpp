@@ -11,8 +11,6 @@
 
 #include <cassert>
 #include <cstdio>
-#include <map>
-#include <set>
 #include <thread>
 
 using namespace stird;
@@ -23,8 +21,7 @@ using namespace stird::srv;
 /// observed at zero after unpublishing it.
 struct stird::srv::detail::SessionSide {
   std::unique_ptr<interp::Engine> Eng;
-  /// This side's maintenance driver, present when the program carries a
-  /// maintenance plan.
+  /// This side's maintenance driver.
   std::unique_ptr<inc::Maintainer> Maint;
   /// Batches applied to this side; the epoch readers observe through
   /// snapshots of it.
@@ -117,22 +114,15 @@ EngineSession::fromFile(const std::string &Path,
 std::unique_ptr<EngineSession>
 EngineSession::create(std::shared_ptr<core::Program> Program,
                       const SessionOptions &Options) {
+  if (!Program->getRam().hasMaintenance())
+    return nullptr;
   return std::unique_ptr<EngineSession>(
       new EngineSession(std::move(Program), Options));
 }
 
 EngineSession::EngineSession(std::shared_ptr<core::Program> Program,
                              const SessionOptions &Opts)
-    : Prog(std::move(Program)), Options(Opts),
-      Maintained(Prog->getRam().hasMaintenance()) {
-  for (const auto &Clause : Prog->getAst().Clauses)
-    DerivedRels.insert(Clause->getHead().getName());
-  Telemetry.Enabled = Maintained;
-  if (!Maintained) {
-    const std::string &Reason = Prog->getRam().getMaintIneligibleReason();
-    Telemetry.IneligibleReason =
-        Reason.empty() ? "maintenance program not emitted" : Reason;
-  }
+    : Prog(std::move(Program)), Options(Opts) {
   // A serving engine never echoes .printsize to stdout, and only touches
   // the filesystem when the caller asked for the program's own IO.
   Options.Engine.SuppressIo = !Options.RunIo;
@@ -141,11 +131,9 @@ EngineSession::EngineSession(std::shared_ptr<core::Program> Program,
     Sides[I] = std::make_unique<Side>();
     Sides[I]->Eng = Prog->makeEngine(Options.Engine);
     Sides[I]->Eng->run(); // bootstrap: initial facts + IO when enabled
-    if (Maintained) {
-      Sides[I]->Maint =
-          std::make_unique<inc::Maintainer>(Prog->getRam(), *Sides[I]->Eng);
-      Sides[I]->Maint->bootstrap();
-    }
+    Sides[I]->Maint =
+        std::make_unique<inc::Maintainer>(Prog->getRam(), *Sides[I]->Eng);
+    Sides[I]->Maint->bootstrap();
   }
   Active.store(Sides[0].get());
   PassiveIdx = 1;
@@ -160,21 +148,61 @@ void EngineSession::waitQuiesce(Side &S) {
     std::this_thread::yield();
 }
 
-/// Whether any relation of the batch stages a retraction.
-static bool hasRetracts(const inc::MixedBatch &Batch) {
-  for (const inc::RelationOps &Ops : Batch)
-    if (!Ops.Retracts.empty())
-      return true;
-  return false;
+BatchResult EngineSession::loadFacts(const FactBatch &Batch) {
+  inc::MixedBatch Mixed;
+  Mixed.reserve(Batch.size());
+  for (const auto &[Name, Tuples] : Batch)
+    Mixed.push_back({Name, Tuples, {}});
+  BatchResult Result = applyMixed(Mixed);
+  // The legacy API reported malformed batches fatally; preserve that for
+  // callers that never see BatchResult::Error.
+  if (!Result.Error.empty())
+    fatal(Result.Error);
+  return Result;
 }
 
-void EngineSession::applyMaintained(Side &S, const inc::MixedBatch &Batch,
-                                    BatchResult &Result) {
+void EngineSession::recordFallback(const std::string &Reason) {
+  {
+    std::lock_guard<std::mutex> Lock(TelemetryMutex);
+    ++FallbackCounts[Reason];
+  }
+  if (!FallbackWarned.exchange(true))
+    std::fprintf(stderr,
+                 "stird: incremental maintenance fell back to "
+                 "re-evaluation (%s); counted in "
+                 "stird_maintenance_fallbacks_total, further fallbacks "
+                 "are silent\n",
+                 Reason.c_str());
+}
+
+BatchResult EngineSession::applyMixed(const inc::MixedBatch &Batch) {
+  Timer T;
+  std::lock_guard<std::mutex> Lock(WriterMutex);
+
+  const Side &Published = *Sides[1 - PassiveIdx];
+  BatchResult Result;
+  Result.Error = Published.Maint->rejectReason(Batch);
+  if (!Result.Error.empty()) {
+    // Rejected before anything was staged: nothing applied, nothing
+    // retained, the epoch stands.
+    Result.Epoch = Published.Epoch;
+    return Result;
+  }
+
+  Side &W = *Sides[PassiveIdx];
+  waitQuiesce(W);
+  // Left-right alternation: the passive side missed exactly the batch the
+  // other side published last, and replays its net change.
+  if (W.Epoch != Published.Epoch) {
+    assert(W.Epoch + 1 == Published.Epoch && "passive side lags by one");
+    Timer CatchUp;
+    W.Maint->replay(Pending);
+    Result.CatchUpSeconds = CatchUp.seconds();
+  }
   // Every batch — pure inserts included — goes through the maintenance
   // plan; bypassing it would let the support counts drift. The batch's net
   // change replaces the one the passive side just replayed.
-  inc::MaintenanceReport Report = S.Maint->apply(Batch, &Pending);
-  Result.Maintained = true;
+  inc::MaintenanceReport Report = W.Maint->apply(Batch, &Pending);
   Result.Inserted = Report.Inserted;
   Result.Duplicates = Report.Duplicates;
   Result.Deleted = Report.Deleted;
@@ -192,142 +220,6 @@ void EngineSession::applyMaintained(Side &S, const inc::MixedBatch &Batch,
     if (!SR.FallbackReason.empty())
       recordFallback(SR.FallbackReason);
   Result.Maint = std::move(Report);
-}
-
-void EngineSession::applyRebuilding(Side &S, const interp::Engine &Current,
-                                    const inc::MixedBatch &Batch,
-                                    BatchResult &Result) {
-  // Count EDB novelty against the up-to-date published engine, staging
-  // exactly like the Maintainer does (retract-before-insert, an insert
-  // cancels a staged deletion) so both paths report alike. The same pass
-  // folds the batch into the net EDB.
-  for (const inc::RelationOps &Ops : Batch) {
-    const interp::RelationWrapper *Full = Current.getRelation(Ops.Relation);
-    if (!Full)
-      fatal("unknown relation '" + Ops.Relation + "'");
-    std::set<DynTuple> &Net = NetEdb[Ops.Relation];
-    std::set<DynTuple> Del, Ins;
-    for (const DynTuple &Tuple : Ops.Retracts) {
-      Net.erase(Tuple);
-      if (Full->contains(Tuple.data()) && Del.insert(Tuple).second)
-        ++Result.Deleted;
-      else
-        ++Result.Missing;
-    }
-    for (const DynTuple &Tuple : Ops.Inserts) {
-      Net.insert(Tuple);
-      if (Del.erase(Tuple)) {
-        --Result.Deleted;
-        ++Result.Duplicates;
-      } else if (Full->contains(Tuple.data())) {
-        ++Result.Duplicates;
-      } else if (Ins.insert(Tuple).second) {
-        ++Result.Inserted;
-      } else {
-        ++Result.Duplicates;
-      }
-    }
-  }
-  // Seed a fresh engine with the net EDB and run once: the exact one-shot
-  // semantics at the cost of recomputation.
-  S.Eng = Prog->makeEngine(Options.Engine);
-  for (const auto &[Name, Tuples] : NetEdb)
-    S.Eng->insertTuples(Name,
-                        std::vector<DynTuple>(Tuples.begin(), Tuples.end()));
-  S.Eng->run();
-  {
-    std::lock_guard<std::mutex> Lock(TelemetryMutex);
-    ++Telemetry.Rebuilds;
-  }
-  const std::string &Reason = Telemetry.IneligibleReason;
-  recordFallback(hasRetracts(Batch)
-                     ? "retraction without maintenance plan: " + Reason
-                     : Reason);
-}
-
-BatchResult EngineSession::loadFacts(const FactBatch &Batch) {
-  inc::MixedBatch Mixed;
-  Mixed.reserve(Batch.size());
-  for (const auto &[Name, Tuples] : Batch)
-    Mixed.push_back({Name, Tuples, {}});
-  BatchResult Result = applyMixed(Mixed);
-  // The legacy API reported malformed batches fatally; preserve that for
-  // callers that never see BatchResult::Error.
-  if (!Result.Error.empty())
-    fatal(Result.Error);
-  return Result;
-}
-
-std::string
-EngineSession::validateMixed(const inc::MixedBatch &Batch) const {
-  if (Maintained)
-    return Sides[0]->Maint->rejectReason(Batch);
-  for (const inc::RelationOps &Ops : Batch) {
-    const ram::Relation *Decl = Prog->getRam().findRelation(Ops.Relation);
-    if (!Decl || !Prog->getAst().findRelation(Ops.Relation))
-      return "unknown relation '" + Ops.Relation + "'";
-    for (const DynTuple &Tuple : Ops.Inserts)
-      if (Tuple.size() != Decl->getArity())
-        return "arity mismatch for relation '" + Ops.Relation + "'";
-    for (const DynTuple &Tuple : Ops.Retracts)
-      if (Tuple.size() != Decl->getArity())
-        return "arity mismatch for relation '" + Ops.Relation + "'";
-    if (Ops.Retracts.empty())
-      continue;
-    if (DerivedRels.count(Ops.Relation))
-      return "relation '" + Ops.Relation +
-             "' is derived by rules; only EDB relations accept retractions";
-    if (Decl->getStructure() == ram::StructureKind::Eqrel)
-      return "cannot retract from equivalence relation '" + Ops.Relation +
-             "' (classes cannot be split)";
-  }
-  return "";
-}
-
-void EngineSession::recordFallback(const std::string &Reason,
-                                   std::uint64_t Count) {
-  {
-    std::lock_guard<std::mutex> Lock(TelemetryMutex);
-    FallbackCounts[Reason] += Count;
-  }
-  if (!FallbackWarned.exchange(true))
-    std::fprintf(stderr,
-                 "stird: incremental maintenance fell back to "
-                 "re-evaluation (%s); counted in "
-                 "stird_maintenance_fallbacks_total, further fallbacks "
-                 "are silent\n",
-                 Reason.c_str());
-}
-
-BatchResult EngineSession::applyMixed(const inc::MixedBatch &Batch) {
-  Timer T;
-  std::lock_guard<std::mutex> Lock(WriterMutex);
-
-  const Side &Published = *Sides[1 - PassiveIdx];
-  BatchResult Result;
-  Result.Error = validateMixed(Batch);
-  if (!Result.Error.empty()) {
-    // Rejected before anything was staged: nothing applied, nothing
-    // retained, the epoch stands.
-    Result.Epoch = Published.Epoch;
-    return Result;
-  }
-
-  Side &W = *Sides[PassiveIdx];
-  waitQuiesce(W);
-  if (Maintained) {
-    // Left-right alternation: the passive side missed exactly the batch
-    // the other side published last, and replays its net change.
-    if (W.Epoch != Published.Epoch) {
-      assert(W.Epoch + 1 == Published.Epoch && "passive side lags by one");
-      Timer CatchUp;
-      W.Maint->replay(Pending);
-      Result.CatchUpSeconds = CatchUp.seconds();
-    }
-    applyMaintained(W, Batch, Result);
-  } else {
-    applyRebuilding(W, *Published.Eng, Batch, Result);
-  }
   W.Epoch = Published.Epoch + 1;
   Result.Epoch = W.Epoch;
 
@@ -408,8 +300,6 @@ BatchResult EngineSession::applyMixed(const MixedTextBatch &Batch,
   return applyMixed(Resolved);
 }
 
-bool EngineSession::isMaintained() const { return Maintained; }
-
 MaintTelemetry EngineSession::maintTelemetry() const {
   std::lock_guard<std::mutex> Lock(TelemetryMutex);
   MaintTelemetry Out = Telemetry;
@@ -454,7 +344,7 @@ EngineSession::scheduler(std::size_t NumThreads) {
 const std::vector<ColumnTypeKind> *
 EngineSession::relationTypes(const std::string &Relation) const {
   // Only declared relations are served; the translator's auxiliary
-  // delta_/new_ relations stay internal.
+  // delta_/new_ relations and EDB shadows stay internal.
   if (!Prog->getAst().findRelation(Relation))
     return nullptr;
   const interp::RelationWrapper *Rel =

@@ -10,14 +10,17 @@
 /// loads and queries skip the one-shot pipeline's per-run setup entirely.
 ///
 /// Batches are mixed: they may insert new EDB tuples and retract present
-/// ones. Each program has one write path, chosen once. When the translator
-/// emitted a maintenance program (see TranslationOptions::EmitMaintenance
-/// — forced on by fromSource/fromFile) every batch routes through the
+/// ones. A session has one write path: every program it serves is compiled
+/// with a maintenance plan (TranslationOptions::EmitMaintenance, forced on
+/// by fromSource/fromFile), and every batch routes through the
 /// inc::Maintainer: counting for non-recursive strata, DRed for recursive
 /// ones, with scoped per-stratum re-evaluation fallbacks that are counted
-/// and reported, never silent. Every other program rebuilds: each batch
-/// re-evaluates a fresh engine seeded with the net EDB (reported via
-/// BatchResult::Maintained and the fallback telemetry).
+/// and reported, never silent. A rule-free program is maintained by its
+/// EDB prologue alone. An .input relation that also has clauses is lifted
+/// into a hidden EDB shadow R@edb plus the exit clause R(x) :- R@edb(x):
+/// inserts into R stage into the shadow, retractions from R stay
+/// rejected. Every stratum using `$` re-evaluates with the counter
+/// restarted, so the ids match a cold run at -j1.
 ///
 /// Concurrency follows the left-right pattern: the session keeps two
 /// engine instances ("sides") over one shared symbol table. Readers pin
@@ -28,9 +31,8 @@
 /// maintenance plan once: the passive side catches up by replaying the net
 /// change set (inc::ChangeSet) the published side's apply harvested —
 /// plain erases, inserts and support adjustments, no rule. Resident memory
-/// still doubles. The writer keeps no batch history: a maintained session
-/// holds the one change set the passive side has not replayed yet, a
-/// rebuilding session the net EDB its batches left behind.
+/// still doubles. The writer keeps no batch history: it holds the one
+/// change set the passive side has not replayed yet.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,9 +49,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -87,10 +87,6 @@ struct BatchResult {
   std::size_t Deleted = 0;
   /// Retractions of tuples that were not present.
   std::size_t Missing = 0;
-  /// True when the incremental maintenance plan processed the batch in
-  /// place (see BatchResult::Maint for the per-stratum breakdown); false
-  /// when it forced a full re-evaluation.
-  bool Maintained = false;
   /// Batch sequence number after this load (1-based).
   std::uint64_t Epoch = 0;
   /// Wall-clock seconds of the whole write: waiting for the writer lock
@@ -101,30 +97,24 @@ struct BatchResult {
   /// batch's change set (0 when it had nothing to catch up on).
   double CatchUpSeconds = 0;
   /// Non-empty when the batch was rejected before application (unknown
-  /// relation, arity mismatch, derived-relation target or eqrel retraction
-  /// under maintenance, ...). A rejected batch mutates and retains
-  /// nothing.
+  /// relation, arity mismatch, derived-relation target, eqrel retraction,
+  /// ...). A rejected batch mutates and retains nothing.
   std::string Error;
-  /// Per-stratum maintenance detail of the publishing apply (only
-  /// meaningful when Maintained).
+  /// Per-stratum maintenance detail of the apply that published the batch
+  /// (every accepted batch is maintained in place).
   inc::MaintenanceReport Maint;
 };
 
 /// Cumulative maintenance counters of one session, for the stats command
-/// and the Prometheus exporter.
+/// and the Prometheus exporter. Every accepted batch is maintained, so
+/// the only fallbacks are scoped Reeval strata.
 struct MaintTelemetry {
-  /// Whether batches run the maintenance program at all.
-  bool Enabled = false;
-  /// Why they cannot when Enabled is false.
-  std::string IneligibleReason;
   std::uint64_t Batches = 0;      ///< maintained batches applied
   std::uint64_t Inserted = 0;     ///< net EDB tuples inserted
   std::uint64_t Deleted = 0;      ///< net EDB tuples retracted
   std::uint64_t Rederived = 0;    ///< DRed over-deletes that survived
   std::uint64_t ReevalStrata = 0; ///< scoped Reeval strata executed
-  std::uint64_t Rebuilds = 0;     ///< whole-batch full re-evaluations
-  /// Fallback executions by reason: every scoped Reeval stratum run and
-  /// every whole-batch rebuild, keyed by why it happened.
+  /// Reeval stratum executions by reason (why the stratum is Reeval).
   std::vector<std::pair<std::string, std::uint64_t>> FallbackReasons;
 };
 
@@ -169,7 +159,8 @@ public:
   std::vector<DynTuple> tuples(const std::string &Relation) const;
 
   /// The pinned side's relation, or null if unknown. Aux relations
-  /// (delta_/new_) are reachable too; servers filter by declared names.
+  /// (delta_/new_, EDB shadows) are reachable too; servers filter by
+  /// declared names.
   const interp::RelationWrapper *relation(const std::string &Name) const;
 
   /// Batch sequence number this snapshot observes.
@@ -202,7 +193,8 @@ public:
            std::vector<std::string> *Errors = nullptr);
 
   /// Boots a session over an already compiled program (shared with other
-  /// sessions; must outlive them all).
+  /// sessions; must outlive them all). Null when \p Program was compiled
+  /// without CompileOptions::EmitMaintenance.
   static std::unique_ptr<EngineSession>
   create(std::shared_ptr<core::Program> Program,
          const SessionOptions &Options = {});
@@ -221,21 +213,16 @@ public:
   BatchResult loadFacts(const TextBatch &Batch,
                         std::vector<FactError> &Errors);
 
-  /// Applies one mixed insert/retract batch. When the program carries a
-  /// maintenance plan, every batch — even a pure-insert one — routes
-  /// through it so the support counts stay exact; otherwise every batch
-  /// re-evaluates from the net EDB. A rejected batch sets
-  /// BatchResult::Error and applies (and retains) nothing.
+  /// Applies one mixed insert/retract batch through the maintenance plan.
+  /// Every batch — even a pure-insert one — routes through it so the
+  /// support counts stay exact. A rejected batch sets BatchResult::Error
+  /// and applies (and retains) nothing.
   BatchResult applyMixed(const inc::MixedBatch &Batch);
 
   /// Textual variant of applyMixed (error reporting as for
   /// loadFacts(TextBatch); retract rows report as "<retract:relation>").
   BatchResult applyMixed(const MixedTextBatch &Batch,
                          std::vector<FactError> &Errors);
-
-  /// Whether batches run the incremental maintenance program (mixed
-  /// insert/retract batches stay in place, no rebuild).
-  bool isMaintained() const;
 
   /// Cumulative maintenance counters (batches, deletions, rederivations,
   /// per-reason fallbacks) since the session booted.
@@ -273,31 +260,14 @@ private:
   explicit EngineSession(std::shared_ptr<core::Program> Program,
                          const SessionOptions &Options);
 
-  /// Maintained write path: runs one batch through \p S's maintenance
-  /// plan, records its telemetry and harvests its change set into Pending.
-  void applyMaintained(Side &S, const inc::MixedBatch &Batch,
-                       BatchResult &Result);
-  /// Rebuilding write path: counts the batch against \p Current (the
-  /// published side's engine), folds it into the net EDB and replaces \p
-  /// S's engine with a fresh one evaluated over it.
-  void applyRebuilding(Side &S, const interp::Engine &Current,
-                       const inc::MixedBatch &Batch, BatchResult &Result);
-  /// Validates a batch before it is applied; "" when acceptable.
-  std::string validateMixed(const inc::MixedBatch &Batch) const;
-  /// Records one fallback execution (scoped Reeval stratum or rebuild)
-  /// and emits the once-per-session warning line.
-  void recordFallback(const std::string &Reason, std::uint64_t Count = 1);
+  /// Records one scoped Reeval stratum execution and emits the
+  /// once-per-session warning line.
+  void recordFallback(const std::string &Reason);
   /// Spins until no snapshot pins \p S any more.
   void waitQuiesce(Side &S);
 
   std::shared_ptr<core::Program> Prog;
   SessionOptions Options;
-  /// True when the program carries a maintenance plan (batches apply in
-  /// place); false when every batch rebuilds.
-  bool Maintained;
-  /// Relations defined by rules — retraction targets to reject on the
-  /// rebuild path.
-  std::unordered_set<std::string> DerivedRels;
 
   std::unique_ptr<Side> Sides[2];
   /// The side snapshots pin. Readers load-acquire; the writer
@@ -308,15 +278,12 @@ private:
   /// batch history.
   std::mutex WriterMutex;
   std::size_t PassiveIdx = 1;
-  /// Maintained sessions: the net change of the last published batch,
-  /// which the passive side replays before the next one (left-right
-  /// alternation keeps it at most one batch behind). Its CopyFrom
-  /// pointers name the published side's relations, which hold the
-  /// target state as long as WriterMutex is held.
+  /// The net change of the last published batch, which the passive side
+  /// replays before the next one (left-right alternation keeps it at most
+  /// one batch behind). Its CopyFrom pointers name the published side's
+  /// relations, which hold the target state as long as WriterMutex is
+  /// held.
   inc::ChangeSet Pending;
-  /// Rebuilding sessions: the live EDB facts the batches left behind,
-  /// folded retract-before-insert within each batch.
-  std::map<std::string, std::set<DynTuple>> NetEdb;
 
   /// Maintenance telemetry, recorded only by publishing applies. Guarded
   /// by TelemetryMutex so stats/metrics readers never take WriterMutex.

@@ -285,12 +285,11 @@ static Value mixedBatchReply(EngineSession &Session,
                  static_cast<std::uint64_t>(Result.Duplicates));
   O.emplace_back("deleted", static_cast<std::uint64_t>(Result.Deleted));
   O.emplace_back("missing", static_cast<std::uint64_t>(Result.Missing));
-  // "incremental" predates "maintained" and stays for wire compatibility;
-  // the two are equal now that every in-place batch is maintained.
-  O.emplace_back("incremental", Result.Maintained);
-  O.emplace_back("maintained", Result.Maintained);
-  if (Result.Maintained)
-    O.emplace_back("reeval_strata", Result.Maint.ReevalStrata);
+  // "incremental" and "maintained" stay for wire compatibility: every
+  // accepted batch is maintained in place, so both are always true.
+  O.emplace_back("incremental", true);
+  O.emplace_back("maintained", true);
+  O.emplace_back("reeval_strata", Result.Maint.ReevalStrata);
   O.emplace_back("epoch", Result.Epoch);
   O.emplace_back("seconds", Result.Seconds);
   O.emplace_back("catch_up_seconds", Result.CatchUpSeconds);
@@ -503,7 +502,7 @@ static Value handleStats(const RequestContext &Ctx) {
   O.emplace_back("ok", true);
   O.emplace_back("protocol", WireProtocolVersion);
   O.emplace_back("epoch", Snap.epoch());
-  O.emplace_back("incremental", Session.isMaintained());
+  O.emplace_back("incremental", true); // kept for compatibility
 
   // Declared relations only; the maintenance program's aux relations are
   // an implementation detail.
@@ -540,20 +539,19 @@ static Value handleStats(const RequestContext &Ctx) {
     O.emplace_back("substrate_decisions", std::move(Decisions));
   }
 
-  // Incremental-maintenance health: whether mixed batches stay in place,
-  // and every fallback that ever ran, by reason — fallbacks are counted
-  // and visible, never silent.
+  // Incremental-maintenance health: every scoped Reeval fallback that
+  // ever ran, by reason — fallbacks are counted and visible, never silent.
+  // "enabled" (always true) and "rebuild_fallbacks" (always 0) stay for
+  // compatibility: every session maintains its batches in place.
   const MaintTelemetry Maint = Session.maintTelemetry();
   Object MaintObj;
-  MaintObj.emplace_back("enabled", Maint.Enabled);
-  if (!Maint.Enabled)
-    MaintObj.emplace_back("reason", Maint.IneligibleReason);
+  MaintObj.emplace_back("enabled", true);
   MaintObj.emplace_back("batches", Maint.Batches);
   MaintObj.emplace_back("inserted", Maint.Inserted);
   MaintObj.emplace_back("deleted", Maint.Deleted);
   MaintObj.emplace_back("rederived", Maint.Rederived);
   MaintObj.emplace_back("reeval_strata", Maint.ReevalStrata);
-  MaintObj.emplace_back("rebuild_fallbacks", Maint.Rebuilds);
+  MaintObj.emplace_back("rebuild_fallbacks", std::uint64_t(0));
   Object Fallbacks;
   for (const auto &[Reason, Count] : Maint.FallbackReasons)
     Fallbacks.emplace_back(Reason, Count);

@@ -228,8 +228,12 @@ public:
         Columns.push_back(toColumnType(Attr.Type));
       ram::Relation *Rel = Prog->addRelation(
           Decl->getName(), Columns, toRamStructure(Decl->getStructure()));
-      if (Decl->isInput())
-        Rel->markInput(Decl->getInputPath());
+      if (Decl->isInput()) {
+        if (Options.EmitMaintenance && !clausesOf(Decl->getName()).empty())
+          liftInput(*Decl, *Rel);
+        else
+          Rel->markInput(Decl->getInputPath());
+      }
       if (Decl->isOutput())
         Rel->markOutput(Decl->getOutputPath());
       if (Decl->isPrintSize())
@@ -237,11 +241,12 @@ public:
       RelOf[Decl->getName()] = Rel;
     }
 
+    // Loads in declaration order; a lifted relation's shadow loads for it.
     std::vector<ram::StmtPtr> Main;
-    for (const auto &Decl : AstProg.Relations)
-      if (Decl->isInput())
-        Main.push_back(std::make_unique<ram::Io>(
-            ram::Io::Direction::Load, RelOf.at(Decl->getName())));
+    for (const auto &Rel : Prog->getRelations())
+      if (Rel->isInput())
+        Main.push_back(
+            std::make_unique<ram::Io>(ram::Io::Direction::Load, Rel.get()));
 
     for (std::size_t SI = 0; SI < Info.Strata.size(); ++SI) {
       // Record each stratum's child span of the main Sequence: the scoped
@@ -269,6 +274,40 @@ public:
 private:
   void error(const std::string &Message) {
     Result.Errors.push_back(Message);
+  }
+
+  /// Lifts an .input relation R that also has clauses (maintenance builds
+  /// only): a hidden EDB shadow R@edb takes R's load, reading the same
+  /// file, and the exit clause R(x) :- R@edb(x) derives its tuples into R.
+  /// R thereby becomes an ordinary derived relation, and a batch insert
+  /// into R, staged into the shadow, outlives R's other derivations.
+  void liftInput(const ast::RelationDecl &Decl, const ram::Relation &Rel) {
+    const std::string &Name = Decl.getName();
+    const std::string ShadowName = Name + "@edb";
+    ram::Relation *Shadow = Prog->addRelation(
+        ShadowName, Rel.getColumnTypes(),
+        Rel.getStructure() == ram::StructureKind::Eqrel
+            ? ram::StructureKind::Btree
+            : Rel.getStructure());
+    Shadow->markInput(Decl.getInputPath().empty() ? Name + ".facts"
+                                                  : Decl.getInputPath());
+    RelOf[ShadowName] = Shadow;
+    EdbShadow[Name] = Shadow;
+
+    std::vector<std::unique_ptr<ast::Argument>> HeadArgs, BodyArgs;
+    for (std::size_t I = 0; I < Decl.getArity(); ++I)
+      for (auto *Args : {&HeadArgs, &BodyArgs}) {
+        Args->push_back(std::make_unique<ast::Variable>(
+            "x" + std::to_string(I), Decl.getLoc()));
+        TypeOverlay[Args->back().get()] = Decl.getAttributes()[I].Type;
+      }
+    std::vector<std::unique_ptr<ast::Literal>> Body;
+    Body.push_back(std::make_unique<ast::Atom>(ShadowName, std::move(BodyArgs),
+                                               Decl.getLoc()));
+    SynthClauses.push_back(std::make_unique<ast::Clause>(
+        std::make_unique<ast::Atom>(Name, std::move(HeadArgs), Decl.getLoc()),
+        std::move(Body), Decl.getLoc()));
+    CopyClauseOf[Name] = SynthClauses.back().get();
   }
 
   /// Whether a clause is recursive w.r.t. its stratum: some positive body
@@ -444,15 +483,20 @@ private:
   //    the new fixpoint and is neither over-deleted nor propagated; SCC
   //    clauses are never checked, since over the not-yet-erased state
   //    cyclic support alone would satisfy them.
-  //  * Reeval (eqrel, aggregates, eqrel body dependencies, or rules too
-  //    wide for delta versions): no statement. The maintenance driver
+  //  * Reeval (`$`, eqrel, aggregates, eqrel body dependencies, or rules
+  //    too wide for delta versions): no statement. The maintenance driver
   //    snapshots the stratum's relations, clears them, re-runs the
   //    recorded [MainBegin, MainEnd) span of the main Sequence and diffs
   //    old against new into delta_ins_R / delta_del_R. Scoped, counted and
-  //    reported - never a silent whole-program restart.
+  //    reported - never a silent whole-program restart. `$` mints ids in
+  //    evaluation order, so every stratum using it is Reeval and the
+  //    driver restarts the counter at 0 before each batch: the `$` strata
+  //    re-run in main order and mint a cold run's ids.
   //
-  // Programs using `$` get no maintenance at all (re-derivation would mint
-  // fresh ids); the reason is recorded on the program.
+  // Every program gets a plan. A rule-free program's plan is the prologue
+  // alone. An .input relation that also has clauses is lifted (see
+  // liftInput): its EDB shadow is one more clause-less relation, and its
+  // copy clause an exit clause of R's stratum.
 
   static std::string insName(const std::string &Rel) {
     return "delta_ins_" + Rel;
@@ -730,31 +774,6 @@ private:
     using MaintStrategy = ram::Program::MaintStrategy;
     using MaintStratum = ram::Program::MaintStratum;
 
-    if (Options.ForceNaiveEvaluation) {
-      Prog->setMaintIneligibleReason("naive evaluation forced");
-      return;
-    }
-    for (const auto &C : AstProg.Clauses) {
-      bool UsesCounter = false;
-      forEachClauseArg(*C, [&](const ast::Argument &Arg) {
-        UsesCounter |= Arg.getKind() == ast::Argument::Kind::Counter;
-      });
-      if (UsesCounter) {
-        Prog->setMaintIneligibleReason(
-            "program uses the '$' counter (re-derivation would mint fresh "
-            "ids)");
-        return;
-      }
-    }
-    for (const auto &Decl : AstProg.Relations) {
-      if (Decl->isInput() && !clausesOf(Decl->getName()).empty()) {
-        Prog->setMaintIneligibleReason(
-            "relation '" + Decl->getName() +
-            "' is both .input and derived by rules");
-        return;
-      }
-    }
-
     // Per-stratum strategy classification.
     struct Plan {
       MaintStrategy Strategy = MaintStrategy::Counting;
@@ -770,6 +789,7 @@ private:
       const ast::Stratum &Stratum = Info.Strata[SI];
       Plan &P = Plans[SI];
       bool HasClauses = false, HasEqrel = false, HasAgg = false;
+      bool UsesCounter = false;
       bool WildcardNeg = false, TooWide = false, EqrelDep = false;
       for (const auto *Decl : Stratum.Relations) {
         if (Decl->getStructure() == ast::StructureKind::Eqrel)
@@ -778,6 +798,7 @@ private:
           HasClauses = true;
           forEachClauseArg(*C, [&](const ast::Argument &Arg) {
             HasAgg |= Arg.getKind() == ast::Argument::Kind::Aggregator;
+            UsesCounter |= Arg.getKind() == ast::Argument::Kind::Counter;
           });
           std::size_t NumLits = 0;
           for (const auto &Lit : C->getBody()) {
@@ -804,7 +825,10 @@ private:
         P.Edb = true;
         continue;
       }
-      if (HasEqrel) {
+      if (UsesCounter) {
+        P.Strategy = MaintStrategy::Reeval;
+        P.Reason = "`$` mints ids in evaluation order";
+      } else if (HasEqrel) {
         P.Strategy = MaintStrategy::Reeval;
         P.Reason = "eqrel closure cannot be maintained from deltas";
       } else if (HasAgg) {
@@ -824,14 +848,23 @@ private:
       }
     }
 
-    // Aux relations: net ins/del deltas for every declared relation (the
+    // Every relation a batch can change: the declared ones, each lifted
+    // .input relation followed by its EDB shadow.
+    std::vector<std::string> Maintained;
+    for (const auto &Decl : AstProg.Relations) {
+      Maintained.push_back(Decl->getName());
+      if (auto Shadow = EdbShadow.find(Decl->getName());
+          Shadow != EdbShadow.end())
+        Maintained.push_back(Shadow->second->getName());
+    }
+
+    // Aux relations: net ins/del deltas for every maintained relation (the
     // EDB staging area and the inter-stratum interface), the DRed
     // over-deletion sets and scratch pairs, and the counting support
     // stores with their per-batch collectors.
     std::unordered_map<std::string, ram::Relation *> Ins, Del, Rederive;
     std::unordered_map<std::string, ram::Relation *> Cnt, CAdd, CDec;
-    for (const auto &Decl : AstProg.Relations) {
-      const std::string &Name = Decl->getName();
+    for (const std::string &Name : Maintained) {
       ram::Relation *Full = RelOf.at(Name);
       const ram::StructureKind AuxStructure =
           Full->getStructure() == ram::StructureKind::Eqrel
@@ -889,8 +922,7 @@ private:
         }
       }
     }
-    for (const auto &Decl : AstProg.Relations) {
-      const std::string &Name = Decl->getName();
+    for (const std::string &Name : Maintained) {
       ram::Program::MaintAux Names;
       Names.Ins = Ins.at(Name)->getName();
       Names.Del = Del.at(Name)->getName();
@@ -901,13 +933,14 @@ private:
         Names.CntAdd = CAdd.at(Name)->getName();
         Names.CntDec = CDec.at(Name)->getName();
       }
+      if (auto Shadow = EdbShadow.find(Name); Shadow != EdbShadow.end())
+        Names.Edb = Shadow->second->getName();
       Prog->setMaintAux(Name, std::move(Names));
     }
 
     // Prologue: apply the staged EDB nets to the clause-less relations.
     std::vector<ram::StmtPtr> Pro;
-    for (const auto &Decl : AstProg.Relations) {
-      const std::string &Name = Decl->getName();
+    for (const std::string &Name : Maintained) {
       if (!clausesOf(Name).empty())
         continue;
       Pro.push_back(std::make_unique<ram::Erase>(Del.at(Name),
@@ -955,8 +988,7 @@ private:
     // clean (run after the Maintainer has harvested telemetry and the
     // batch's change set, count collectors included).
     std::vector<ram::StmtPtr> Epi;
-    for (const auto &Decl : AstProg.Relations) {
-      const std::string &Name = Decl->getName();
+    for (const std::string &Name : Maintained) {
       Epi.push_back(std::make_unique<ram::Clear>(Ins.at(Name)));
       Epi.push_back(std::make_unique<ram::Clear>(Del.at(Name)));
       if (Rederive.count(Name))
@@ -1316,11 +1348,16 @@ private:
     return std::make_unique<ram::Sequence>(std::move(Out));
   }
 
+  /// The clauses of \p Name, led by its copy clause when it is a lifted
+  /// .input relation.
   std::vector<const ast::Clause *>
   clausesOf(const std::string &Name) const {
-    auto It = Info.ClausesOf.find(Name);
-    return It == Info.ClausesOf.end() ? std::vector<const ast::Clause *>{}
-                                      : It->second;
+    std::vector<const ast::Clause *> Clauses;
+    if (auto Copy = CopyClauseOf.find(Name); Copy != CopyClauseOf.end())
+      Clauses.push_back(Copy->second);
+    if (auto It = Info.ClausesOf.find(Name); It != Info.ClausesOf.end())
+      Clauses.insert(Clauses.end(), It->second.begin(), It->second.end());
+    return Clauses;
   }
 
   //===--------------------------------------------------------------------===
@@ -2110,6 +2147,10 @@ private:
   /// Owns every synthesized maintenance clause for the translator's
   /// lifetime, so TypeOverlay's pointer keys stay unique and valid.
   std::vector<std::unique_ptr<ast::Clause>> SynthClauses;
+  /// Lifted .input relations (see liftInput): their EDB shadow, and the
+  /// copy clause clausesOf prepends.
+  std::unordered_map<std::string, ram::Relation *> EdbShadow;
+  std::unordered_map<std::string, const ast::Clause *> CopyClauseOf;
 };
 
 } // namespace

@@ -45,11 +45,14 @@ struct TranslationOptions {
   /// selected between exact derivation counting (non-recursive strata)
   /// and DRed over-delete/rederive (recursive strata), plus the EDB
   /// prologue, the count-bootstrap statement and the aux-clearing
-  /// epilogue (see ram::Program::getMaintStrata). Strata using eqrel or
+  /// epilogue (see ram::Program::getMaintStrata). Every program gets a
+  /// plan, so a session has one write path. Strata using `$`, eqrel or
   /// aggregates fall back to a scoped per-stratum re-evaluation recorded
-  /// in the plan; programs using `$` get no maintenance at all and the
-  /// reason is recorded via ram::Program::setMaintIneligibleReason. Off by
-  /// default: the extra aux relations would perturb dumps and
+  /// in the plan (the `$` strata re-run with the counter restarted, so
+  /// they mint a cold run's ids). An .input relation that also has
+  /// clauses is lifted: a hidden EDB shadow R@edb takes its loads and
+  /// batch inserts, and the exit clause R(x) :- R@edb(x) derives them.
+  /// Off by default: the extra aux relations would perturb dumps and
   /// index-selection goldens of the one-shot pipeline.
   bool EmitMaintenance = false;
   /// Join-ordering strategy applied to every rule body (including

@@ -7,7 +7,8 @@
 /// \file
 /// Unit tests for the translator's maintenance plan: per-stratum strategy
 /// classification (counting / DRed / scoped Reeval), aux-relation naming,
-/// whole-program ineligibility reporting, the guarantee that
+/// the plan shapes of the classes that once had none (rule-free programs,
+/// `$`, `.input` relations with clauses), the guarantee that
 /// negation-only programs never fall back to re-evaluation, and DRed's
 /// exit-clause prune (what it keeps, and what it must still delete).
 ///
@@ -96,7 +97,7 @@ TEST(MaintPlan, RecursiveStratumUsesDRed) {
 
 TEST(MaintPlan, NegationOnlyProgramNeverFallsBack) {
   // The acceptance bar: stratified negation alone must be maintained
-  // precisely — no Reeval stratum, no whole-program ineligibility.
+  // precisely — no Reeval stratum.
   auto Prog = core::Program::fromSource(
       ".decl a(x:number)\n.decl b(x:number)\n.decl c(x:number)\n"
       ".decl d(x:number)\n"
@@ -105,7 +106,6 @@ TEST(MaintPlan, NegationOnlyProgramNeverFallsBack) {
       nullptr, withMaint());
   ASSERT_NE(Prog, nullptr);
   ASSERT_TRUE(Prog->getRam().hasMaintenance());
-  EXPECT_TRUE(Prog->getRam().getMaintIneligibleReason().empty());
   for (const auto &MS : Prog->getRam().getMaintStrata())
     EXPECT_NE(MS.Strategy, Strategy::Reeval)
         << "negation-only stratum fell back: " << MS.FallbackReason;
@@ -151,25 +151,77 @@ TEST(MaintPlan, EqrelDependencyFallsBackScoped) {
   EXPECT_EQ(Rep->Strategy, Strategy::Reeval);
 }
 
-TEST(MaintPlan, CounterDisablesMaintenanceWithReason) {
-  auto Prog = core::Program::fromSource(
-      ".decl a(x:number, y:number)\n.decl b(x:number)\n"
-      "a($, x) :- b(x).",
-      nullptr, withMaint());
+TEST(MaintPlan, RuleFreeProgramHasPrologueOnlyPlan) {
+  auto Prog = core::Program::fromSource(".decl a(x:number)\n", nullptr,
+                                        withMaint());
   ASSERT_NE(Prog, nullptr);
-  EXPECT_FALSE(Prog->getRam().hasMaintenance());
-  EXPECT_NE(Prog->getRam().getMaintIneligibleReason().find("counter"),
-            std::string::npos);
+  EXPECT_TRUE(Prog->getRam().hasMaintenance());
+  EXPECT_TRUE(Prog->getRam().getMaintStrata().empty());
+  ASSERT_NE(Prog->getRam().getMaintAux("a"), nullptr);
+  EXPECT_NE(Prog->getRam().getMaintPrologue(), nullptr);
 }
 
-TEST(MaintPlan, InputDerivedRelationDisablesMaintenance) {
+TEST(MaintPlan, CounterStratumIsReeval) {
   auto Prog = core::Program::fromSource(
-      ".decl a(x:number)\n.decl b(x:number)\n.input b\n"
-      "b(x) :- a(x).",
+      ".decl a(x:number, y:number)\n.decl b(x:number)\n"
+      ".decl c(x:number)\n"
+      "a($, x) :- b(x).\n"
+      "c(x) :- a(x, _).\n",
       nullptr, withMaint());
   ASSERT_NE(Prog, nullptr);
-  EXPECT_FALSE(Prog->getRam().hasMaintenance());
-  EXPECT_FALSE(Prog->getRam().getMaintIneligibleReason().empty());
+  ASSERT_TRUE(Prog->getRam().hasMaintenance());
+  const ram::Program::MaintStratum *A = stratumOf(Prog->getRam(), "a");
+  ASSERT_NE(A, nullptr);
+  EXPECT_EQ(A->Strategy, Strategy::Reeval);
+  EXPECT_NE(A->FallbackReason.find("`$`"), std::string::npos)
+      << A->FallbackReason;
+  EXPECT_LT(A->MainBegin, A->MainEnd);
+  // The stratum above keeps its own strategy and consumes the Reeval diff.
+  const ram::Program::MaintStratum *C = stratumOf(Prog->getRam(), "c");
+  ASSERT_NE(C, nullptr);
+  EXPECT_EQ(C->Strategy, Strategy::Counting);
+}
+
+TEST(MaintPlan, InputDerivedRelationGetsEdbShadow) {
+  auto Prog = core::Program::fromSource(
+      ".decl a(x:number)\n.decl b(x:number)\n.input b\n"
+      "b(x) :- a(x).\n"
+      "b(x) :- b(y), a(x), x < y.\n",
+      nullptr, withMaint());
+  ASSERT_NE(Prog, nullptr);
+  const ram::Program &Ram = Prog->getRam();
+  ASSERT_TRUE(Ram.hasMaintenance());
+  // b loads into its hidden shadow, which reads b's file and is itself a
+  // clause-less EDB relation with staging deltas.
+  const ram::Program::MaintAux *B = Ram.getMaintAux("b");
+  ASSERT_NE(B, nullptr);
+  EXPECT_EQ(B->Edb, "b@edb");
+  const ram::Relation *Shadow = Ram.findRelation("b@edb");
+  ASSERT_NE(Shadow, nullptr);
+  EXPECT_TRUE(Shadow->isInput());
+  EXPECT_EQ(Shadow->getInputPath(), "b.facts");
+  EXPECT_FALSE(Ram.findRelation("b")->isInput());
+  const ram::Program::MaintAux *ShadowAux = Ram.getMaintAux("b@edb");
+  ASSERT_NE(ShadowAux, nullptr);
+  EXPECT_EQ(ShadowAux->Ins, "delta_ins_b@edb");
+  EXPECT_TRUE(ShadowAux->Edb.empty());
+  EXPECT_EQ(stratumOf(Ram, "b@edb"), nullptr);
+  // b is an ordinary recursive (DRed) relation, and the copy clause is
+  // one of its exit clauses: the prune checks it in the [keep] version.
+  const ram::Program::MaintStratum *MS = stratumOf(Ram, "b");
+  ASSERT_NE(MS, nullptr);
+  EXPECT_EQ(MS->Strategy, Strategy::DRed);
+  const std::string Dump = Prog->dumpRam();
+  EXPECT_NE(Dump.find("b(x0) :- new_b(x0), b@edb(x0). [keep]"),
+            std::string::npos)
+      << Dump;
+  // One-shot RAM never mentions the shadow.
+  auto OneShot = core::Program::fromSource(
+      ".decl a(x:number)\n.decl b(x:number)\n.input b\n"
+      "b(x) :- a(x).\n"
+      "b(x) :- b(y), a(x), x < y.\n");
+  ASSERT_NE(OneShot, nullptr);
+  EXPECT_EQ(OneShot->dumpRam().find("@edb"), std::string::npos);
 }
 
 TEST(MaintPlan, WildcardUnderNegationSelectsDRed) {
@@ -227,7 +279,6 @@ TEST(MaintPlan, ReportCountsNetEdbChanges) {
   inc::MixedBatch Batch{{"a", {{2}, {3}}, {{1}, {9}}}};
   ASSERT_EQ(Maint.rejectReason(Batch), "");
   inc::MaintenanceReport Report = Maint.apply(Batch);
-  EXPECT_TRUE(Report.Maintained);
   EXPECT_EQ(Report.Inserted, 1u);
   EXPECT_EQ(Report.Duplicates, 1u);
   EXPECT_EQ(Report.Deleted, 1u);
@@ -296,7 +347,6 @@ TEST(MaintPlan, ExitDerivableCandidatesAreNotOverDeleted) {
   // those still has new(v, o), so none is over-deleted or rederived.
   inc::MixedBatch Retract{{"store", {}, {{0, 0}}}};
   inc::MaintenanceReport Report = Maint.apply(Retract);
-  ASSERT_TRUE(Report.Maintained);
   const inc::StratumReport &SR = reportOf(Report, Prog->getRam(), "vpt");
   EXPECT_EQ(SR.Strategy, Strategy::DRed);
   EXPECT_EQ(SR.Rederived, 9u);
@@ -326,7 +376,6 @@ TEST(MaintPlan, CyclicOnlySupportIsStillDeleted) {
 
   inc::MixedBatch Retract{{"b", {}, {{1}}}};
   inc::MaintenanceReport Report = Maint.apply(Retract);
-  ASSERT_TRUE(Report.Maintained);
   EXPECT_TRUE(Eng->getTuples("p").empty());
   const inc::StratumReport &SR = reportOf(Report, Prog->getRam(), "p");
   EXPECT_EQ(SR.Deleted, 2u);

@@ -71,6 +71,8 @@ struct EdbSpec {
   std::string Name;
   std::size_t Arity;
   RamDomain Domain; ///< column values drawn from [0, Domain)
+  /// An `.input` relation that also has clauses: it takes inserts only.
+  bool InsertOnly = false;
 };
 
 struct Subject {
@@ -99,8 +101,8 @@ std::vector<Op> makeStream(const Subject &S, std::uint64_t Seed,
   for (std::size_t I = 0; I < N; ++I) {
     const std::size_t Rel = R.next(S.Edb.size());
     const EdbSpec &Spec = S.Edb[Rel];
-    const bool Retract =
-        !S.InsertOnly && !State[Rel].empty() && R.next(100) < 40;
+    const bool Retract = !S.InsertOnly && !Spec.InsertOnly &&
+                         !State[Rel].empty() && R.next(100) < 40;
     DynTuple Tuple(Spec.Arity);
     if (Retract && R.next(100) < 85) {
       // Retract a present tuple (85% of retractions hit).
@@ -159,17 +161,20 @@ inc::MixedBatch makeBatch(const Subject &S, const std::vector<Op> &Ops,
   return Batch;
 }
 
-/// One-shot oracle: fresh engine over the same program, net EDB inserted,
-/// main program run from scratch.
+/// One-shot oracle: fresh engine over the same program, net EDB inserted
+/// (into the EDB shadow of an `.input` relation with clauses, where its
+/// load would land), main program run from scratch.
 std::unique_ptr<interp::Engine> runOracle(core::Program &Prog,
                                           const Subject &S,
                                           const EdbState &State) {
   interp::EngineOptions Opts;
   Opts.SuppressIo = true;
   auto Eng = Prog.makeEngine(Opts);
-  for (std::size_t Rel = 0; Rel < S.Edb.size(); ++Rel)
-    Eng->insertTuples(S.Edb[Rel].Name,
+  for (std::size_t Rel = 0; Rel < S.Edb.size(); ++Rel) {
+    const std::string &Edb = Prog.getRam().getMaintAux(S.Edb[Rel].Name)->Edb;
+    Eng->insertTuples(Edb.empty() ? S.Edb[Rel].Name : Edb,
                       {State[Rel].begin(), State[Rel].end()});
+  }
   Eng->run();
   return Eng;
 }
@@ -191,7 +196,6 @@ const char *backendName(interp::Backend B) {
 void expectSameReport(const inc::MaintenanceReport &Want,
                       const inc::MaintenanceReport &Got,
                       const std::string &Where) {
-  EXPECT_EQ(Want.Maintained, Got.Maintained) << Where;
   EXPECT_EQ(Want.Inserted, Got.Inserted) << Where;
   EXPECT_EQ(Want.Duplicates, Got.Duplicates) << Where;
   EXPECT_EQ(Want.Deleted, Got.Deleted) << Where;
@@ -262,8 +266,7 @@ void expectSameContents(const Contents &Want, const Contents &Got,
 void runSubject(const Subject &S, std::uint64_t Seed, std::size_t NumOps) {
   auto Prog = core::Program::fromSource(S.Source, nullptr, withMaint());
   ASSERT_NE(Prog, nullptr) << S.Name;
-  ASSERT_TRUE(Prog->getRam().hasMaintenance())
-      << S.Name << ": " << Prog->getRam().getMaintIneligibleReason();
+  ASSERT_TRUE(Prog->getRam().hasMaintenance()) << S.Name;
 
   const std::vector<Op> Ops = makeStream(S, Seed, NumOps);
   std::vector<std::string> Relations;
@@ -374,7 +377,7 @@ void runSessionSubject(const Subject &S, std::uint64_t Seed,
       Options.Engine.TheBackend = B;
       Options.Engine.NumThreads = J;
       auto Session = srv::EngineSession::create(Prog, Options);
-      ASSERT_TRUE(Session->isMaintained()) << Config;
+      ASSERT_NE(Session, nullptr) << Config;
 
       EdbState State(S.Edb.size());
       std::size_t EqrelShrinks = 0;
@@ -580,6 +583,30 @@ const Subject ExitPruneSubject = {
     {{"a", 2, 6}, {"e", 2, 6}, {"b", 1, 6}},
 };
 
+// 11. `.input` relations that also have clauses, lifted into EDB shadows:
+// e has an inline fact, a rule into it and recursion through it with p
+// (DRed, the copy clause an exit clause); c is a counting stratum whose
+// inserted facts must survive the loss of their derivation from b.
+const Subject InputDerivedSubject = {
+    "input-derived",
+    ".decl a(x:number, y:number)\n"
+    ".decl b(x:number)\n"
+    ".decl e(x:number, y:number)\n"
+    ".input e\n"
+    ".decl p(x:number, y:number)\n"
+    ".decl c(x:number)\n"
+    ".input c\n"
+    ".decl d(x:number)\n"
+    "e(0, 1).\n"
+    "e(x, y) :- a(x, y), x < y.\n"
+    "p(x, y) :- e(x, y).\n"
+    "p(x, z) :- p(x, y), e(y, z).\n"
+    "e(y, x) :- p(x, y), b(x).\n"
+    "c(x) :- b(x).\n"
+    "d(x) :- c(x), !b(x).\n",
+    {{"a", 2, 6}, {"b", 1, 6}, {"e", 2, 6, true}, {"c", 1, 6, true}},
+};
+
 TEST(MaintenanceDifferential, Join) { runSubject(JoinSubject, 11, 120); }
 TEST(MaintenanceDifferential, Negation) {
   runSubject(NegationSubject, 22, 120);
@@ -604,6 +631,9 @@ TEST(MaintenanceDifferential, Functor) {
 
 TEST(MaintenanceDifferential, ExitPrune) {
   runSubject(ExitPruneSubject, 111, 120);
+}
+TEST(MaintenanceDifferential, InputDerived) {
+  runSubject(InputDerivedSubject, 133, 120);
 }
 
 // Different seeds shift which tuples collide; a second pass over the two
@@ -643,6 +673,9 @@ TEST(MaintenanceDifferentialSession, Functor) {
 }
 TEST(MaintenanceDifferentialSession, ExitPrune) {
   runSessionSubject(ExitPruneSubject, 111, 120);
+}
+TEST(MaintenanceDifferentialSession, InputDerived) {
+  runSessionSubject(InputDerivedSubject, 133, 120);
 }
 
 } // namespace

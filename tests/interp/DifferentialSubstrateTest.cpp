@@ -148,8 +148,7 @@ TEST_P(DifferentialSubstrateTest, IncrementalAllSubstratesAgree) {
     ASSERT_NE(Prog, nullptr)
         << "seed " << P.Seed << " substrate " << Substrate << ": "
         << (Errors.empty() ? "compile failed" : Errors[0]);
-    if (!Prog->getRam().hasMaintenance())
-      continue; // ineligibility is the fuzz driver's concern, not substrate's
+    ASSERT_TRUE(Prog->getRam().hasMaintenance());
 
     for (std::size_t K : {std::size_t(1), std::size_t(4)}) {
       for (std::size_t Threads : {std::size_t(1), std::size_t(4)}) {

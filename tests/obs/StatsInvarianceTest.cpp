@@ -197,8 +197,8 @@ TEST(StatsInvarianceTest, MaintainedBatchMatchesAcrossThreadCounts) {
     inc::MaintenanceReport Reports[2];
     TcRun *Runs[2] = {&Seq, &Par};
     for (std::size_t I = 0; I < 2; ++I) {
+      ASSERT_TRUE(Runs[I]->Prog->getRam().hasMaintenance());
       inc::Maintainer Maint(Runs[I]->Prog->getRam(), *Runs[I]->E);
-      ASSERT_TRUE(Maint.eligible()) << Maint.ineligibleReason();
       Maint.bootstrap();
       ASSERT_EQ(Maint.rejectReason(Batch), "");
       Reports[I] = Maint.apply(Batch);

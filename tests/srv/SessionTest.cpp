@@ -6,21 +6,21 @@
 ///
 /// \file
 /// The serving layer's correctness contract: feeding a program's input
-/// facts through an EngineSession in k batches — whether the session runs
-/// the incremental maintenance plan or rebuilds from the net EDB — must
-/// yield exactly the relation contents of a one-shot engine run over the
-/// same facts, at every thread count. Symbol columns are compared by
+/// facts through an EngineSession in k batches, each maintained in place,
+/// must yield exactly the relation contents of a one-shot engine run over
+/// the same facts, at every thread count. Symbol columns are compared by
 /// resolved string (ordinal assignment differs across program instances).
 ///
 /// Beyond equivalence: snapshot isolation (a pinned snapshot never sees a
 /// later batch), concurrent readers against a writer (the TSan subject for
-/// the left-right scheme), duplicate accounting, the rebuild class of
-/// programs without a maintenance plan, and the textual loadFacts error
-/// path.
+/// the left-right scheme), duplicate accounting, served streams over
+/// rule-free, `.input`-with-clauses and `$` programs, flat memory under
+/// churn, and the textual loadFacts error path.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Program.h"
+#include "inc/CountedRelation.h"
 #include "interp/Engine.h"
 #include "srv/Session.h"
 #include "translate/Sips.h"
@@ -47,10 +47,6 @@ struct Subject {
   std::string Source;
   std::vector<std::string> Outputs;
   std::function<FactBatch(core::Program &)> MakeInputs;
-  /// Whether the session should apply batches in place through the
-  /// maintenance plan. All subjects here are maintained; the rebuild class
-  /// has its own stream tests below.
-  bool ExpectMaintained = true;
   /// Whether the maintenance plan should contain scoped Reeval strata
   /// (aggregates, eqrel). Asserted both ways, so precise maintenance of
   /// negation-only programs cannot silently regress into fallbacks — and
@@ -400,7 +396,6 @@ NamedContents runSession(const Subject &S, std::size_t NumBatches,
   EXPECT_NE(Session, nullptr) << (Errors.empty() ? "" : Errors[0]);
   if (!Session)
     return {};
-  EXPECT_EQ(Session->isMaintained(), S.ExpectMaintained) << S.Name;
 
   // Intern through the session's own symbol table, then split.
   auto MutableProg = const_cast<core::Program *>(&Session->program());
@@ -408,17 +403,14 @@ NamedContents runSession(const Subject &S, std::size_t NumBatches,
       splitBatches(S.MakeInputs(*MutableProg), NumBatches);
   for (const FactBatch &Batch : Batches) {
     const BatchResult R = Session->loadFacts(Batch);
-    EXPECT_EQ(R.Maintained, S.ExpectMaintained) << S.Name;
     EXPECT_TRUE(R.Error.empty()) << S.Name << ": " << R.Error;
   }
   EXPECT_EQ(Session->epoch(), NumBatches);
 
   const MaintTelemetry Tel = Session->maintTelemetry();
-  EXPECT_EQ(Tel.Enabled, S.ExpectMaintained) << S.Name;
+  EXPECT_EQ(Tel.Batches, NumBatches) << S.Name;
   EXPECT_EQ(Tel.ReevalStrata > 0, S.ExpectReevalFallback)
       << S.Name << " scoped-fallback expectation flipped";
-  EXPECT_EQ(Tel.Rebuilds, 0u)
-      << S.Name << " fell back to a whole-program rebuild";
 
   Snapshot Snap = Session->snapshot();
   NamedContents Result;
@@ -621,7 +613,6 @@ TEST(SessionTest, ConcurrentReadersObserveConsistentEpochs) {
 TEST(SessionTest, ConcurrentReadersObserveConsistentRetractions) {
   auto Session = EngineSession::fromSource(TcSource);
   ASSERT_NE(Session, nullptr);
-  ASSERT_TRUE(Session->isMaintained());
   constexpr std::uint64_t NumEdges = 12;
   // Epochs 1..N publish a chain of E edges; epochs N+1..2N retract edges
   // from the front, leaving a suffix chain of 2N - E edges.
@@ -666,7 +657,6 @@ TEST(SessionTest, ConcurrentReadersObserveConsistentRetractions) {
     const BatchResult R = Session->applyMixed(edgeOp(I, /*Retract=*/true));
     ASSERT_TRUE(R.Error.empty()) << R.Error;
     EXPECT_EQ(R.Deleted, 1u);
-    EXPECT_TRUE(R.Maintained);
   }
   while (Observations.load(std::memory_order_relaxed) < 8)
     std::this_thread::yield();
@@ -676,7 +666,7 @@ TEST(SessionTest, ConcurrentReadersObserveConsistentRetractions) {
 
   EXPECT_GE(Observations.load(), 8u);
   EXPECT_EQ(Session->query("path", Pattern(2)).size(), 0u);
-  EXPECT_EQ(Session->maintTelemetry().Rebuilds, 0u);
+  EXPECT_EQ(Session->maintTelemetry().Batches, 2 * NumEdges);
 }
 
 // The eqrel variant: every retraction splits the derived class, so the
@@ -690,7 +680,6 @@ TEST(SessionTest, ConcurrentReadersObserveConsistentEqrelSplits) {
     same(x, y) :- link(x, y).
   )");
   ASSERT_NE(Session, nullptr);
-  ASSERT_TRUE(Session->isMaintained());
   constexpr std::uint64_t NumLinks = 10;
   // Epochs 1..N link a chain of N + 1 nodes into one class; epochs
   // N+1..2N unlink it from the front, dropping one node per batch.
@@ -741,7 +730,6 @@ TEST(SessionTest, ConcurrentReadersObserveConsistentEqrelSplits) {
     const BatchResult R = Session->applyMixed(linkOp(I, /*Retract=*/true));
     ASSERT_TRUE(R.Error.empty()) << R.Error;
     EXPECT_EQ(R.Deleted, 1u);
-    EXPECT_TRUE(R.Maintained);
     EXPECT_EQ(R.Maint.ReevalStrata, 1u);
   }
   while (Observations.load(std::memory_order_relaxed) < 8)
@@ -752,11 +740,11 @@ TEST(SessionTest, ConcurrentReadersObserveConsistentEqrelSplits) {
 
   EXPECT_GE(Observations.load(), 8u);
   EXPECT_EQ(Session->query("same", Pattern(2)).size(), 0u);
-  EXPECT_EQ(Session->maintTelemetry().Rebuilds, 0u);
+  EXPECT_EQ(Session->maintTelemetry().Batches, 2 * NumLinks);
 }
 
 //===----------------------------------------------------------------------===//
-// The rebuild class: programs without a maintenance plan
+// Served streams: rule-free, `.input` with clauses, `$`
 //===----------------------------------------------------------------------===//
 
 /// One step of a served stream: a mixed batch and what applying it must
@@ -777,35 +765,33 @@ inc::MixedBatch mixedOps(const std::string &Relation,
   return {std::move(Ops)};
 }
 
-/// What a served rebuild-class stream left behind, for the per-subject
-/// telemetry expectations.
+/// What a served stream left behind, for the per-subject telemetry
+/// expectations.
 struct StreamOutcome {
   std::uint64_t Accepted = 0;
-  std::uint64_t AcceptedWithRetracts = 0;
   MaintTelemetry Tel;
 };
 
 /// Serves \p Steps through a session over \p Source and, after every step,
-/// compares \p Outputs with a one-shot run seeded with the net EDB the
-/// accepted batches leave behind (retract-before-insert within a batch).
-/// Also checks each step's counts and that the epoch advances exactly on
-/// accepted batches.
-StreamOutcome serveRebuildStream(const std::string &Source,
-                                 const std::vector<std::string> &Outputs,
-                                 const std::vector<StreamStep> &Steps) {
+/// compares \p Outputs with a one-shot run (at -j1, like the session)
+/// seeded with the net EDB the accepted batches leave behind
+/// (retract-before-insert within a batch). Also checks each step's counts
+/// and that the epoch advances exactly on accepted batches, each of them
+/// maintained.
+StreamOutcome serveStream(const std::string &Source,
+                          const std::vector<std::string> &Outputs,
+                          const std::vector<StreamStep> &Steps) {
   StreamOutcome Out;
   auto Session = EngineSession::fromSource(Source);
   EXPECT_NE(Session, nullptr);
   if (!Session)
     return Out;
-  EXPECT_FALSE(Session->isMaintained());
 
   std::map<std::string, std::set<DynTuple>> NetEdb;
   for (std::size_t Step = 0; Step < Steps.size(); ++Step) {
     const StreamStep &Expect = Steps[Step];
     const std::uint64_t Before = Session->epoch();
     const BatchResult R = Session->applyMixed(Expect.Batch);
-    EXPECT_FALSE(R.Maintained) << "step " << Step;
     if (Expect.Rejected) {
       EXPECT_FALSE(R.Error.empty()) << "step " << Step;
       EXPECT_EQ(Session->epoch(), Before) << "step " << Step;
@@ -819,16 +805,13 @@ StreamOutcome serveRebuildStream(const std::string &Source,
       EXPECT_EQ(R.Deleted, Expect.Deleted) << "step " << Step;
       EXPECT_EQ(R.Missing, Expect.Missing) << "step " << Step;
       ++Out.Accepted;
-      bool AnyRetracts = false;
       for (const inc::RelationOps &Ops : Expect.Batch) {
         std::set<DynTuple> &Rel = NetEdb[Ops.Relation];
         for (const DynTuple &Tuple : Ops.Retracts)
           Rel.erase(Tuple);
         for (const DynTuple &Tuple : Ops.Inserts)
           Rel.insert(Tuple);
-        AnyRetracts = AnyRetracts || !Ops.Retracts.empty();
       }
-      Out.AcceptedWithRetracts += AnyRetracts;
     }
 
     auto Prog = core::Program::fromSource(Source);
@@ -852,14 +835,7 @@ StreamOutcome serveRebuildStream(const std::string &Source,
     }
   }
   Out.Tel = Session->maintTelemetry();
-  EXPECT_FALSE(Out.Tel.Enabled);
-  EXPECT_EQ(Out.Tel.Batches, 0u);
-  std::uint64_t Recorded = 0;
-  for (const auto &[Reason, Count] : Out.Tel.FallbackReasons)
-    Recorded += Count;
-  EXPECT_EQ(Out.Tel.Rebuilds, Recorded)
-      << "every rebuild is recorded under exactly one fallback reason";
-  EXPECT_LE(Out.Tel.Rebuilds, Out.Accepted);
+  EXPECT_EQ(Out.Tel.Batches, Out.Accepted);
   return Out;
 }
 
@@ -872,11 +848,33 @@ std::uint64_t fallbacksFor(const MaintTelemetry &Tel,
   return 0;
 }
 
-/// An `.input` relation that also has an inline fact is "derived" to the
-/// maintenance plan, so the session rebuilds. Retractions from it are
-/// rejected (it has clauses); inserts extend the inline fact, and a batch
-/// re-inserting the inline fact counts it as a duplicate.
-TEST(SessionRebuildTest, InputWithInlineFactsMatchesOneShot) {
+/// A program with no clauses at all is maintained by its EDB prologue
+/// alone: no stratum, no fallback.
+TEST(SessionTest, RuleFreeProgramIsMaintained) {
+  std::vector<StreamStep> Steps(4);
+  Steps[0].Batch = mixedOps("a", {{1}, {2}, {3}});
+  Steps[0].Inserted = 3;
+  Steps[1].Batch = mixedOps("a", {{4}}, {{2}, {9}});
+  Steps[1].Inserted = 1;
+  Steps[1].Deleted = 1;
+  Steps[1].Missing = 1;
+  Steps[2].Batch = mixedOps("a", {{1}, {2}}, {{1}});
+  Steps[2].Inserted = 1;
+  Steps[2].Duplicates = 1;
+  Steps[3].Batch = mixedOps("nosuch", {{1}});
+  Steps[3].Rejected = true;
+  const StreamOutcome Out =
+      serveStream(".decl a(x:number)\n", {"a"}, Steps);
+  EXPECT_EQ(Out.Accepted, 3u);
+  EXPECT_EQ(Out.Tel.ReevalStrata, 0u);
+  EXPECT_TRUE(Out.Tel.FallbackReasons.empty());
+}
+
+/// An `.input` relation that also has an inline fact is lifted into an
+/// EDB shadow and maintained. Retractions from it are rejected (it has
+/// clauses); inserts extend the inline fact, and a batch re-inserting the
+/// inline fact counts it as a duplicate.
+TEST(SessionTest, InputWithInlineFactsMatchesOneShot) {
   constexpr const char *Source = R"(
     .decl edge(a:number, b:number)
     .input edge
@@ -897,19 +895,49 @@ TEST(SessionRebuildTest, InputWithInlineFactsMatchesOneShot) {
   Steps[3].Rejected = true;
   Steps[4].Batch = mixedOps("edge", {{5, 1}});
   Steps[4].Inserted = 1;
-  const StreamOutcome Out = serveRebuildStream(Source, {"edge", "path"}, Steps);
+  const StreamOutcome Out = serveStream(Source, {"edge", "path"}, Steps);
   EXPECT_EQ(Out.Accepted, 3u);
-
-  const std::string Reason =
-      "relation 'edge' is both .input and derived by rules";
-  EXPECT_EQ(Out.Tel.IneligibleReason, Reason);
-  EXPECT_EQ(fallbacksFor(Out.Tel, Reason), Out.Tel.Rebuilds);
+  EXPECT_TRUE(Out.Tel.FallbackReasons.empty());
 }
 
-/// `$` mints fresh ids on every derivation, so counter programs get no
-/// maintenance plan: every accepted batch — insert-only or retracting —
-/// rebuilds, and the numbering matches a cold run over the same net EDB.
-TEST(SessionRebuildTest, CounterProgramRebuildsEveryBatch) {
+/// A tuple inserted into a lifted `.input` relation stays even when the
+/// rule that also derived it loses its support, as in a one-shot run that
+/// loaded it.
+TEST(SessionTest, InsertedFactOnDerivedInputSurvivesRetraction) {
+  constexpr const char *Source = R"(
+    .decl a(x:number)
+    .decl b(x:number)
+    .input b
+    b(x) :- a(x).
+  )";
+  std::vector<StreamStep> Steps(5);
+  Steps[0].Batch = mixedOps("a", {{5}});
+  Steps[0].Inserted = 1;
+  // b(5) is already derived: a duplicate, but it still reaches the shadow.
+  Steps[1].Batch = mixedOps("b", {{5}});
+  Steps[1].Duplicates = 1;
+  Steps[2].Batch = mixedOps("a", {}, {{5}});
+  Steps[2].Deleted = 1;
+  Steps[3].Batch = mixedOps("b", {}, {{5}});
+  Steps[3].Rejected = true;
+  Steps[4].Batch = mixedOps("b@edb", {{6}});
+  Steps[4].Rejected = true;
+  const StreamOutcome Out = serveStream(Source, {"a", "b"}, Steps);
+  EXPECT_EQ(Out.Accepted, 3u);
+
+  // The shadow is not served.
+  auto Session = EngineSession::fromSource(Source);
+  ASSERT_NE(Session, nullptr);
+  EXPECT_EQ(Session->relationTypes("b@edb"), nullptr);
+  const std::vector<std::string> Names = Session->relationNames();
+  EXPECT_EQ(Names, (std::vector<std::string>{"a", "b"}));
+}
+
+/// `$` mints ids in evaluation order, so its stratum is a scoped Reeval
+/// that re-runs on every accepted batch — insert-only or retracting —
+/// from a restarted counter: the numbering matches a cold run at -j1 over
+/// the same net EDB, and the stratum above it stays counted.
+TEST(SessionTest, CounterProgramMatchesColdRun) {
   constexpr const char *Source = R"(
     .decl item(x:number)
     .decl tagged(id:number, x:number)
@@ -933,18 +961,119 @@ TEST(SessionRebuildTest, CounterProgramRebuildsEveryBatch) {
   Steps[4].Batch = mixedOps("item", {}, {{30}, {50}});
   Steps[4].Deleted = 2;
   const StreamOutcome Out =
-      serveRebuildStream(Source, {"item", "tagged", "pair"}, Steps);
+      serveStream(Source, {"item", "tagged", "pair"}, Steps);
   EXPECT_EQ(Out.Accepted, 5u);
-  EXPECT_EQ(Out.AcceptedWithRetracts, 4u);
+  EXPECT_EQ(Out.Tel.ReevalStrata, Out.Accepted);
+  EXPECT_EQ(fallbacksFor(Out.Tel, "`$` mints ids in evaluation order"),
+            Out.Accepted);
+}
 
-  const std::string &Reason = Out.Tel.IneligibleReason;
-  EXPECT_NE(Reason.find("'$' counter"), std::string::npos) << Reason;
-  EXPECT_EQ(Out.Tel.Rebuilds, Out.Accepted);
-  EXPECT_EQ(fallbacksFor(Out.Tel, Reason),
-            Out.Accepted - Out.AcceptedWithRetracts);
-  EXPECT_EQ(fallbacksFor(Out.Tel,
-                         "retraction without maintenance plan: " + Reason),
-            Out.AcceptedWithRetracts);
+/// Memory stays flat under churn: 2000 batches each retract one edge of a
+/// complete graph and re-insert the one the previous batch retracted, so
+/// the live EDB and every derived relation keep their sizes. After every
+/// publish no maintenance or semi-naive aux relation holds a tuple, and
+/// at the end the support counts equal a freshly bootstrapped engine's.
+TEST(SessionTest, ChurnAtConstantEdbKeepsMemoryFlat) {
+  constexpr const char *Source = R"(
+    .decl edge(a:number, b:number)
+    .decl path(a:number, b:number)
+    path(x, y) :- edge(x, y).
+    path(x, z) :- path(x, y), edge(y, z).
+    .decl hop2(a:number, c:number)
+    hop2(x, z) :- edge(x, y), edge(y, z).
+  )";
+  constexpr RamDomain NumNodes = 6;
+  constexpr std::size_t NumBatches = 2000;
+  std::vector<DynTuple> Edges;
+  for (RamDomain A = 0; A < NumNodes; ++A)
+    for (RamDomain B = 0; B < NumNodes; ++B)
+      if (A != B)
+        Edges.push_back({A, B});
+
+  auto Session = EngineSession::fromSource(Source);
+  ASSERT_NE(Session, nullptr);
+  const ram::Program &Ram = Session->program().getRam();
+  ASSERT_NE(Ram.getMaintAux("hop2"), nullptr);
+  ASSERT_FALSE(Ram.getMaintAux("hop2")->Support.empty())
+      << "hop2 must be a counting stratum";
+  std::vector<std::string> Declared = Session->relationNames();
+  std::vector<std::string> Aux;
+  for (const auto &Rel : Ram.getRelations())
+    for (const char *Prefix :
+         {"delta_", "rederive_", "cadd_", "cdec_", "new_"})
+      if (Rel->getName().rfind(Prefix, 0) == 0)
+        Aux.push_back(Rel->getName());
+  ASSERT_FALSE(Aux.empty());
+
+  // Every edge but the first: the first is the initial hole.
+  ASSERT_TRUE(Session
+                  ->applyMixed(mixedOps("edge", std::vector<DynTuple>(
+                                                    Edges.begin() + 1,
+                                                    Edges.end())))
+                  .Error.empty());
+  std::map<std::string, std::size_t> Sizes;
+  {
+    Snapshot Snap = Session->snapshot();
+    for (const std::string &Name : Declared)
+      Sizes[Name] = Snap.relation(Name)->size();
+  }
+  EXPECT_EQ(Sizes.at("edge"), Edges.size() - 1);
+  EXPECT_EQ(Sizes.at("path"), std::size_t(NumNodes * NumNodes));
+
+  std::size_t Hole = 0;
+  for (std::size_t I = 0; I < NumBatches; ++I) {
+    const std::size_t Next = (Hole + 7 * I + 1) % Edges.size();
+    const std::size_t Retract = Next == Hole ? (Next + 1) % Edges.size()
+                                             : Next;
+    const BatchResult R = Session->applyMixed(
+        mixedOps("edge", {Edges[Hole]}, {Edges[Retract]}));
+    ASSERT_TRUE(R.Error.empty()) << "batch " << I << ": " << R.Error;
+    ASSERT_EQ(R.Inserted, 1u) << "batch " << I;
+    ASSERT_EQ(R.Deleted, 1u) << "batch " << I;
+    Hole = Retract;
+
+    Snapshot Snap = Session->snapshot();
+    for (const std::string &Name : Declared)
+      ASSERT_EQ(Snap.relation(Name)->size(), Sizes.at(Name))
+          << Name << " after batch " << I;
+    for (const std::string &Name : Aux)
+      ASSERT_TRUE(Snap.relation(Name)->empty())
+          << Name << " holds tuples after batch " << I;
+  }
+  EXPECT_EQ(Session->maintTelemetry().Batches, NumBatches + 1);
+
+  // A fresh engine over the final EDB, bootstrapped like a session side.
+  std::vector<DynTuple> Live;
+  for (std::size_t I = 0; I < Edges.size(); ++I)
+    if (I != Hole)
+      Live.push_back(Edges[I]);
+  core::CompileOptions Compile;
+  Compile.EmitMaintenance = true;
+  auto Fresh = core::Program::fromSource(Source, nullptr, Compile);
+  ASSERT_NE(Fresh, nullptr);
+  interp::EngineOptions Options;
+  Options.SuppressIo = true;
+  auto Engine = Fresh->makeEngine(Options);
+  Engine->insertTuples("edge", Live);
+  Engine->run();
+  inc::Maintainer(Fresh->getRam(), *Engine).bootstrap();
+  Snapshot Snap = Session->snapshot();
+  std::size_t Stores = 0;
+  for (const auto &Rel : Ram.getRelations()) {
+    if (Rel->getName().rfind("cnt_", 0) != 0)
+      continue;
+    ++Stores;
+    auto Counts = [](const interp::RelationWrapper &Store) {
+      std::map<DynTuple, std::uint64_t> Out;
+      static_cast<const inc::CountedRelation &>(Store).forEachCount(
+          [&](const DynTuple &Key, std::uint64_t Count) { Out[Key] = Count; });
+      return Out;
+    };
+    EXPECT_EQ(Counts(*Snap.relation(Rel->getName())),
+              Counts(*Engine->getRelation(Rel->getName())))
+        << Rel->getName();
+  }
+  EXPECT_EQ(Stores, 1u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -37,6 +37,7 @@
 #include "util/Args.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -185,13 +186,8 @@ bool mismatchesIncremental(const testgen::GeneratedProgram &P,
   auto Prog = core::Program::fromSource(P.RulesOnly, nullptr, Compile);
   if (!Prog)
     return false; // not the bug we are chasing
-  if (!Prog->getRam().hasMaintenance()) {
-    // Generated programs never use aggregates, eqrel or counters: the
-    // plan has no excuse to fall back to whole-program re-evaluation.
-    Witness = "maintenance-ineligible (" +
-              Prog->getRam().getMaintIneligibleReason() + ")";
-    return true;
-  }
+  // Every program compiled with EmitMaintenance has a plan.
+  assert(Prog->getRam().hasMaintenance());
 
   const std::size_t NumOps = 60, PerBatch = 12;
   const std::vector<testgen::GeneratedOp> Ops =

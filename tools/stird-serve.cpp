@@ -206,16 +206,12 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "stird-serve: %s\n", Error.c_str());
     return 1;
   }
-  const srv::EngineSession &Sess = *Tenants.defaultTenant()->Session;
   if (!Server.UnixPath.empty())
-    std::fprintf(stderr, "stird-serve: listening on %s (%zu tenants, %s)\n",
-                 Server.UnixPath.c_str(), Tenants.size(),
-                 Sess.isMaintained() ? "maintained" : "re-evaluating");
+    std::fprintf(stderr, "stird-serve: listening on %s (%zu tenants)\n",
+                 Server.UnixPath.c_str(), Tenants.size());
   else
-    std::fprintf(stderr,
-                 "stird-serve: listening on %s:%d (%zu tenants, %s)\n",
-                 Server.Host.c_str(), Srv.boundPort(), Tenants.size(),
-                 Sess.isMaintained() ? "maintained" : "re-evaluating");
+    std::fprintf(stderr, "stird-serve: listening on %s:%d (%zu tenants)\n",
+                 Server.Host.c_str(), Srv.boundPort(), Tenants.size());
   if (Srv.metricsPort() != 0)
     std::fprintf(stderr, "stird-serve: metrics on http://%s:%d/metrics\n",
                  Server.UnixPath.empty() ? Server.Host.c_str()
