@@ -153,8 +153,9 @@ MaintenanceReport Maintainer::apply(const MixedBatch &Batch,
       const ram::Program::MaintAux &Aux = *Prog.getMaintAux(Name);
       SR.Inserted += rel(Aux.Ins).size();
       SR.Deleted += rel(Aux.Del).size();
-      // SubtractInto left delta_del_R = rederive_R minus the survivors, so
-      // the difference of the two sizes is exactly the rederived count.
+      // delta_del_R is rederive_R minus the tuples R holds after the batch
+      // (survivors and re-inserted ones), so the difference of the two
+      // sizes is exactly the rederived count.
       if (!Aux.Rederive.empty())
         SR.Rederived += rel(Aux.Rederive).size() - rel(Aux.Del).size();
     }

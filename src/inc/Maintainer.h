@@ -60,9 +60,11 @@ struct StratumReport {
   /// Net derived-tuple changes this stratum emitted downstream.
   std::uint64_t Inserted = 0;
   std::uint64_t Deleted = 0;
-  /// DRed only: over-deleted tuples that survived rederivation. A
-  /// candidate an exit clause still derives over the final lower strata
-  /// is kept by Phase A, so it is neither over-deleted nor counted here.
+  /// DRed only: over-deleted tuples that are in the relation after the
+  /// batch, rederived from the survivors or re-inserted by the insertion
+  /// phase. A candidate an exit clause, or a clause unfolded through exit
+  /// clauses, still derives over the final lower strata is kept by Phase
+  /// A, so it is neither over-deleted nor counted here.
   std::uint64_t Rederived = 0;
 };
 

@@ -474,15 +474,21 @@ private:
   //    lower atoms over-approximated as NEW UNION delta_del, negations as
   //    (NOT N) OR delta_ins_N; a head-membership atom keeps candidates
   //    inside the old fixpoint), pruning each round's frontier of the
-  //    candidates an exit clause (no positive SCC atom) still derives over
-  //    the final lower strata, erase them, rederive survivors from the
-  //    remaining tuples (candidate-restricted, so brand-new tuples are
-  //    left to the insertion phase and correctly reach delta_ins_R), emit
-  //    the net deletions with SUBTRACT, then run the insertion semi-naive
-  //    loop seeded from the lower insertion deltas. A kept candidate is in
-  //    the new fixpoint and is neither over-deleted nor propagated; SCC
-  //    clauses are never checked, since over the not-yet-erased state
-  //    cyclic support alone would satisfy them.
+  //    candidates an exit clause (no positive SCC atom) or an exit
+  //    unfolding (a clause whose SCC atoms are replaced by exit-clause
+  //    bodies, see exitUnfoldings) still derives over the final lower
+  //    strata, erase them, rederive survivors from the remaining tuples
+  //    (candidate-restricted, so brand-new tuples are left to the
+  //    insertion phase and correctly reach delta_ins_R), emit the net
+  //    deletions with SUBTRACT, run the insertion semi-naive loop seeded
+  //    from the lower insertion deltas, then drop from both deltas every
+  //    tuple in both (over-deleted and re-inserted), so they stay
+  //    disjoint. A kept candidate is in the new fixpoint and is neither
+  //    over-deleted nor propagated; a check never reads the SCC, since
+  //    over the not-yet-erased state cyclic support alone would satisfy
+  //    it. The candidate-seeded checks (the [keep] versions and the
+  //    rederive seed) stop each candidate at its first witness (see
+  //    RuleVariant::FirstWitness), which keeps them sequential.
   //  * Reeval (`$`, eqrel, aggregates, eqrel body dependencies, or rules
   //    too wide for delta versions): no statement. The maintenance driver
   //    snapshots the stratum's relations, clears them, re-runs the
@@ -512,19 +518,74 @@ private:
     return It == TypeOverlay.end() ? Info.typeOf(Arg) : It->second;
   }
 
-  /// Registers \p Clone (and its operands, in lockstep) under the type the
-  /// analysis derived for \p Orig. SemanticInfo keys types by node
-  /// address, so cloned argument trees would otherwise degrade to the
-  /// Number fallback and mistranslate symbol comparisons and typed
-  /// intrinsics.
-  void registerTypes(const ast::Argument &Orig, const ast::Argument &Clone) {
-    TypeOverlay[&Clone] = typeOfArg(&Orig);
-    if (Orig.getKind() == ast::Argument::Kind::Functor) {
-      const auto &FO = static_cast<const ast::Functor &>(Orig);
-      const auto &FC = static_cast<const ast::Functor &>(Clone);
-      for (std::size_t I = 0; I < FO.getArgs().size(); ++I)
-        registerTypes(*FO.getArgs()[I], *FC.getArgs()[I]);
+  /// Copies \p Arg with every variable in \p Subst replaced by (a copy
+  /// of) its argument and every other variable renamed to \p Prefix + its
+  /// name; an empty \p Subst and \p Prefix make a plain copy. Every copied
+  /// node is registered under the type the analysis derived for its
+  /// original: SemanticInfo keys types by node address, so copied argument
+  /// trees would otherwise degrade to the Number fallback and mistranslate
+  /// symbol comparisons and typed intrinsics.
+  std::unique_ptr<ast::Argument>
+  substArg(const ast::Argument &Arg,
+           const std::unordered_map<std::string, const ast::Argument *>
+               &Subst,
+           const std::string &Prefix) {
+    std::unique_ptr<ast::Argument> Copy;
+    if (Arg.getKind() == ast::Argument::Kind::Variable) {
+      const std::string &Name =
+          static_cast<const ast::Variable &>(Arg).getName();
+      if (auto It = Subst.find(Name); It != Subst.end())
+        return substArg(*It->second, {}, "");
+      Copy = std::make_unique<ast::Variable>(Prefix + Name, Arg.getLoc());
+    } else if (Arg.getKind() == ast::Argument::Kind::Functor) {
+      const auto &F = static_cast<const ast::Functor &>(Arg);
+      std::vector<std::unique_ptr<ast::Argument>> Operands;
+      for (const auto &Operand : F.getArgs())
+        Operands.push_back(substArg(*Operand, Subst, Prefix));
+      Copy = std::make_unique<ast::Functor>(F.getOp(), std::move(Operands),
+                                            Arg.getLoc());
+    } else {
+      // Constants and wildcards; aggregates and `$` make a stratum Reeval,
+      // so no unfolded clause holds one.
+      Copy = Arg.clone();
     }
+    TypeOverlay[Copy.get()] = typeOfArg(&Arg);
+    return Copy;
+  }
+
+  std::unique_ptr<ast::Atom>
+  substAtom(const ast::Atom &A,
+            const std::unordered_map<std::string, const ast::Argument *>
+                &Subst,
+            const std::string &Prefix) {
+    std::vector<std::unique_ptr<ast::Argument>> Args;
+    for (const auto &Arg : A.getArgs())
+      Args.push_back(substArg(*Arg, Subst, Prefix));
+    return std::make_unique<ast::Atom>(A.getName(), std::move(Args),
+                                       A.getLoc());
+  }
+
+  std::unique_ptr<ast::Literal>
+  substLiteral(const ast::Literal &Lit,
+               const std::unordered_map<std::string, const ast::Argument *>
+                   &Subst,
+               const std::string &Prefix) {
+    switch (Lit.getKind()) {
+    case ast::Literal::Kind::Atom:
+      return substAtom(static_cast<const ast::Atom &>(Lit), Subst, Prefix);
+    case ast::Literal::Kind::Negation:
+      return std::make_unique<ast::Negation>(
+          substAtom(static_cast<const ast::Negation &>(Lit).getAtom(), Subst,
+                    Prefix),
+          Lit.getLoc());
+    case ast::Literal::Kind::Constraint: {
+      const auto &Con = static_cast<const ast::Constraint &>(Lit);
+      return std::make_unique<ast::Constraint>(
+          Con.getOp(), substArg(Con.getLhs(), Subst, Prefix),
+          substArg(Con.getRhs(), Subst, Prefix), Con.getLoc());
+    }
+    }
+    unreachable("unknown literal kind");
   }
 
   std::unique_ptr<ast::Argument> cloneArgMaint(const ast::Argument &Orig,
@@ -534,9 +595,7 @@ private:
         Orig.getKind() == ast::Argument::Kind::UnnamedVariable)
       return std::make_unique<ast::Variable>(
           "@maint_wc" + std::to_string(Fresh++), Orig.getLoc());
-    std::unique_ptr<ast::Argument> Clone = Orig.clone();
-    registerTypes(Orig, *Clone);
-    return Clone;
+    return substArg(Orig, {}, "");
   }
 
   std::unique_ptr<ast::Atom> cloneAtomMaint(const ast::Atom &Orig,
@@ -599,13 +658,7 @@ private:
     std::size_t LitIdx = 0;
     for (const auto &Lit : C.getBody()) {
       if (Lit->getKind() == ast::Literal::Kind::Constraint) {
-        const auto &Con = static_cast<const ast::Constraint &>(*Lit);
-        std::unique_ptr<ast::Argument> Lhs = Con.getLhs().clone();
-        registerTypes(Con.getLhs(), *Lhs);
-        std::unique_ptr<ast::Argument> Rhs = Con.getRhs().clone();
-        registerTypes(Con.getRhs(), *Rhs);
-        Body.push_back(std::make_unique<ast::Constraint>(
-            Con.getOp(), std::move(Lhs), std::move(Rhs), Con.getLoc()));
+        Body.push_back(substLiteral(*Lit, {}, ""));
         continue;
       }
       const int ThisLit = static_cast<int>(LitIdx);
@@ -714,6 +767,107 @@ private:
     return SynthClauses.back().get();
   }
 
+  /// Most non-constraint literals a maintained rule body may have: the OLD
+  /// reconstruction and DRed availability splits emit up to
+  /// 2^(literals - 1) subversions per delta position.
+  static constexpr std::size_t MaxMaintLiterals = 6;
+  /// Most exit-clause combinations one clause is unfolded into (see
+  /// exitUnfoldings). Each combination is one more [keep] query over the
+  /// frontier in every Phase A round, and the count multiplies per SCC
+  /// atom (k exit clauses under each of n atoms give k^n). Four covers two
+  /// SCC atoms over relations with up to two exit clauses each, the
+  /// points-to clique shape, and bounds the queries per round on wider
+  /// shapes; a skipped unfolding only loses a prune.
+  static constexpr std::size_t MaxExitUnfoldings = 4;
+
+  /// The checks DRed's Phase A prune runs for clause \p C of an SCC
+  /// member: \p C itself when it is an exit clause (no positive SCC
+  /// atom), else its exit unfoldings, one per combination of exit clauses.
+  /// An unfolding replaces each positive SCC atom S(t) by the body of an
+  /// exit clause of S: the exit head's variables are substituted by t,
+  /// its other variables are renamed apart, and its head constants and
+  /// repeated head variables become equalities with t. An exit clause
+  /// with a head functor (x + 1 cannot be solved for x) is not used.
+  /// Empty when some SCC atom's relation has no usable exit clause or
+  /// there are more than MaxExitUnfoldings combinations; a combination
+  /// whose body is wider than MaxMaintLiterals is dropped. An unfolded
+  /// body reads only lower strata: exit bodies have no SCC atom, and the
+  /// rest of \p C none but the replaced ones.
+  std::vector<const ast::Clause *> exitUnfoldings(
+      const ast::Clause &C,
+      const std::function<bool(const ast::Literal &)> &IsSccAtom,
+      const std::function<bool(const ast::Clause &)> &IsExitClause) {
+    if (IsExitClause(C))
+      return {&C};
+    std::vector<std::vector<const ast::Clause *>> Exits;
+    std::size_t Combinations = 1;
+    for (const ast::Literal *Lit : maintLiterals(C)) {
+      if (!IsSccAtom(*Lit))
+        continue;
+      std::vector<const ast::Clause *> Usable;
+      for (const ast::Clause *E :
+           clausesOf(static_cast<const ast::Atom &>(*Lit).getName())) {
+        const auto &Head = E->getHead().getArgs();
+        if (IsExitClause(*E) &&
+            std::none_of(Head.begin(), Head.end(), [](const auto &Arg) {
+              return Arg->getKind() == ast::Argument::Kind::Functor;
+            }))
+          Usable.push_back(E);
+      }
+      Combinations *= Usable.size();
+      if (Combinations == 0 || Combinations > MaxExitUnfoldings)
+        return {};
+      Exits.push_back(std::move(Usable));
+    }
+
+    std::vector<const ast::Clause *> Unfoldings;
+    for (std::size_t Combination = 0; Combination < Combinations;
+         ++Combination) {
+      std::vector<std::unique_ptr<ast::Literal>> Body;
+      std::size_t Width = 0, Atom = 0, Digits = Combination;
+      for (const auto &Lit : C.getBody()) {
+        if (!IsSccAtom(*Lit)) {
+          Width += Lit->getKind() != ast::Literal::Kind::Constraint;
+          Body.push_back(substLiteral(*Lit, {}, ""));
+          continue;
+        }
+        const auto &A = static_cast<const ast::Atom &>(*Lit);
+        const std::vector<const ast::Clause *> &Choice = Exits[Atom];
+        const ast::Clause &E = *Choice[Digits % Choice.size()];
+        Digits /= Choice.size();
+        const std::string Prefix = "@unf" + std::to_string(Atom++) + ".";
+        std::unordered_map<std::string, const ast::Argument *> Subst;
+        std::vector<std::unique_ptr<ast::Literal>> Equalities;
+        for (std::size_t Col = 0; Col < A.getArgs().size(); ++Col) {
+          const ast::Argument &Head = *E.getHead().getArgs()[Col];
+          const ast::Argument &Arg = *A.getArgs()[Col];
+          if (Arg.getKind() == ast::Argument::Kind::UnnamedVariable)
+            continue;
+          if (Head.getKind() == ast::Argument::Kind::Variable &&
+              Subst.emplace(static_cast<const ast::Variable &>(Head).getName(),
+                            &Arg)
+                  .second)
+            continue;
+          Equalities.push_back(std::make_unique<ast::Constraint>(
+              ast::ConstraintOp::Eq, substArg(Arg, {}, ""),
+              substArg(Head, Subst, Prefix), Arg.getLoc()));
+        }
+        for (const auto &ELit : E.getBody()) {
+          Width += ELit->getKind() != ast::Literal::Kind::Constraint;
+          Body.push_back(substLiteral(*ELit, Subst, Prefix));
+        }
+        for (auto &Eq : Equalities)
+          Body.push_back(std::move(Eq));
+      }
+      if (Width > MaxMaintLiterals)
+        continue;
+      SynthClauses.push_back(std::make_unique<ast::Clause>(
+          substAtom(C.getHead(), {}, ""), std::move(Body), C.getLoc()));
+      Unfoldings.push_back(SynthClauses.back().get());
+    }
+    return Unfoldings;
+  }
+
   /// The non-constraint body literals of a clause, in source order.
   static std::vector<const ast::Literal *>
   maintLiterals(const ast::Clause &C) {
@@ -816,9 +970,7 @@ private:
                 WildcardNeg |=
                     Arg->getKind() == ast::Argument::Kind::UnnamedVariable;
           }
-          // The OLD reconstruction and DRed availability splits emit up to
-          // 2^(literals - 1) subversions per delta position; cap the width.
-          TooWide |= NumLits > 6;
+          TooWide |= NumLits > MaxMaintLiterals;
         }
       }
       if (!HasClauses) {
@@ -1078,7 +1230,7 @@ private:
   }
 
   /// Emits the DRed stratum statement: over-delete, erase, rederive,
-  /// subtract, insert.
+  /// subtract, insert, then make the deltas disjoint.
   ram::StmtPtr
   emitDRedStratum(const ast::Stratum &Stratum, int StratumId,
                   std::unordered_map<std::string, ram::Relation *> &Rederive,
@@ -1163,10 +1315,11 @@ private:
     // negations at (NOT N) OR delta_ins_N; SCC atoms read the still-
     // unerased (OLD) relations; a head-membership atom keeps candidates
     // inside the old fixpoint. Each round's frontier is then pruned of the
-    // candidates an exit clause still derives ([keep] versions). Only exit
-    // clauses may be checked: an SCC clause read over the not-yet-erased
-    // state can be satisfied by cyclic support alone (p(1) from p(2) from
-    // p(1)) and would keep a tuple that is not in the new fixpoint.
+    // candidates an exit clause or an exit unfolding still derives ([keep]
+    // versions). No check may read the SCC: an SCC clause read over the
+    // not-yet-erased state can be satisfied by cyclic support alone (p(1)
+    // from p(2) from p(1)) and would keep a tuple that is not in the new
+    // fixpoint.
     Phase(
         [&](std::vector<ram::StmtPtr> &Dst, bool LoopBody) {
           for (const auto *Decl : Stratum.Relations) {
@@ -1223,22 +1376,22 @@ private:
             const std::string &Name = Decl->getName();
             ram::Relation *NewR = MainNewRel.at(Name);
             ram::Relation *DeltaR = MainDeltaRel.at(Name);
-            bool HasExit = false;
+            bool HasCheck = false;
             for (const auto *C : clausesOf(Name)) {
-              if (!IsExitClause(*C))
-                continue;
-              HasExit = true;
-              RuleVariant V;
-              V.LabelSuffix = " [keep]";
-              V.ForceMaxBound = true;
-              emitRule(*synthesizeMaintClause(
-                           *C,
-                           std::vector<LitMode>(maintLiterals(*C).size(),
-                                                LitMode::Keep),
-                           false, NewR->getName(), ""),
-                       DeltaR, {}, -1, nullptr, {}, StratumId, Keep, V);
+              for (const ast::Clause *Check :
+                   exitUnfoldings(*C, IsSccAtom, IsExitClause)) {
+                HasCheck = true;
+                RuleVariant V(" [keep]", /*ForceMaxBound=*/true,
+                              /*FirstWitness=*/true);
+                emitRule(*synthesizeMaintClause(
+                             *Check,
+                             std::vector<LitMode>(
+                                 maintLiterals(*Check).size(), LitMode::Keep),
+                             false, NewR->getName(), ""),
+                         DeltaR, {}, -1, nullptr, {}, StratumId, Keep, V);
+              }
             }
-            if (!HasExit)
+            if (!HasCheck)
               continue;
             Dst.push_back(std::make_unique<ram::Clear>(DeltaR));
             Prune.push_back(std::make_unique<ram::Erase>(DeltaR, NewR));
@@ -1271,12 +1424,12 @@ private:
                 if (IsExitClause(*C))
                   continue;
                 std::vector<LitMode> Modes(Lits.size(), LitMode::Keep);
-                RuleVariant V;
-                V.LabelSuffix = " [rdrv]";
                 // The rederive candidate atom sits at position 0; MaxBound
                 // chains the body off its bindings so unconnected literals
-                // are not free-scanned once per candidate.
-                V.ForceMaxBound = true;
+                // are not free-scanned once per candidate, and the check
+                // stops at the candidate's first witness.
+                RuleVariant V(" [rdrv]", /*ForceMaxBound=*/true,
+                              /*FirstWitness=*/true);
                 emitRule(*synthesizeMaintClause(
                              *C, Modes, false,
                              Rederive.at(Name)->getName(), ""),
@@ -1343,6 +1496,16 @@ private:
         },
         &RelOf, &Ins);
 
+    // A tuple over-deleted, not rederived and re-inserted by Phase E is in
+    // R before and after the batch: drop it from both deltas, so they stay
+    // disjoint and the harvested change set is the net change.
+    for (const auto *Decl : Stratum.Relations) {
+      const std::string &Name = Decl->getName();
+      Out.push_back(std::make_unique<ram::Erase>(Ins.at(Name), Del.at(Name)));
+      Out.push_back(
+          std::make_unique<ram::Erase>(Rederive.at(Name), Ins.at(Name)));
+    }
+
     // Leave the scratch pair empty for the next batch.
     ClearScratch();
     return std::make_unique<ram::Sequence>(std::move(Out));
@@ -1376,10 +1539,19 @@ private:
     /// pivot's bindings instead of free-scanning an unconnected leading
     /// literal per delta tuple.
     bool ForceMaxBound;
+    /// Stops each candidate's nest at its first witness: every range scan
+    /// evaluated once the head is bound (by the prepended candidate atom,
+    /// at depth 0) is guarded by NOT head IN Target, so after the first
+    /// insert each remaining iteration costs one lookup. Set-semantic
+    /// targets only; a Counts collector needs every derivation. The query
+    /// then reads its own target, which keeps it sequential.
+    bool FirstWitness;
     // Explicitly defaulted arguments instead of member initializers: the
     // latter cannot feed a default argument of the enclosing class.
-    RuleVariant(const char *LabelSuffix = "", bool ForceMaxBound = false)
-        : LabelSuffix(LabelSuffix), ForceMaxBound(ForceMaxBound) {}
+    RuleVariant(const char *LabelSuffix = "", bool ForceMaxBound = false,
+                bool FirstWitness = false)
+        : LabelSuffix(LabelSuffix), ForceMaxBound(ForceMaxBound),
+          FirstWitness(FirstWitness) {}
   };
 
   /// Translates one rule version.
@@ -1974,6 +2146,14 @@ private:
       const std::uint32_t Tid = NextTupleId++;
       std::vector<ram::ExprPtr> Pattern(A->getArgs().size());
       std::vector<ram::CondPtr> SelfConds;
+      std::vector<ram::ExprPtr> Witnessed;
+      if (Variant.FirstWitness &&
+          Target->getStructure() != ram::StructureKind::Counts &&
+          std::all_of(C.getHead().getArgs().begin(),
+                      C.getHead().getArgs().end(),
+                      [&](const auto &Arg) { return allVarsBound(*Arg); }))
+        for (const auto &Arg : C.getHead().getArgs())
+          Witnessed.push_back(translateExpr(*Arg));
 
       for (std::size_t Col = 0; Col < A->getArgs().size(); ++Col) {
         const ast::Argument &Arg = *A->getArgs()[Col];
@@ -2034,12 +2214,20 @@ private:
         Nested = std::make_unique<ram::Filter>(std::move(Cond),
                                                std::move(Nested));
 
-      const bool AllWildcard =
-          ram::searchSignature(Pattern) == 0;
-      if (AllWildcard)
-        return std::make_unique<ram::Scan>(Rel, Tid, std::move(Nested));
-      return std::make_unique<ram::IndexScan>(Rel, Tid, std::move(Pattern),
-                                              std::move(Nested));
+      const std::uint32_t Signature = ram::searchSignature(Pattern);
+      ram::OpPtr Scan;
+      if (Signature == 0)
+        Scan = std::make_unique<ram::Scan>(Rel, Tid, std::move(Nested));
+      else
+        Scan = std::make_unique<ram::IndexScan>(Rel, Tid, std::move(Pattern),
+                                                std::move(Nested));
+      if (Witnessed.empty() ||
+          Signature == (1u << A->getArgs().size()) - 1)
+        return Scan;
+      return std::make_unique<ram::Filter>(
+          std::make_unique<ram::Negation>(std::make_unique<ram::ExistenceCheck>(
+              Target, std::move(Witnessed))),
+          std::move(Scan));
     }
 
     ram::OpPtr buildHead() {
@@ -2142,7 +2330,7 @@ private:
   std::vector<std::pair<std::size_t, std::size_t>> StratumSpans;
   /// Types for synthesized maintenance arguments: SemanticInfo keys
   /// ExprTypes by node address, so cloned trees must carry their own
-  /// entries (see registerTypes).
+  /// entries (see substArg).
   std::unordered_map<const ast::Argument *, ast::TypeKind> TypeOverlay;
   /// Owns every synthesized maintenance clause for the translator's
   /// lifetime, so TypeOverlay's pointer keys stay unique and valid.

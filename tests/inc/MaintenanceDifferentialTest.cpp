@@ -16,6 +16,10 @@
 /// executor and thread count change how a batch runs, never what it did.
 /// A replica engine replays every batch's ChangeSet and must equal the
 /// maintained engine in every declared relation and cnt_ support store.
+/// The ChangeSet itself must be the batch's net change: per declared
+/// relation, disjoint insert and delete sets equal to NEW \ OLD and
+/// OLD \ NEW of the oracle, with every StratumReport's Inserted/Deleted
+/// equal to their sizes.
 ///
 /// The session leg runs the same streams through EngineSession::applyMixed,
 /// where the two left-right sides alternate: one maintains a batch, the
@@ -32,9 +36,11 @@
 #include "inc/CountedRelation.h"
 #include "srv/Session.h"
 
-#include <functional>
-
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <iterator>
 
 #include <map>
 #include <set>
@@ -263,6 +269,83 @@ void expectSameContents(const Contents &Want, const Contents &Got,
   }
 }
 
+/// Each declared relation's tuples.
+using TupleSets = std::map<std::string, std::set<DynTuple>>;
+
+TupleSets tupleSetsOf(const interp::Engine &Eng,
+                      const std::vector<std::string> &Relations) {
+  TupleSets Out;
+  for (const std::string &Rel : Relations) {
+    const std::vector<DynTuple> Tuples = Eng.getTuples(Rel);
+    Out[Rel] = {Tuples.begin(), Tuples.end()};
+  }
+  return Out;
+}
+
+std::set<DynTuple> minus(const std::set<DynTuple> &A,
+                         const std::set<DynTuple> &B) {
+  std::set<DynTuple> Out;
+  std::set_difference(A.begin(), A.end(), B.begin(), B.end(),
+                      std::inserter(Out, Out.end()));
+  return Out;
+}
+
+/// Checks one batch's net change against the oracle: for every declared
+/// relation the harvested insert and delete sets are disjoint and equal
+/// NEW \ OLD and OLD \ NEW, and every stratum reports their sizes.
+void expectNetChange(const ram::Program &Ram, const inc::ChangeSet &Changes,
+                     const inc::MaintenanceReport &Report,
+                     const TupleSets &Old, const TupleSets &New,
+                     const std::string &Where) {
+  // ChangeSet slots follow the maintained relations in program order.
+  std::vector<const ram::Relation *> Slots;
+  for (const auto &Rel : Ram.getRelations())
+    if (Ram.getMaintAux(Rel->getName()))
+      Slots.push_back(Rel.get());
+  std::map<std::string, std::pair<std::set<DynTuple>, std::set<DynTuple>>>
+      Harvested;
+  std::set<std::string> Copied;
+  for (const inc::ChangeSet::RelationDelta &D : Changes.Relations) {
+    ASSERT_LT(D.Slot, Slots.size()) << Where;
+    const ram::Relation &Rel = *Slots[D.Slot];
+    if (D.CopyFrom) {
+      Copied.insert(Rel.getName());
+      continue;
+    }
+    auto Unpack = [&](const std::vector<RamDomain> &Flat,
+                      std::set<DynTuple> &Out) {
+      for (std::size_t I = 0; I < Flat.size(); I += Rel.getArity())
+        Out.insert(DynTuple(Flat.begin() + I,
+                            Flat.begin() + I + Rel.getArity()));
+    };
+    auto &[Ins, Del] = Harvested[Rel.getName()];
+    Unpack(D.Inserted, Ins);
+    Unpack(D.Deleted, Del);
+  }
+  for (const auto &[Rel, Tuples] : New) {
+    const std::set<DynTuple> &Before = Old.at(Rel);
+    if (Copied.count(Rel))
+      continue;
+    const auto &[Ins, Del] = Harvested[Rel];
+    EXPECT_EQ(minus(Ins, Del), Ins)
+        << Where << " relation=" << Rel << ": inserted and deleted at once";
+    EXPECT_EQ(Ins, minus(Tuples, Before)) << Where << " relation=" << Rel;
+    EXPECT_EQ(Del, minus(Before, Tuples)) << Where << " relation=" << Rel;
+  }
+  const auto &Strata = Ram.getMaintStrata();
+  ASSERT_EQ(Strata.size(), Report.Strata.size()) << Where;
+  for (std::size_t I = 0; I < Strata.size(); ++I) {
+    std::size_t Inserted = 0, Deleted = 0;
+    for (const std::string &Rel : Strata[I].Relations) {
+      Inserted += minus(New.at(Rel), Old.at(Rel)).size();
+      Deleted += minus(Old.at(Rel), New.at(Rel)).size();
+    }
+    EXPECT_EQ(Report.Strata[I].Inserted, Inserted)
+        << Where << " stratum " << I;
+    EXPECT_EQ(Report.Strata[I].Deleted, Deleted) << Where << " stratum " << I;
+  }
+}
+
 void runSubject(const Subject &S, std::uint64_t Seed, std::size_t NumOps) {
   auto Prog = core::Program::fromSource(S.Source, nullptr, withMaint());
   ASSERT_NE(Prog, nullptr) << S.Name;
@@ -305,6 +388,7 @@ void runSubject(const Subject &S, std::uint64_t Seed, std::size_t NumOps) {
         ReplicaMaint.bootstrap();
         inc::ChangeSet Changes;
         const bool IsReference = Reference.empty();
+        TupleSets Old = tupleSetsOf(*Eng, Relations);
 
         EdbState State(S.Edb.size());
         const std::size_t PerBatch = (NumOps + K - 1) / K;
@@ -330,6 +414,11 @@ void runSubject(const Subject &S, std::uint64_t Seed, std::size_t NumOps) {
           for (const std::string &Rel : Relations)
             ASSERT_EQ(Eng->getTuples(Rel), Oracle->getTuples(Rel))
                 << Where << " relation=" << Rel;
+          TupleSets New = tupleSetsOf(*Oracle, Relations);
+          expectNetChange(Prog->getRam(), Changes,
+                          IsReference ? Reference.back() : Report, Old, New,
+                          Where);
+          Old = std::move(New);
           auto Lookup = [](const interp::Engine &E) {
             return [&E](const std::string &Name) {
               return E.getRelation(Name);
@@ -607,6 +696,51 @@ const Subject InputDerivedSubject = {
     {{"a", 2, 6}, {"b", 1, 6}, {"e", 2, 6, true}, {"c", 1, 6, true}},
 };
 
+// 12. DRed's prune through exit unfoldings: the SCC {e, p} unfolds e
+// atoms through e's inline fact, its exit clause with a constraint and a
+// negation, and the lifted copy clause (e is an .input relation), but
+// not through its head-functor exit clause; p's exit body has a
+// wildcard, and p(x, x) :- e(_, x) matches a wildcard against exit
+// heads. A counting consumer negates p.
+const Subject UnfoldSubject = {
+    "unfold",
+    ".decl a(x:number, y:number)\n"
+    ".decl b(x:number)\n"
+    ".decl n(x:number)\n"
+    ".decl e(x:number, y:number)\n"
+    ".input e\n"
+    ".decl p(x:number, y:number)\n"
+    ".decl t(x:number)\n"
+    "e(0, 1).\n"
+    "e(x + 1, y) :- a(x, y), x < 3.\n"
+    "e(x, y) :- a(y, x), x < y, !n(y).\n"
+    "e(y, x) :- p(x, y), b(x).\n"
+    "p(x, y) :- a(x, y), a(y, _).\n"
+    "p(x, z) :- p(x, y), e(y, z).\n"
+    "p(x, x) :- e(_, x), b(x).\n"
+    "t(x) :- b(x), !p(x, x).\n",
+    {{"a", 2, 5}, {"b", 1, 5}, {"n", 1, 5}, {"e", 2, 5, true}},
+};
+
+// 13. A DRed stratum that over-deletes a tuple, fails to rederive it and
+// re-inserts it in one batch, below a DRed stratum that negates it: the
+// tuple must be in neither delta, or q derives from !r what r still has
+// (seed 12's stream does that on both legs when the deltas overlap).
+const Subject ReinsertSubject = {
+    "reinsert",
+    ".decl a(x:number)\n"
+    ".decl e(x:number, y:number)\n"
+    ".decl c(x:number)\n"
+    ".decl f(x:number, y:number)\n"
+    ".decl r(x:number)\n"
+    ".decl q(x:number)\n"
+    "r(x) :- a(x).\n"
+    "r(y) :- r(x), e(x, y).\n"
+    "q(x) :- c(x), !r(x).\n"
+    "q(y) :- q(x), f(x, y).\n",
+    {{"a", 1, 5}, {"e", 2, 5}, {"c", 1, 5}, {"f", 2, 5}},
+};
+
 TEST(MaintenanceDifferential, Join) { runSubject(JoinSubject, 11, 120); }
 TEST(MaintenanceDifferential, Negation) {
   runSubject(NegationSubject, 22, 120);
@@ -634,6 +768,12 @@ TEST(MaintenanceDifferential, ExitPrune) {
 }
 TEST(MaintenanceDifferential, InputDerived) {
   runSubject(InputDerivedSubject, 133, 120);
+}
+TEST(MaintenanceDifferential, Unfold) {
+  runSubject(UnfoldSubject, 144, 120);
+}
+TEST(MaintenanceDifferential, Reinsert) {
+  runSubject(ReinsertSubject, 12, 120);
 }
 
 // Different seeds shift which tuples collide; a second pass over the two
@@ -676,6 +816,12 @@ TEST(MaintenanceDifferentialSession, ExitPrune) {
 }
 TEST(MaintenanceDifferentialSession, InputDerived) {
   runSessionSubject(InputDerivedSubject, 133, 120);
+}
+TEST(MaintenanceDifferentialSession, Unfold) {
+  runSessionSubject(UnfoldSubject, 144, 120);
+}
+TEST(MaintenanceDifferentialSession, Reinsert) {
+  runSessionSubject(ReinsertSubject, 12, 120);
 }
 
 } // namespace

@@ -18,11 +18,19 @@
 /// Generated programs use only negation/recursion/constraints, so
 /// maintenance ineligibility itself is reported as a failure (the plan
 /// must never silently fall back for such programs). On a mismatch it
-/// writes three artifacts into --out and exits nonzero:
+/// writes these artifacts into --out and exits nonzero:
 ///
 ///   failing_seed.txt   the seed (and the generator's full source)
 ///   failing.dl         the generated program verbatim
 ///   minimized.dl       the same failure, greedily shrunk line by line
+///
+/// An incremental failure also writes its stream, replayable against
+/// stird-serve with `stird-client --batch`:
+///
+///   failing_rules.dl   the program without its fact block
+///   failing_batches/   NN.txt per batch up to the failing one, as
+///                      "+rel(v, ...)" / "-rel(v, ...)" lines; 00.txt
+///                      inserts the initial facts
 ///
 ///   stird_fuzz [--seconds N] [--seed N] [--out DIR]
 ///
@@ -41,6 +49,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -175,12 +184,67 @@ static DynTuple toTuple(const std::vector<int> &Values) {
   return Tuple;
 }
 
+/// Ops per generated stream, and per batch of it.
+constexpr std::size_t StreamOps = 60, BatchOps = 12;
+
+/// One batch: per relation, tuple -> retract.
+using NetBatch = std::map<std::string, std::map<DynTuple, bool>>;
+
+/// The net effect of ops [Begin, End) (last op per tuple wins), the
+/// semantics both the Maintainer's retract-then-insert order and a
+/// sequentially tracked state agree on.
+NetBatch netBatch(const std::vector<testgen::GeneratedOp> &Ops,
+                  std::size_t Begin, std::size_t End) {
+  NetBatch Net;
+  for (std::size_t I = Begin; I < End; ++I)
+    Net[Ops[I].Relation][toTuple(Ops[I].Values)] = Ops[I].Retract;
+  return Net;
+}
+
+/// Writes \p Net in stird-client's --batch format.
+void writeBatch(const std::string &Path, const NetBatch &Net) {
+  std::ofstream Out(Path);
+  for (const auto &[Name, Tuples] : Net)
+    for (const auto &[Tuple, Retract] : Tuples) {
+      Out << (Retract ? '-' : '+') << Name << '(';
+      for (std::size_t I = 0; I < Tuple.size(); ++I)
+        Out << (I ? ", " : "") << Tuple[I];
+      Out << ")\n";
+    }
+}
+
+/// Writes the replayable stream of an incremental failure in batch
+/// \p FailedBatch (1-based): the rules, the initial facts as batch 00,
+/// then every stream batch up to the failing one.
+void writeStream(const testgen::GeneratedProgram &P,
+                 std::size_t FailedBatch, const std::string &OutDir) {
+  std::ofstream(OutDir + "/failing_rules.dl") << P.RulesOnly;
+  const std::string Dir = OutDir + "/failing_batches";
+  std::filesystem::create_directories(Dir);
+  auto PathOf = [&](std::size_t Index) {
+    char Name[16];
+    std::snprintf(Name, sizeof(Name), "/%02zu.txt", Index);
+    return Dir + Name;
+  };
+  NetBatch Initial;
+  for (const testgen::GeneratedFact &Fact : P.Facts)
+    Initial[Fact.Relation][toTuple(Fact.Values)] = false;
+  writeBatch(PathOf(0), Initial);
+  const std::vector<testgen::GeneratedOp> Ops =
+      testgen::generateMixedStream(P, P.Seed, StreamOps);
+  for (std::size_t Batch = 1; Batch <= FailedBatch; ++Batch)
+    writeBatch(PathOf(Batch),
+               netBatch(Ops, (Batch - 1) * BatchOps,
+                        std::min(StreamOps, Batch * BatchOps)));
+}
+
 /// True when replaying a mixed insert/retract stream through the
 /// maintenance plan diverges from a one-shot evaluation of the net EDB at
-/// some batch prefix (or the plan rejects a program it must handle).
+/// some batch prefix (or the plan rejects a program it must handle);
+/// \p FailedBatch is then the failing batch's 1-based index.
 /// Mirrors tests/inc/MaintenanceDifferentialTest over generated programs.
 bool mismatchesIncremental(const testgen::GeneratedProgram &P,
-                           std::string &Witness) {
+                           std::string &Witness, std::size_t &FailedBatch) {
   core::CompileOptions Compile;
   Compile.EmitMaintenance = true;
   auto Prog = core::Program::fromSource(P.RulesOnly, nullptr, Compile);
@@ -189,9 +253,8 @@ bool mismatchesIncremental(const testgen::GeneratedProgram &P,
   // Every program compiled with EmitMaintenance has a plan.
   assert(Prog->getRam().hasMaintenance());
 
-  const std::size_t NumOps = 60, PerBatch = 12;
   const std::vector<testgen::GeneratedOp> Ops =
-      testgen::generateMixedStream(P, P.Seed, NumOps);
+      testgen::generateMixedStream(P, P.Seed, StreamOps);
   const std::vector<std::string> Relations = declaredRelations(P.RulesOnly);
 
   for (std::size_t Threads : {std::size_t(1), std::size_t(4)}) {
@@ -211,14 +274,10 @@ bool mismatchesIncremental(const testgen::GeneratedProgram &P,
     inc::Maintainer Maint(Prog->getRam(), *Eng);
     Maint.bootstrap();
 
-    for (std::size_t Begin = 0; Begin < NumOps; Begin += PerBatch) {
-      const std::size_t End = std::min(NumOps, Begin + PerBatch);
-      // Reduce the slice to its net effect (last op per tuple wins), the
-      // semantics both the Maintainer's retract-then-insert order and the
-      // sequentially tracked State agree on.
-      std::map<std::string, std::map<DynTuple, bool>> Net;
-      for (std::size_t I = Begin; I < End; ++I)
-        Net[Ops[I].Relation][toTuple(Ops[I].Values)] = Ops[I].Retract;
+    for (std::size_t Begin = 0; Begin < StreamOps; Begin += BatchOps) {
+      const std::size_t End = std::min(StreamOps, Begin + BatchOps);
+      FailedBatch = Begin / BatchOps + 1;
+      const NetBatch Net = netBatch(Ops, Begin, End);
       inc::MixedBatch Batch;
       for (const auto &[Name, Tuples] : Net) {
         inc::RelationOps RO;
@@ -346,8 +405,9 @@ int main(int Argc, char **Argv) {
   for (std::uint64_t S = Seed; std::clock() < Deadline; ++S, ++Checked) {
     const testgen::GeneratedProgram P = testgen::generateProgram(S);
     std::string Witness;
+    std::size_t FailedBatch = 0;
     const bool SipsBug = mismatches(P.Source, Witness);
-    if (!SipsBug && !mismatchesIncremental(P, Witness))
+    if (!SipsBug && !mismatchesIncremental(P, Witness, FailedBatch))
       continue;
 
     std::fprintf(stderr, "stird_fuzz: seed %llu FAILS under %s\n",
@@ -360,10 +420,13 @@ int main(int Argc, char **Argv) {
     // no longer reproduces, so the full program is the artifact.
     std::ofstream(OutDir + "/minimized.dl")
         << (SipsBug ? minimize(P.Source) : P.Source);
+    if (!SipsBug)
+      writeStream(P, FailedBatch, OutDir);
     std::fprintf(stderr,
                  "stird_fuzz: artifacts written to %s "
-                 "(failing_seed.txt, failing.dl, minimized.dl)\n",
-                 OutDir.c_str());
+                 "(failing_seed.txt, failing.dl, minimized.dl%s)\n",
+                 OutDir.c_str(),
+                 SipsBug ? "" : ", failing_rules.dl, failing_batches/");
     return 1;
   }
 
