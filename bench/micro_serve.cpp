@@ -11,6 +11,8 @@
 ///  - query latency against a resident EngineSession: snapshot pinning,
 ///    a bound-prefix point query, and a full scan, all on a session whose
 ///    relations were derived once and stay hot;
+///  - where a heavy read runs: a point query's round trip while another
+///    connection's dump, unindexed scan or large index probe executes;
 ///  - incremental-batch throughput: driving a growing edge set through
 ///    loadFacts one batch at a time (the incremental maintenance plan)
 ///    versus the cold baseline a user without the serving layer pays —
@@ -281,6 +283,105 @@ void BM_ServerManyConnections(benchmark::State &State) {
 }
 
 //===----------------------------------------------------------------------===//
+// Where a heavy read runs: a point query's latency while another
+// connection's large read executes
+//===----------------------------------------------------------------------===//
+
+constexpr const char *WideSource = R"(
+.decl edge(a:number, b:number)
+.decl path(a:number, b:number)
+.decl wide(a:number, b:number)
+.decl tick(x:number)
+path(x, y) :- edge(x, y).
+path(x, z) :- path(x, y), edge(y, z).
+)";
+
+constexpr RamDomain WideRows = 20000;
+
+/// The heavy reads, by benchmark argument. The server runs a query on its
+/// event loop only when the plan probes an index (srv::probesIndex).
+constexpr const char *HeavyReads[] = {
+    // 0: whole-relation dump, 20000 rows: pool.
+    R"({"cmd":"query","relation":"wide","pattern":[null,null]})",
+    // 1: bound off every index prefix: full scan for one row, pool.
+    R"({"cmd":"query","relation":"wide","pattern":[null,7]})",
+    // 2: index probe matching 10000 rows: event loop.
+    R"({"cmd":"query","relation":"wide","pattern":[0,null]})",
+};
+
+/// Connection A sends the heavy read of State.range(0); once the server
+/// had time to start it, connection B sends a point query. Reports B's
+/// round trip (probe_p50_us, probe_p99_us) and A's (heavy_p50_us): a heavy
+/// read on the event loop holds B's reply until it finished, one on the
+/// pool does not. A batch publish between iterations keeps the query
+/// cache from answering.
+void BM_ServerReadDuringHeavyRead(benchmark::State &State) {
+  auto Session = EngineSession::fromSource(WideSource);
+  if (!Session)
+    std::abort();
+  std::vector<DynTuple> Edges, Wide;
+  for (RamDomain I = 0; I < ChainLength; ++I)
+    Edges.push_back({I, I + 1});
+  for (RamDomain I = 0; I < WideRows; ++I)
+    Wide.push_back({I % 2, I});
+  Session->loadFacts({{"edge", Edges}, {"wide", Wide}});
+
+  srv::ServerOptions Options;
+  srv::Server Server(*Session, Options);
+  std::string Error;
+  if (!Server.start(&Error))
+    std::abort();
+  std::thread Serving([&] { Server.serve(); });
+  const int Heavy = connectTo(Server.boundPort());
+  const int Probe = connectTo(Server.boundPort());
+  const char *HeavyRead = HeavyReads[State.range(0)];
+
+  std::vector<double> ProbeMicros, HeavyMicros;
+  RamDomain Tick = 0;
+  for (auto _ : State) {
+    State.PauseTiming();
+    Session->loadFacts({{"tick", {{Tick++}}}});
+    State.ResumeTiming();
+    const auto Start = std::chrono::steady_clock::now();
+    if (!writeFrame(Heavy, HeavyRead))
+      std::abort();
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    const auto ProbeStart = std::chrono::steady_clock::now();
+    if (!writeFrame(Probe, PointQuery))
+      std::abort();
+    std::string Reply;
+    if (!readFrame(Probe, Reply))
+      std::abort();
+    const auto ProbeEnd = std::chrono::steady_clock::now();
+    if (!readFrame(Heavy, Reply))
+      std::abort();
+    const auto HeavyEnd = std::chrono::steady_clock::now();
+    ProbeMicros.push_back(
+        std::chrono::duration<double, std::micro>(ProbeEnd - ProbeStart)
+            .count());
+    HeavyMicros.push_back(
+        std::chrono::duration<double, std::micro>(HeavyEnd - Start).count());
+  }
+
+  ::close(Heavy);
+  ::close(Probe);
+  Server.stop();
+  Serving.join();
+
+  if (!ProbeMicros.empty()) {
+    std::sort(ProbeMicros.begin(), ProbeMicros.end());
+    std::sort(HeavyMicros.begin(), HeavyMicros.end());
+    auto Percentile = [](const std::vector<double> &Sorted, double P) {
+      return Sorted[static_cast<std::size_t>(
+          P * static_cast<double>(Sorted.size() - 1))];
+    };
+    State.counters["probe_p50_us"] = Percentile(ProbeMicros, 0.50);
+    State.counters["probe_p99_us"] = Percentile(ProbeMicros, 0.99);
+    State.counters["heavy_p50_us"] = Percentile(HeavyMicros, 0.50);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Serving-observability gates
 //===----------------------------------------------------------------------===//
 
@@ -487,6 +588,10 @@ BENCHMARK(BM_WirePointQueryCached)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ServerManyConnections)
     ->Arg(64)
     ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ServerReadDuringHeavyRead)
+    ->DenseRange(0, 2)
+    ->Iterations(200)
     ->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char **argv) {

@@ -19,12 +19,18 @@ protocol end to end — not just exit codes:
     check_observability.py --metrics and cross-checked against the
     conversation (request counts, cache hits); the exposition is written
     next to the latency artifact for CI to upload;
- 4. a clean shutdown that terminates the server.
+ 4. a read during a write: one connection sends a load whose
+    maintenance runs for a while, a second connection sends a bound
+    query, and the query must be answered first, from the snapshot
+    published before the load (queries that probe an index run on the
+    event loop and never wait for the writer);
+ 5. a clean shutdown that terminates the server.
 
 Usage: scripts/serve_smoke.py <stird-serve> <stird-client> [latency.json]
 """
 
 import json
+import select
 import socket
 import struct
 import subprocess
@@ -42,6 +48,9 @@ EDGES = [[1, 2], [2, 3], [3, 4], [4, 5]]
 LOADGEN_CONNECTIONS = 8
 LOADGEN_QUERIES = 400
 POINT_QUERY = {"cmd": "query", "relation": "path", "pattern": [1, None]}
+# A chain of this many edges closes into ~CHAIN^2/2 paths: a load that
+# keeps the writer busy far longer than one point query takes.
+CHAIN = 1000
 
 
 def expected_paths(edges):
@@ -126,6 +135,34 @@ def load_generator(socket_path, artifact):
     if cached < LOADGEN_QUERIES // 2:
         fail(f"load-gen cache hit rate too low: {summary}")
     return summary
+
+
+def read_during_write(socket_path, epoch):
+    """Sends a long load on one connection and a bound query on another;
+    the query must come back first, at the pre-load epoch."""
+    writer = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    reader = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    writer.connect(socket_path)
+    reader.connect(socket_path)
+    try:
+        chain = [[100 + i, 101 + i] for i in range(CHAIN)]
+        send_frame(writer, {"cmd": "load", "facts": {"edge": chain}})
+        # Let the load reach the pool; the check holds either way.
+        time.sleep(0.05)
+        send_frame(reader, POINT_QUERY)
+        query = recv_frame(reader)
+        load_done, _, _ = select.select([writer], [], [], 0)
+        if load_done:
+            fail("the bound query was answered only after the load")
+        if not query.get("ok") or query.get("epoch") != epoch:
+            fail(f"read during the write saw {query}, expected epoch {epoch}")
+        load = recv_frame(writer)
+        if not load.get("ok") or load.get("inserted") != CHAIN:
+            fail(f"long load failed: {load}")
+        return load["seconds"]
+    finally:
+        writer.close()
+        reader.close()
 
 
 def free_tcp_port():
@@ -325,6 +362,8 @@ def main():
             scrape_metrics(metrics_port,
                            len(requests) + LOADGEN_QUERIES, artifact, tmp)
 
+            load_seconds = read_during_write(socket_path, stats2["epoch"])
+
             shutdown = subprocess.run(
                 [client, "--socket", socket_path,
                  json.dumps({"cmd": "shutdown"})],
@@ -348,7 +387,9 @@ def main():
           "retract and mixed load incrementally maintained, "
           f"load-gen p99 {summary['p99_us']}us over "
           f"{LOADGEN_CONNECTIONS} connections, "
-          "metrics scrape validated, clean shutdown)")
+          "metrics scrape validated, "
+          f"query answered during a {load_seconds:.2f}s load, "
+          "clean shutdown)")
 
 
 if __name__ == "__main__":

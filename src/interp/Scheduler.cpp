@@ -163,7 +163,7 @@ SchedulerTelemetry Scheduler::telemetry() const {
   T.ExecutedInline = CtrInline.load(std::memory_order_relaxed);
   T.Tasks = T.ExecutedOwn + T.ExecutedInjected + T.ExecutedStolen +
             T.ExecutedInline;
-  T.QueueDepth = CtrQueueDepth.load(std::memory_order_relaxed);
+  T.QueueDepth = Queued.load(std::memory_order_relaxed);
   return T;
 }
 
@@ -207,7 +207,7 @@ void Scheduler::run(std::size_t NumTasks, const TaskFn &Fn) {
   // Publish the task entries. A worker pushes onto its own deque (the
   // pool steals from it); an external thread uses the injection queue.
   CtrJobs.fetch_add(1, std::memory_order_relaxed);
-  CtrQueueDepth.fetch_add(NumTasks, std::memory_order_relaxed);
+  Queued.fetch_add(NumTasks, std::memory_order_relaxed);
   const std::uint64_t Tag = static_cast<std::uint64_t>(Slot) << 48;
   if (Tls.Owner == this) {
     WorkStealingDeque &Own = *Deques[Tls.Index];
@@ -218,7 +218,7 @@ void Scheduler::run(std::size_t NumTasks, const TaskFn &Fn) {
     for (std::size_t I = 0; I < NumTasks; ++I)
       Injected.push_back(Tag | I);
   }
-  WakeCV.notify_all();
+  wakeWorkers(/*All=*/true);
 
   // Help until the job completes. Executing any pending entry — including
   // other jobs' — keeps nested and concurrent submissions deadlock-free.
@@ -242,7 +242,7 @@ void Scheduler::runEntry(std::uint64_t Entry, EntrySource Source) {
   const std::size_t Task = static_cast<std::size_t>(Entry & TaskMask);
   Job *J = JobSlots[Slot].load(std::memory_order_acquire);
   assert(J && "deque entry outlived its job slot");
-  CtrQueueDepth.fetch_sub(1, std::memory_order_relaxed);
+  Queued.fetch_sub(1, std::memory_order_relaxed);
   switch (Source) {
   case EntrySource::Own:
     CtrOwn.fetch_add(1, std::memory_order_relaxed);
@@ -314,7 +314,7 @@ void Scheduler::submit(std::function<void()> Fn) {
   }
   J->SlotIndex = Slot;
 
-  CtrQueueDepth.fetch_add(1, std::memory_order_relaxed);
+  Queued.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t Entry = static_cast<std::uint64_t>(Slot) << 48;
   if (Tls.Owner == this) {
     Deques[Tls.Index]->push(Entry);
@@ -323,7 +323,19 @@ void Scheduler::submit(std::function<void()> Fn) {
     Injected.push_back(Entry);
   }
   J.release(); // owned by the executing thread from here on
-  WakeCV.notify_one();
+  wakeWorkers(/*All=*/false);
+}
+
+void Scheduler::wakeWorkers(bool All) {
+  // Empty critical section: an idle worker between its Queued check and
+  // wait() holds WakeM, so the notify cannot slip into that gap. The
+  // caller bumped Queued before publishing, and the lock orders that bump
+  // before the worker's next check.
+  { std::lock_guard<std::mutex> Lock(WakeM); }
+  if (All)
+    WakeCV.notify_all();
+  else
+    WakeCV.notify_one();
 }
 
 bool Scheduler::grabInjected(std::uint64_t &Entry) {
@@ -385,11 +397,12 @@ void Scheduler::workerLoop(std::size_t Index) {
     if (tryRunOne())
       continue;
     std::unique_lock<std::mutex> Lock(WakeM);
-    if (Stop.load(std::memory_order_relaxed))
-      return;
-    // Timed wait: a notify sent between our failed tryRunOne() and this
-    // wait would otherwise be lost. 500us bounds that window.
-    WakeCV.wait_for(Lock, std::chrono::microseconds(500));
+    // Sleep only while nothing is queued; publishers notify through
+    // wakeWorkers(), so no wake-up is lost and no timeout is needed.
+    WakeCV.wait(Lock, [this] {
+      return Stop.load(std::memory_order_relaxed) ||
+             Queued.load(std::memory_order_relaxed) != 0;
+    });
     if (Stop.load(std::memory_order_relaxed))
       return;
   }

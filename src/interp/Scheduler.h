@@ -212,6 +212,9 @@ private:
   bool trySteal(std::uint64_t &Entry);
   /// The calling thread's slot: worker index + 1, or 0 for externals.
   std::size_t currentSlot() const;
+  /// Wakes one idle worker (or all) after entries were published and
+  /// counted in Queued.
+  void wakeWorkers(bool All);
   /// Runs the whole job inline on the calling thread (no workers, a
   /// single task, or a full job table).
   void runInline(std::size_t NumTasks, const TaskFn &Fn);
@@ -236,18 +239,19 @@ private:
   std::mutex DoneM;
   std::condition_variable DoneCV;
   std::atomic<bool> Stop{false};
+  /// Published-but-not-started entries: bumped just before entries land
+  /// in a deque or the injection queue, dropped when runEntry() picks one
+  /// up. Inline executions never touch it. An idle worker sleeps only
+  /// while it reads zero under WakeM; also reported as QueueDepth.
+  std::atomic<std::uint64_t> Queued{0};
 
   /// Telemetry counters (relaxed; monitoring only, never control flow).
-  /// CtrQueueDepth counts published-but-not-started entries: bumped when
-  /// entries land in a deque or the injection queue, dropped when
-  /// runEntry() picks one up. Inline executions never touch it.
   std::atomic<std::uint64_t> CtrJobs{0};
   std::atomic<std::uint64_t> CtrSubmitted{0};
   std::atomic<std::uint64_t> CtrOwn{0};
   std::atomic<std::uint64_t> CtrInjected{0};
   std::atomic<std::uint64_t> CtrStolen{0};
   std::atomic<std::uint64_t> CtrInline{0};
-  std::atomic<std::uint64_t> CtrQueueDepth{0};
 };
 
 } // namespace stird::interp

@@ -54,7 +54,9 @@ enum class RequestStage : unsigned {
   Pending,
   /// Waiting in the scheduler between submit and job start.
   Queue,
-  /// JSON parse + request validation.
+  /// JSON parse. The server parses a small frame on its event loop right
+  /// after Decode, before the request waits in Pending; a large one is
+  /// parsed by its pool job.
   Parse,
   /// Index selection for the query pattern.
   Plan,

@@ -60,35 +60,36 @@ bool setNonBlocking(int Fd) {
 /// that stopped reading.
 constexpr std::chrono::seconds DrainGrace{2};
 
+/// Frames up to this size are parsed on the event loop, which then knows
+/// whether the request can run there. Every index-probing query is far
+/// smaller; a larger frame (a bulk load) keeps its raw payload and is
+/// parsed by its pool job, so the loop never stalls parsing it.
+constexpr std::size_t MaxLoopParseBytes = 4096;
+
 } // namespace
 
 /// One live connection. Ownership is split and explicit:
 ///  - the event-loop thread owns the socket, the framing decoder, the
 ///    write buffer, the request queue and the dispatch window — no lock;
-///  - pool jobs only touch the reply hand-off (Done, ShutdownRequested,
-///    Closed) under M;
-///  - InDirty is guarded by the server's DirtyM.
+///  - request execution (pool jobs, and index probes run on the loop)
+///    only touches the reply hand-off (Done, ShutdownRequested, Closed)
+///    under M;
+///  - InDirty is guarded by the server's DirtyM; InDeferred is the event
+///    loop's.
 /// Jobs hold a shared_ptr, so a connection torn down mid-request stays
 /// valid until its last job delivered (into the void: Closed drops it).
 ///
 /// Requests of one connection execute strictly in arrival order (at most
-/// one pool job per connection; the rest wait in Pending). Pipelining
+/// one executing per connection; the rest wait in Pending). Pipelining
 /// still overlaps wire I/O with execution, but a client that pipelines
 /// load-then-query reads its own write — the contract the v1
 /// thread-per-connection server gave. Cross-connection requests execute
-/// concurrently.
+/// concurrently: an index probe runs on the event loop while another
+/// connection's load runs on the pool.
 struct Server::Connection {
   int Fd = -1;
   bool IsTcp = false;
   FrameDecoder Decoder;
-
-  /// One parsed-but-not-yet-dispatched request, with the lifecycle trace
-  /// it drew (if any) riding along.
-  struct PendingReq {
-    std::uint64_t Seq = 0;
-    std::string Payload;
-    std::unique_ptr<obs::RequestTrace> Trace;
-  };
 
   /// One completed reply handed back from a pool job (or enqueued locally
   /// for admission/framing errors).
@@ -101,6 +102,9 @@ struct Server::Connection {
   std::string Out;
   std::size_t OutPos = 0;
   bool WantWrite = false;
+  /// The interest set last registered with epoll (accept registers
+  /// EPOLLIN), so updateEpoll() only calls epoll_ctl on a change.
+  std::uint32_t EpollMask = EPOLLIN;
   bool ReadParked = false;
   bool PeerEof = false;
   bool Broken = false;
@@ -121,6 +125,7 @@ struct Server::Connection {
   bool Closed = false;
 
   bool InDirty = false; // guarded by Server::DirtyM
+  bool InDeferred = false; // event-loop owned, see Server::Deferred
 
   /// Enqueues a reply produced on the event loop itself (admission
   /// errors, framing errors) through the same ordered hand-off the jobs
@@ -129,6 +134,17 @@ struct Server::Connection {
     std::lock_guard<std::mutex> Lock(M);
     Done.emplace(Seq, Reply{std::move(Frame), nullptr});
   }
+};
+
+/// One admitted, not-yet-executed request, with the lifecycle trace it
+/// drew (if any) riding along.
+struct Server::PendingReq {
+  std::uint64_t Seq = 0;
+  /// The raw frame, kept only when it is too large to parse on the loop.
+  std::string Payload;
+  /// The frame parsed on the loop; empty for a large frame.
+  std::optional<ParsedRequest> Parsed;
+  std::unique_ptr<obs::RequestTrace> Trace;
 };
 
 /// One connection of the metrics HTTP endpoint: reads a request head,
@@ -341,9 +357,14 @@ void Server::stop() {
 }
 
 void Server::updateEpoll(Connection &C) {
+  const std::uint32_t Mask =
+      (C.ReadParked || C.PeerEof || C.Broken ? 0u : EPOLLIN) |
+      (C.WantWrite ? EPOLLOUT : 0u);
+  if (Mask == C.EpollMask)
+    return;
+  C.EpollMask = Mask;
   epoll_event Ev{};
-  Ev.events = (C.ReadParked || C.PeerEof || C.Broken ? 0u : EPOLLIN) |
-              (C.WantWrite ? EPOLLOUT : 0u);
+  Ev.events = Mask;
   Ev.data.fd = C.Fd;
   ::epoll_ctl(EpollFd, EPOLL_CTL_MOD, C.Fd, &Ev);
 }
@@ -387,17 +408,43 @@ void Server::acceptReady() {
   }
 }
 
+void Server::execute(Connection &C, PendingReq Req) {
+  std::unique_ptr<obs::RequestTrace> Trace = std::move(Req.Trace);
+  RequestOutcome Outcome =
+      Req.Parsed ? handleRequest(Tenants, *Req.Parsed, Trace.get())
+                 : handleRequest(Tenants, Req.Payload, Trace.get());
+  std::string Frame;
+  {
+    obs::StageScope Scope(Trace.get(), obs::RequestStage::Serialize);
+    Frame = encodeFrame(Outcome.Reply.dump());
+  }
+  bool Delivered = false;
+  {
+    std::lock_guard<std::mutex> Lock(C.M);
+    if (!C.Closed) {
+      C.Done.emplace(Req.Seq,
+                     Connection::Reply{std::move(Frame), std::move(Trace)});
+      Delivered = true;
+      if (Outcome.Shutdown)
+        C.ShutdownRequested = true;
+    }
+  }
+  if (!Delivered && Trace)
+    // The connection died mid-request; the reply goes nowhere, but the
+    // trace still finishes so started/finished stay balanced.
+    Telemetry.Traces.finish(std::move(Trace));
+  InFlightTotal.fetch_sub(1, std::memory_order_relaxed);
+}
+
 void Server::dispatch(const std::shared_ptr<Connection> &Conn,
-                      std::uint64_t Seq, std::string Payload,
-                      std::unique_ptr<obs::RequestTrace> Trace) {
-  Telemetry.Counters.RequestsDispatched.fetch_add(1,
-                                                  std::memory_order_relaxed);
+                      PendingReq Req) {
   PendingJobs.fetch_add(1, std::memory_order_acq_rel);
   // submit() takes a std::function, which requires a copyable callable,
   // so the trace crosses into the job as a raw pointer; submit()
   // guarantees the closure runs exactly once (inline if need be).
-  obs::RequestTrace *TraceRaw = Trace.release();
-  Pool->submit([this, Conn, Seq, Payload = std::move(Payload), TraceRaw] {
+  obs::RequestTrace *TraceRaw = Req.Trace.release();
+  Pool->submit([this, Conn, Seq = Req.Seq, Payload = std::move(Req.Payload),
+                Parsed = std::move(Req.Parsed), TraceRaw]() mutable {
     std::unique_ptr<obs::RequestTrace> Trace(TraceRaw);
     if (Trace) {
       // The queue-wait span closes on the executing thread, which also
@@ -407,27 +454,8 @@ void Server::dispatch(const std::shared_ptr<Connection> &Conn,
       Trace->Source =
           interp::entrySourceName(interp::Scheduler::currentEntrySource());
     }
-    RequestOutcome Outcome = handleRequest(Tenants, Payload, Trace.get());
-    std::string Frame;
-    {
-      obs::StageScope Scope(Trace.get(), obs::RequestStage::Serialize);
-      Frame = encodeFrame(Outcome.Reply.dump());
-    }
-    bool Delivered = false;
-    {
-      std::lock_guard<std::mutex> Lock(Conn->M);
-      if (!Conn->Closed) {
-        Conn->Done.emplace(
-            Seq, Connection::Reply{std::move(Frame), std::move(Trace)});
-        Delivered = true;
-        if (Outcome.Shutdown)
-          Conn->ShutdownRequested = true;
-      }
-    }
-    if (!Delivered && Trace)
-      // The connection died mid-request; the reply goes nowhere, but the
-      // trace still finishes so started/finished stay balanced.
-      Telemetry.Traces.finish(std::move(Trace));
+    execute(*Conn, PendingReq{Seq, std::move(Payload), std::move(Parsed),
+                              std::move(Trace)});
     {
       std::lock_guard<std::mutex> Lock(DirtyM);
       if (!Conn->InDirty) {
@@ -435,7 +463,6 @@ void Server::dispatch(const std::shared_ptr<Connection> &Conn,
         Dirty.push_back(Conn);
       }
     }
-    InFlightTotal.fetch_sub(1, std::memory_order_relaxed);
     wake();
     // Last action: serve()/~Server wait on this before freeing the
     // structures the lines above touch.
@@ -481,16 +508,24 @@ void Server::parseAndDispatch(const std::shared_ptr<Connection> &Conn) {
     }
     InFlightTotal.fetch_add(1, std::memory_order_relaxed);
     // Only admitted requests draw a trace, so 1-in-N sampling counts the
-    // requests that actually reach the pool.
+    // requests that actually execute.
     std::unique_ptr<obs::RequestTrace> Trace =
         Telemetry.Traces.begin(NextTraceSeq++);
     if (Trace) {
       Trace->beginStage(obs::RequestStage::Decode, DecodeBegin);
       Trace->endStage(obs::RequestStage::Decode);
-      Trace->beginStage(obs::RequestStage::Pending);
     }
-    C.Pending.push_back(
-        Connection::PendingReq{Seq, std::move(Payload), std::move(Trace)});
+    // A small frame is parsed once, here, so its command can decide where
+    // it runs; a large one goes to the pool unparsed.
+    PendingReq &Req = C.Pending.emplace_back();
+    Req.Seq = Seq;
+    if (Payload.size() <= MaxLoopParseBytes)
+      Req.Parsed.emplace(parseRequest(Payload, Trace.get()));
+    else
+      Req.Payload = std::move(Payload);
+    if (Trace)
+      Trace->beginStage(obs::RequestStage::Pending);
+    Req.Trace = std::move(Trace);
   }
   C.ReadParked = !C.Broken && C.InFlight >= Options.MaxInFlightPerConnection;
 }
@@ -588,7 +623,7 @@ void Server::closeConnection(const std::shared_ptr<Connection> &Conn) {
         Telemetry.Traces.finish(std::move(R.Trace));
     C.Done.clear();
   }
-  for (Connection::PendingReq &Req : C.Pending)
+  for (PendingReq &Req : C.Pending)
     if (Req.Trace)
       Telemetry.Traces.finish(std::move(Req.Trace));
   // Queued-but-undispatched requests die with the connection; the active
@@ -611,6 +646,7 @@ void Server::writeReady(const std::shared_ptr<Connection> &Conn) {
   Connection &C = *Conn;
   if (C.Fd < 0)
     return;
+  bool RanInline = false;
   for (;;) {
     collectReplies(Conn);
     if (C.Fd < 0)
@@ -620,16 +656,46 @@ void Server::writeReady(const std::shared_ptr<Connection> &Conn) {
     if (C.JobActive && C.NextRelease > C.ActiveSeq)
       C.JobActive = false;
     if (!C.JobActive && !C.Pending.empty()) {
-      Connection::PendingReq Req = std::move(C.Pending.front());
+      PendingReq &Next = C.Pending.front();
+      // An index probe reads a snapshot and never waits for the writer:
+      // answer it here rather than pay two thread hand-offs.
+      const bool Inline =
+          Next.Parsed && probesIndex(Tenants, *Next.Parsed);
+      if (Inline) {
+        if (RanInline) {
+          // One request on the loop per connection per pass.
+          if (!C.InDeferred) {
+            C.InDeferred = true;
+            Deferred.push_back(Conn);
+          }
+          break;
+        }
+        RanInline = true;
+      }
+      PendingReq Req = std::move(Next);
       C.Pending.pop_front();
       C.JobActive = true;
       C.ActiveSeq = Req.Seq;
+      Telemetry.Counters.RequestsDispatched.fetch_add(
+          1, std::memory_order_relaxed);
       if (Req.Trace) {
-        Req.Trace->endStage(obs::RequestStage::Pending);
-        Req.Trace->beginStage(obs::RequestStage::Queue);
+        const std::uint64_t Now = Telemetry.Traces.now();
+        Req.Trace->endStage(obs::RequestStage::Pending, Now);
+        Req.Trace->beginStage(obs::RequestStage::Queue, Now);
+        if (Inline) {
+          // No hand-off: the queue span is empty and the loop (slot 0)
+          // executes the request itself.
+          Req.Trace->endStage(obs::RequestStage::Queue, Now);
+          Req.Trace->ExecSlot = 0;
+          Req.Trace->Source =
+              interp::entrySourceName(interp::EntrySource::Inline);
+        }
       }
-      dispatch(Conn, Req.Seq, std::move(Req.Payload), std::move(Req.Trace));
-      continue; // a fast job may already have delivered
+      if (Inline)
+        execute(C, std::move(Req));
+      else
+        dispatch(Conn, std::move(Req));
+      continue; // the reply may already be waiting for release
     }
     if (C.ReadParked && !C.Broken && !C.PeerEof &&
         C.InFlight < Options.MaxInFlightPerConnection) {
@@ -658,6 +724,10 @@ void Server::readReady(const std::shared_ptr<Connection> &Conn) {
     if (N > 0) {
       C.Decoder.feed(Buf, static_cast<std::size_t>(N));
       parseAndDispatch(Conn);
+      // A short read drained the socket; epoll is level-triggered, so
+      // skipping the read that would only return EAGAIN loses nothing.
+      if (static_cast<std::size_t>(N) < sizeof(Buf))
+        break;
       continue;
     }
     if (N == 0) {
@@ -832,7 +902,7 @@ void Server::eventLoop() {
       if (drained() || std::chrono::steady_clock::now() >= DrainDeadline)
         break;
     }
-    const int Timeout = Draining ? 20 : 500;
+    const int Timeout = !Deferred.empty() ? 0 : Draining ? 20 : 500;
     const int N = ::epoll_wait(EpollFd, Events, 128, Timeout);
     if (N < 0) {
       if (errno == EINTR)
@@ -842,9 +912,9 @@ void Server::eventLoop() {
     for (int I = 0; I < N; ++I) {
       const int Fd = Events[I].data.fd;
       if (Fd == WakeFd) {
+        // One read resets a (non-semaphore) eventfd's counter.
         std::uint64_t Tick;
-        while (::read(WakeFd, &Tick, sizeof(Tick)) > 0) {
-        }
+        [[maybe_unused]] ssize_t R = ::read(WakeFd, &Tick, sizeof(Tick));
         continue;
       }
       if (Fd == ListenFd) {
@@ -870,7 +940,8 @@ void Server::eventLoop() {
       else
         writeReady(Conn);
     }
-    // Replies completed by pool jobs since the last pass.
+    // Replies completed by pool jobs since the last pass, and the
+    // connections whose next loop-run request waited for this pass.
     std::vector<std::shared_ptr<Connection>> Ready;
     {
       std::lock_guard<std::mutex> Lock(DirtyM);
@@ -878,6 +949,11 @@ void Server::eventLoop() {
       for (const auto &Conn : Ready)
         Conn->InDirty = false;
     }
+    for (auto &Conn : Deferred) {
+      Conn->InDeferred = false;
+      Ready.push_back(std::move(Conn));
+    }
+    Deferred.clear();
     for (const auto &Conn : Ready)
       if (Conn->Fd >= 0)
         writeReady(Conn);

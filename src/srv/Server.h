@@ -9,10 +9,15 @@
 /// stird-wire-v2 connections on a Unix or TCP socket and executes requests
 /// against the hosted EngineSession tenants. One thread owns every socket
 /// (nonblocking accept/read/write with per-connection framing state
-/// machines); request handling runs as detached jobs on the interpreter's
-/// work-stealing Scheduler, so thousands of mostly idle connections cost
-/// one fd each rather than one thread each, and evaluation work and wire
-/// work share a single warm pool.
+/// machines) and parses every admitted request, so thousands of mostly
+/// idle connections cost one fd each rather than one thread each. A query
+/// whose plan probes an index (srv::probesIndex) reads a snapshot that
+/// never waits for the writer, so the event loop answers it itself, one
+/// request per connection per loop pass; every other request (writes,
+/// stats, metrics, shutdown, full scans, frames too large to parse on the
+/// loop) runs as a detached job on the interpreter's work-stealing
+/// Scheduler, where evaluation work and wire work share a single warm
+/// pool.
 ///
 /// Backpressure is explicit at two levels: a connection may have at most
 /// MaxInFlightPerConnection requests dispatched (further frames stay in
@@ -68,8 +73,9 @@ struct ServerOptions {
   /// touching a session.
   std::size_t MaxInFlightTotal = 1024;
   /// Threads of the request-execution pool (the default tenant program's
-  /// shared Scheduler). 0 picks max(2, session default) so the event loop
-  /// never executes requests inline.
+  /// shared Scheduler). 0 picks max(2, session default) so the pool has at
+  /// least one worker: only index-probing queries run on the event loop,
+  /// every other request runs on a worker.
   std::size_t PoolThreads = 0;
 
   /// TCP port for the Prometheus metrics HTTP endpoint (`GET /metrics`),
@@ -137,6 +143,7 @@ public:
 
 private:
   struct Connection;
+  struct PendingReq;
   struct MetricsConn;
 
   void eventLoop();
@@ -151,12 +158,15 @@ private:
   void finishFlushedTraces(Connection &C);
   void readReady(const std::shared_ptr<Connection> &Conn);
   void writeReady(const std::shared_ptr<Connection> &Conn);
-  /// Parses buffered frames and dispatches them, up to the pipelining
-  /// window; parks reads when the window fills.
+  /// Decodes and parses buffered frames and queues them, up to the
+  /// pipelining window; parks reads when the window fills.
   void parseAndDispatch(const std::shared_ptr<Connection> &Conn);
-  void dispatch(const std::shared_ptr<Connection> &Conn,
-                std::uint64_t Seq, std::string Payload,
-                std::unique_ptr<obs::RequestTrace> Trace);
+  /// Runs one request on the calling thread and hands its reply to the
+  /// connection's ordered release. Called by pool jobs, and by the event
+  /// loop itself for queries that probe an index.
+  void execute(Connection &C, PendingReq Req);
+  /// Hands one request to the pool as a detached job.
+  void dispatch(const std::shared_ptr<Connection> &Conn, PendingReq Req);
   /// Called on the event-loop thread once replies completed out-of-band:
   /// releases them in request order into the write buffer.
   void collectReplies(const std::shared_ptr<Connection> &Conn);
@@ -200,8 +210,8 @@ private:
   std::atomic<bool> Stopping{false};
   bool Draining = false;
 
-  /// Requests dispatched to the pool and not yet released to a write
-  /// buffer (admission control).
+  /// Admitted requests not yet executed and released to a write buffer
+  /// (admission control).
   std::atomic<std::size_t> InFlightTotal{0};
   /// Jobs handed to the pool and not yet finished executing; serve() and
   /// the destructor wait for zero before tearing connections down.
@@ -216,6 +226,10 @@ private:
   /// drained by the event loop after a WakeFd tick.
   std::mutex DirtyM;
   std::vector<std::shared_ptr<Connection>> Dirty;
+  /// Connections that ran a request on the loop and have another queued
+  /// behind it (event-loop owned). Each gets its next turn in the
+  /// following loop pass, so one pipelining client cannot hold the loop.
+  std::vector<std::shared_ptr<Connection>> Deferred;
 };
 
 } // namespace stird::srv

@@ -668,12 +668,15 @@ static bool extractId(const std::optional<Value> &Request, const Value *&Id,
   return true;
 }
 
-/// Shared tail: stamp micros, record latency, echo the id, mark the trace.
+/// Shared tail: stamp micros (parse time included), record latency, echo
+/// the id, mark the trace.
 static RequestOutcome finishRequest(RequestOutcome Outcome, const Timer &T,
+                                    const ParsedRequest &Request,
                                     obs::LatencyAggregator &Latency,
                                     const Value *Id,
                                     obs::RequestTrace *Trace = nullptr) {
-  const std::uint64_t Micros = T.microseconds();
+  const auto Micros = static_cast<std::uint64_t>(
+      (T.seconds() + Request.ParseSeconds) * 1e6);
   Latency.record(Outcome.Command, Micros);
   Outcome.Micros = Micros;
   Outcome.Reply.set("micros", Micros);
@@ -688,25 +691,61 @@ static RequestOutcome finishRequest(RequestOutcome Outcome, const Timer &T,
   return Outcome;
 }
 
+ParsedRequest srv::parseRequest(const std::string &Payload,
+                                obs::RequestTrace *Trace) {
+  Timer T;
+  ParsedRequest Request;
+  {
+    obs::StageScope Scope(Trace, obs::RequestStage::Parse);
+    Request.Body = obs::json::parse(Payload, &Request.Error);
+  }
+  Request.ParseSeconds = T.seconds();
+  return Request;
+}
+
+bool srv::probesIndex(const TenantRegistry &Tenants,
+                      const ParsedRequest &Request) {
+  if (!Request.Body || !Request.Body->isObject())
+    return false;
+  const Value &Body = *Request.Body;
+  const Value *Cmd = Body.find("cmd");
+  if (!Cmd || !Cmd->isString() || Cmd->asString() != "query")
+    return false;
+  Tenant *Routed = Tenants.defaultTenant();
+  if (const Value *Name = Body.find("tenant"))
+    Routed = Name->isString() ? Tenants.find(Name->asString()) : nullptr;
+  const Value *Relation = Body.find("relation");
+  const Value *PatternVal = Body.find("pattern");
+  if (!Routed || !Relation || !Relation->isString() || !PatternVal ||
+      !PatternVal->isArray())
+    return false;
+  const Snapshot Snap = Routed->Session->snapshot();
+  const interp::RelationWrapper *Rel = Snap.relation(Relation->asString());
+  const Array &Cells = PatternVal->asArray();
+  if (!Rel || Cells.size() != Rel->getArity())
+    return false;
+  // Planning reads only which cells are bound, never their values.
+  Pattern P(Cells.size());
+  for (std::size_t I = 0; I < Cells.size(); ++I)
+    if (!Cells[I].isNull())
+      P[I] = 0;
+  return planQuery(*Rel, P).PrefixLen > 0;
+}
+
 RequestOutcome srv::handleRequest(const TenantRegistry &Tenants,
-                                  const std::string &Payload,
+                                  const ParsedRequest &Parsed,
                                   obs::RequestTrace *Trace) {
   Timer T;
   Tenant *Default = Tenants.defaultTenant();
   if (!Default)
     fatal("handleRequest on a registry with no tenants");
-  std::string ParseError;
-  std::optional<Value> Request;
-  {
-    obs::StageScope Scope(Trace, obs::RequestStage::Parse);
-    Request = obs::json::parse(Payload, &ParseError);
-  }
+  const std::optional<Value> &Request = Parsed.Body;
 
   const Value *Id = nullptr;
   RequestOutcome Outcome;
   if (!extractId(Request, Id, Outcome))
-    return finishRequest(std::move(Outcome), T, Default->Latency, nullptr,
-                         Trace);
+    return finishRequest(std::move(Outcome), T, Parsed, Default->Latency,
+                         nullptr, Trace);
 
   // Route on "tenant"; absent (every v1 request) means the default.
   Tenant *Routed = Default;
@@ -714,15 +753,15 @@ RequestOutcome srv::handleRequest(const TenantRegistry &Tenants,
     if (const Value *Name = Request->find("tenant")) {
       if (!Name->isString()) {
         Outcome.Reply = errorReply("\"tenant\" must be a string");
-        return finishRequest(std::move(Outcome), T, Routed->Latency, Id,
-                             Trace);
+        return finishRequest(std::move(Outcome), T, Parsed, Routed->Latency,
+                             Id, Trace);
       }
       Routed = Tenants.find(Name->asString());
       if (!Routed) {
         Outcome.Reply =
             errorReply("unknown tenant '" + Name->asString() + "'");
-        return finishRequest(std::move(Outcome), T, Default->Latency, Id,
-                             Trace);
+        return finishRequest(std::move(Outcome), T, Parsed,
+                             Default->Latency, Id, Trace);
       }
     }
   }
@@ -732,35 +771,38 @@ RequestOutcome srv::handleRequest(const TenantRegistry &Tenants,
   Routed->Requests.fetch_add(1, std::memory_order_relaxed);
   RequestContext Ctx{*Routed->Session, Routed->Latency, &Routed->Cache,
                      &Tenants,         Routed,          Trace};
-  return finishRequest(dispatchCore(Ctx, Request, ParseError), T,
+  return finishRequest(dispatchCore(Ctx, Request, Parsed.Error), T, Parsed,
                        Routed->Latency, Id, Trace);
+}
+
+RequestOutcome srv::handleRequest(const TenantRegistry &Tenants,
+                                  const std::string &Payload,
+                                  obs::RequestTrace *Trace) {
+  return handleRequest(Tenants, parseRequest(Payload, Trace), Trace);
 }
 
 RequestOutcome srv::handleRequest(EngineSession &Session,
                                   obs::LatencyAggregator &Latency,
                                   const std::string &Payload,
                                   obs::RequestTrace *Trace) {
+  const ParsedRequest Parsed = parseRequest(Payload, Trace);
   Timer T;
-  std::string ParseError;
-  std::optional<Value> Request;
-  {
-    obs::StageScope Scope(Trace, obs::RequestStage::Parse);
-    Request = obs::json::parse(Payload, &ParseError);
-  }
+  const std::optional<Value> &Request = Parsed.Body;
 
   const Value *Id = nullptr;
   RequestOutcome Outcome;
   if (!extractId(Request, Id, Outcome))
-    return finishRequest(std::move(Outcome), T, Latency, nullptr, Trace);
+    return finishRequest(std::move(Outcome), T, Parsed, Latency, nullptr,
+                         Trace);
 
   if (Request && Request->isObject() && Request->find("tenant")) {
     Outcome.Reply =
         errorReply("tenant routing is not available on this endpoint");
-    return finishRequest(std::move(Outcome), T, Latency, Id, Trace);
+    return finishRequest(std::move(Outcome), T, Parsed, Latency, Id, Trace);
   }
 
   RequestContext Ctx{Session, Latency};
   Ctx.Trace = Trace;
-  return finishRequest(dispatchCore(Ctx, Request, ParseError), T, Latency,
-                       Id, Trace);
+  return finishRequest(dispatchCore(Ctx, Request, Parsed.Error), T, Parsed,
+                       Latency, Id, Trace);
 }

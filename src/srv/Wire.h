@@ -17,7 +17,8 @@
 /// docs/wire-protocol.md is the normative schema description.
 ///
 /// The request handler is a pure function of (tenants, payload) so tests
-/// drive the full protocol without sockets. The blocking readFrame /
+/// drive the full protocol without sockets; parsing is split from handling
+/// so the server can route on the parsed command. The blocking readFrame /
 /// writeFrame helpers serve simple clients; the event-loop server uses the
 /// incremental FrameDecoder state machine instead, which resumes across
 /// short reads and rejects oversized length prefixes before allocating.
@@ -36,6 +37,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -165,6 +167,29 @@ private:
   std::vector<std::unique_ptr<Tenant>> List;
 };
 
+/// One request frame parsed but not yet executed. The server parses each
+/// small admitted frame on its event loop and decides from the parsed
+/// value where the request runs (probesIndex).
+struct ParsedRequest {
+  /// The JSON document; empty when the payload did not parse.
+  std::optional<obs::json::Value> Body;
+  /// The parser's message when Body is empty.
+  std::string Error;
+  /// Time spent parsing, counted into the reply's "micros".
+  double ParseSeconds = 0;
+};
+
+/// Parses one request payload, stamping the Parse stage into \p Trace.
+ParsedRequest parseRequest(const std::string &Payload,
+                           obs::RequestTrace *Trace = nullptr);
+
+/// True for a `query` whose plan (planQuery) absorbs at least one bound
+/// column into an index prefix: a range probe, cheap enough to answer on
+/// the event loop. False for a query the plan answers by a full scan (no
+/// column bound, or none that leads an index), for a query that does not
+/// resolve to a relation, and for every other command.
+bool probesIndex(const TenantRegistry &Tenants, const ParsedRequest &Request);
+
 /// Result of handling one request frame.
 struct RequestOutcome {
   /// The reply document to send back.
@@ -187,6 +212,11 @@ struct RequestOutcome {
 /// execution metadata (tenant, relation, pattern, plan, cached).
 RequestOutcome handleRequest(const TenantRegistry &Tenants,
                              const std::string &Payload,
+                             obs::RequestTrace *Trace = nullptr);
+
+/// The same, for a request already parsed by parseRequest().
+RequestOutcome handleRequest(const TenantRegistry &Tenants,
+                             const ParsedRequest &Request,
                              obs::RequestTrace *Trace = nullptr);
 
 /// Single-session convenience (the v1 entry point, kept for callers and

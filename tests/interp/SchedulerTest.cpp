@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <thread>
@@ -326,6 +327,32 @@ TEST(SchedulerTest, SingleThreadedSubmitRunsInline) {
   bool Ran = false;
   S.submit([&] { Ran = true; });
   EXPECT_TRUE(Ran) << "no workers: submit must execute inline";
+}
+
+TEST(SchedulerTest, SubmitWakesTheIdleWorkerEveryRoundTrip) {
+  // The serving pattern: an external thread submits one job and waits for
+  // it, so the lone worker goes idle before every submit. The waiter
+  // spins, so each submit lands while the worker is still on its way from
+  // the failed poll to its wait; a notify lost in that gap leaves the job
+  // queued with the worker asleep (the idle wait has no timeout), which
+  // trips the watchdog.
+  constexpr std::uint64_t RoundTrips = 20000;
+  std::atomic<std::uint64_t> Done{0};
+  Scheduler S(2); // one worker
+  for (std::uint64_t I = 0; I < RoundTrips; ++I) {
+    S.submit([&] { Done.fetch_add(1, std::memory_order_release); });
+    const auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (Done.load(std::memory_order_acquire) != I + 1) {
+      ASSERT_LT(std::chrono::steady_clock::now(), Deadline)
+          << "round trip " << I << " was never executed";
+      std::this_thread::yield();
+    }
+  }
+  const SchedulerTelemetry T = S.telemetry();
+  EXPECT_EQ(T.ExecutedInjected + T.ExecutedStolen + T.ExecutedOwn,
+            RoundTrips);
+  EXPECT_EQ(T.QueueDepth, 0u);
 }
 
 TEST(SchedulerTest, TasksSeeSubmitterSideEffects) {

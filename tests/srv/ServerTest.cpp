@@ -7,8 +7,10 @@
 /// \file
 /// The event-loop server end to end, over real TCP sockets: pipelined v2
 /// conversations, reply ordering, many concurrent connections against one
-/// session (the serving layer's TSan subject), framing-violation replies,
-/// and the admission-control paths (connection cap, in-flight budget).
+/// session (the serving layer's TSan subject), a bound query answered on
+/// the event loop while another connection's write runs, framing-violation
+/// replies, and the admission-control paths (connection cap, in-flight
+/// budget).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +30,7 @@
 #include <cstring>
 #include <fstream>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sstream>
 #include <string>
 #include <sys/socket.h>
@@ -46,6 +49,15 @@ constexpr const char *TcSource = R"(
   .decl path(a:number, b:number)
   path(x, y) :- edge(x, y).
   path(x, z) :- path(x, y), edge(y, z).
+)";
+
+/// One seed fact makes a load whose maintenance runs for a long time: the
+/// counter chain derives one tuple per semi-naive round.
+constexpr const char *ChainSource = R"(
+  .decl seed(x:number)
+  .decl n(x:number)
+  n(x) :- seed(x).
+  n(x + 1) :- n(x), x < 200000.
 )";
 
 /// A blocking client connection to a Server on 127.0.0.1.
@@ -95,6 +107,12 @@ struct Client {
     EXPECT_TRUE(send(Payload));
     return recv();
   }
+
+  /// True when a reply (or EOF) is already waiting to be read.
+  bool readable() const {
+    pollfd P{Fd, POLLIN, 0};
+    return ::poll(&P, 1, 0) == 1;
+  }
 };
 
 bool okOf(const Value &Reply) {
@@ -105,8 +123,8 @@ bool okOf(const Value &Reply) {
 /// A Server over a fresh session, serving on a background thread.
 class ServerTest : public ::testing::Test {
 protected:
-  void boot(ServerOptions Options = {}) {
-    Session = EngineSession::fromSource(TcSource);
+  void boot(ServerOptions Options = {}, const char *Source = TcSource) {
+    Session = EngineSession::fromSource(Source);
     ASSERT_NE(Session, nullptr);
     Srv = std::make_unique<Server>(*Session, Options);
     std::string Error;
@@ -231,6 +249,38 @@ TEST_F(ServerTest, ShutdownRequestDrainsAndStopsServe) {
   }
   Thread.join(); // serve() must return on its own
   Thread = std::thread([] {});
+}
+
+TEST_F(ServerTest, BoundQueryIsAnsweredWhileAWriteRuns) {
+  ServerOptions Options;
+  Options.PoolThreads = 2; // one pool worker: the load occupies it
+  boot(Options, ChainSource);
+  Client Writer(Srv->boundPort()), Reader(Srv->boundPort());
+  const std::string Probe =
+      R"({"cmd":"query","relation":"n","pattern":[0]})";
+  const Value Before = Reader.roundTrip(Probe);
+  ASSERT_TRUE(okOf(Before)) << Before.dump();
+  const std::uint64_t Epoch = Before.find("epoch")->asUint();
+
+  ASSERT_TRUE(Writer.send(R"({"cmd":"load","facts":{"seed":[[0]]}})"));
+  // Give the load time to reach the worker; the assertions below hold
+  // either way, this only makes the overlap the usual case.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const Value During = Reader.roundTrip(Probe);
+  EXPECT_FALSE(Writer.readable())
+      << "the query waited for the load to finish";
+  ASSERT_TRUE(okOf(During)) << During.dump();
+  EXPECT_EQ(During.find("epoch")->asUint(), Epoch)
+      << "a read during a write serves the snapshot published before it";
+  EXPECT_EQ(During.find("count")->asUint(), 0u);
+
+  const Value Load = Writer.recv();
+  ASSERT_TRUE(okOf(Load)) << Load.dump();
+  EXPECT_EQ(Load.find("epoch")->asUint(), Epoch + 1);
+  const Value After = Reader.roundTrip(Probe);
+  ASSERT_TRUE(okOf(After));
+  EXPECT_EQ(After.find("epoch")->asUint(), Epoch + 1);
+  EXPECT_EQ(After.find("count")->asUint(), 1u);
 }
 
 /// The serving layer's TSan stress: many connections pipelining loads and
@@ -382,8 +432,25 @@ TEST_F(ServerTest, SampledTracesCarryQueueWaitSpans) {
   Client C(Srv->boundPort());
   ASSERT_TRUE(okOf(C.roundTrip(
       R"({"cmd":"load","facts":{"edge":[[1,2],[2,3]]}})")));
+  // A load too large to parse on the event loop: its pool job parses it.
+  std::string BigLoad = R"({"cmd":"load","facts":{"edge":[)";
+  for (int I = 100; I < 1100; ++I)
+    BigLoad += (I > 100 ? ",[" : "[") + std::to_string(I) + "," +
+               std::to_string(I + 1000) + "]";
+  BigLoad += "]}}";
+  ASSERT_GT(BigLoad.size(), 8192u);
+  ASSERT_TRUE(okOf(C.roundTrip(BigLoad)));
   ASSERT_TRUE(okOf(C.roundTrip(
       R"({"cmd":"query","relation":"path","pattern":[1,null]})")));
+  // Bound, but only on a column no index of edge starts with: the plan
+  // scans the whole relation, so the pool runs it.
+  const Value Unindexed = C.roundTrip(
+      R"({"cmd":"query","relation":"edge","pattern":[null,3]})");
+  ASSERT_TRUE(okOf(Unindexed)) << Unindexed.dump();
+  ASSERT_EQ(Unindexed.find("plan")->find("prefix_len")->asUint(), 0u)
+      << Unindexed.dump();
+  ASSERT_TRUE(okOf(C.roundTrip(
+      R"({"cmd":"query","relation":"path","pattern":[null,null]})")));
 
   const Value Stats = C.roundTrip(R"({"cmd":"stats"})");
   ASSERT_TRUE(okOf(Stats));
@@ -394,23 +461,48 @@ TEST_F(ServerTest, SampledTracesCarryQueueWaitSpans) {
   ASSERT_NE(Recent, nullptr);
   ASSERT_FALSE(Recent->asArray().empty());
 
-  // The finished query trace must account for its whole lifecycle — in
-  // particular the queue wait between admission and worker pickup.
-  bool SawQuery = false;
+  // The finished traces must account for their whole lifecycle — in
+  // particular the queue wait between admission and execution, and where
+  // they ran: an index probe on the event loop (slot 0, no queue wait);
+  // loads, a query bound off every index prefix and a whole-relation
+  // read on a pool worker.
+  auto isPoolSource = [](const std::string &Source) {
+    return Source == "own" || Source == "injected" || Source == "stolen";
+  };
+  std::size_t Loads = 0, Probes = 0, Scans = 0;
   for (const Value &T : Recent->asArray()) {
-    if (T.find("command")->asString() != "query")
+    const std::string Command = T.find("command")->asString();
+    ASSERT_NE(T.find("slot"), nullptr) << T.dump();
+    ASSERT_NE(T.find("source"), nullptr) << T.dump();
+    const std::string Source = T.find("source")->asString();
+    if (Command != "load" && Command != "query")
       continue;
-    SawQuery = true;
     const Value *Spans = T.find("spans");
     ASSERT_NE(Spans, nullptr) << T.dump();
-    for (const char *Stage :
-         {"decode", "pending", "queue", "eval", "serialize", "write"})
+    EXPECT_NE(Spans->find("parse"), nullptr) << T.dump();
+    if (Command == "load") {
+      ++Loads;
+      EXPECT_TRUE(isPoolSource(Source)) << T.dump();
+      continue;
+    }
+    for (const char *Stage : {"decode", "parse", "pending", "queue", "eval",
+                              "serialize", "write"})
       EXPECT_NE(Spans->find(Stage), nullptr)
           << "missing span '" << Stage << "' in " << T.dump();
-    EXPECT_NE(T.find("slot"), nullptr);
-    EXPECT_NE(T.find("source"), nullptr);
+    if (T.find("pattern")->asString() == "[1,null]") {
+      ++Probes;
+      EXPECT_EQ(Source, "inline") << T.dump();
+      EXPECT_EQ(T.find("slot")->asUint(), 0u) << T.dump();
+      EXPECT_EQ(Spans->find("queue")->asUint(), 0u) << T.dump();
+    } else {
+      ++Scans;
+      EXPECT_TRUE(isPoolSource(Source)) << T.dump();
+      EXPECT_GE(T.find("slot")->asUint(), 1u) << T.dump();
+    }
   }
-  EXPECT_TRUE(SawQuery) << Stats.dump();
+  EXPECT_EQ(Loads, 2u) << Stats.dump();
+  EXPECT_EQ(Probes, 1u) << Stats.dump();
+  EXPECT_EQ(Scans, 2u) << Stats.dump();
 }
 
 TEST_F(ServerTest, SlowQueryLogRecordsEveryRequestAtThresholdZero) {

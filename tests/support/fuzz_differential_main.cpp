@@ -7,9 +7,9 @@
 /// \file
 /// stird_fuzz: the open-ended version of DifferentialSipsTest and the
 /// maintenance differential suite. Walks seeds forward from a starting
-/// point (--seed, or the wall clock when omitted) for a time budget
-/// (--seconds), checking that (a) every --sips strategy at -j1 and -j4
-/// reproduces the unreordered sequential run, (b) forcing every relation
+/// point (--seed, or the wall clock when omitted) for a wall-clock time
+/// budget (--seconds), checking that (a) every --sips strategy at -j1 and
+/// -j4 reproduces the unreordered sequential run, (b) forcing every relation
 /// onto each alternative substrate (--substrate; brie, art) changes
 /// nothing — a failure witness names the diverging substrate pair — and
 /// (c) replaying a seeded mixed insert/retract stream through the
@@ -46,6 +46,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -370,7 +371,7 @@ int main(int Argc, char **Argv) {
   std::string OutDir = ".";
 
   util::Args Args("stird_fuzz", "[options]");
-  Args.option({"--seconds"}, "n", "time budget (default 60)",
+  Args.option({"--seconds"}, "n", "wall-clock time budget (default 60)",
               [&](const std::string &Value) -> std::string {
                 char *End = nullptr;
                 Seconds = std::strtod(Value.c_str(), &End);
@@ -399,10 +400,14 @@ int main(int Argc, char **Argv) {
   std::fprintf(stderr, "stird_fuzz: starting at seed %llu for %.0f s\n",
                static_cast<unsigned long long>(Seed), Seconds);
 
-  const std::clock_t Deadline =
-      std::clock() + static_cast<std::clock_t>(Seconds * CLOCKS_PER_SEC);
+  // Wall-clock budget: CI timeouts are wall time, and process CPU time
+  // runs slower than the clock whenever other processes share the CPU.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point Deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(Seconds));
   std::size_t Checked = 0;
-  for (std::uint64_t S = Seed; std::clock() < Deadline; ++S, ++Checked) {
+  for (std::uint64_t S = Seed; Clock::now() < Deadline; ++S, ++Checked) {
     const testgen::GeneratedProgram P = testgen::generateProgram(S);
     std::string Witness;
     std::size_t FailedBatch = 0;
