@@ -36,7 +36,7 @@ RELATION_KEYS = [
     "index_scans", "index_scan_hits", "index_scan_tuples", "reorders",
     "point_lookups", "range_scans", "col0_min", "col0_max",
 ]
-RELATION_KINDS = ["btree", "brie", "art", "eqrel", "legacy"]
+RELATION_KINDS = ["btree", "brie", "eqrel", "legacy"]
 
 
 def fail(message):
@@ -109,12 +109,6 @@ def check_profile(path):
             fail(f"relation {rel['name']!r}: non-empty but col0_max "
                  f"{rel['col0_max']} < col0_min {rel['col0_min']}")
 
-    names = {rel["name"] for rel in doc["relations"]}
-    for name, decision in doc.get("substrate_decisions", {}).items():
-        if name not in names:
-            fail(f"substrate decision for unknown relation {name!r}")
-        if not isinstance(decision, str) or not decision:
-            fail(f"substrate decision for {name!r} is not a string")
     print(f"check_observability: profile OK "
           f"({rules} rules, {len(doc['relations'])} relations)")
     return doc

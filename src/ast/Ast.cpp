@@ -266,8 +266,6 @@ std::string Program::toString() const {
     Out << ")";
     if (Rel->getStructure() == StructureKind::Brie)
       Out << " brie";
-    else if (Rel->getStructure() == StructureKind::Art)
-      Out << " art";
     else if (Rel->getStructure() == StructureKind::Eqrel)
       Out << " eqrel";
     Out << "\n";

@@ -41,7 +41,7 @@ enum class TypeKind { Number, Unsigned, Float, Symbol };
 const char *typeName(TypeKind Kind);
 
 /// Which DER data structure backs a relation (a `.decl` qualifier).
-enum class StructureKind { Btree, Brie, Art, Eqrel };
+enum class StructureKind { Btree, Brie, Eqrel };
 
 /// Functor operators, untyped at the AST level; semantic analysis resolves
 /// numeric overloads to the typed RAM intrinsics.
@@ -383,9 +383,6 @@ public:
   const std::vector<Attribute> &getAttributes() const { return Attributes; }
   std::size_t getArity() const { return Attributes.size(); }
   StructureKind getStructure() const { return Structure; }
-  /// Rebinds the physical structure (the compile-time substrate override /
-  /// feedback-selection hook; see core::CompileOptions::SubstrateOverrides).
-  void setStructure(StructureKind Kind) { Structure = Kind; }
   SrcLoc getLoc() const { return Loc; }
 
   bool isInput() const { return Input; }

@@ -180,22 +180,21 @@ private:
     StructureKind Structure = StructureKind::Btree;
     while (at(TokenKind::Ident) &&
            (peek().Text == "btree" || peek().Text == "brie" ||
-            peek().Text == "art" || peek().Text == "eqrel")) {
+            peek().Text == "eqrel")) {
       std::string Qual = advance().Text;
       if (Qual == "btree")
         Structure = StructureKind::Btree;
       else if (Qual == "brie")
         Structure = StructureKind::Brie;
-      else if (Qual == "art")
-        Structure = StructureKind::Art;
       else
         Structure = StructureKind::Eqrel;
     }
     if (Structure == StructureKind::Eqrel && Attributes.size() != 2)
       error("eqrel relation '" + Name + "' must be binary");
-    if (Structure == StructureKind::Art && Attributes.size() > 8)
-      error("art relation '" + Name +
-            "' exceeds the maximum supported art arity 8");
+    if (Structure == StructureKind::Brie && Attributes.size() > MaxBrieArity)
+      error("brie relation '" + Name +
+            "' exceeds the maximum supported brie arity " +
+            std::to_string(MaxBrieArity));
     if (Attributes.empty())
       error("relation '" + Name + "' must have at least one attribute");
     if (Attributes.size() > MaxArity)

@@ -12,10 +12,8 @@
 #include "ram/RamPrinter.h"
 #include "ram/Transforms.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <sstream>
 
 using namespace stird;
@@ -91,91 +89,6 @@ Program::fromSource(const std::string &Source,
     }
     if (!TranslateOptions.Feedback)
       TranslateOptions.Sips = translate::SipsStrategy::MaxBound;
-  }
-
-  // Per-relation substrate selection, applied to the parsed AST before
-  // translation so the delta_/new_ aux relations inherit the choice. Two
-  // sources, explicit forcing winning over the feedback heuristic; every
-  // rejected request degrades with a warning, never a compile error.
-  auto parseSubstrate =
-      [](const std::string &Kind) -> std::optional<ast::StructureKind> {
-    if (Kind == "btree")
-      return ast::StructureKind::Btree;
-    if (Kind == "brie")
-      return ast::StructureKind::Brie;
-    if (Kind == "art")
-      return ast::StructureKind::Art;
-    return std::nullopt;
-  };
-  auto substrateApplicable = [](const ast::RelationDecl &Decl,
-                                ast::StructureKind Kind) -> const char * {
-    if (Decl.getStructure() == ast::StructureKind::Eqrel)
-      return "equivalence relations keep their union-find substrate";
-    if (Kind != ast::StructureKind::Btree && Decl.getArity() > 8)
-      return "arity exceeds the brie/art portfolio limit of 8";
-    return nullptr;
-  };
-  for (const auto &[Name, KindName] : Options.SubstrateOverrides) {
-    ast::RelationDecl *Decl = Parsed.Prog->findRelation(Name);
-    if (!Decl) {
-      std::fprintf(stderr,
-                   "warning: --substrate: unknown relation '%s'; ignored\n",
-                   Name.c_str());
-      continue;
-    }
-    std::optional<ast::StructureKind> Kind = parseSubstrate(KindName);
-    if (!Kind) {
-      std::fprintf(stderr,
-                   "warning: --substrate: unknown substrate '%s' for "
-                   "relation '%s'; ignored\n",
-                   KindName.c_str(), Name.c_str());
-      continue;
-    }
-    if (const char *Reason = substrateApplicable(*Decl, *Kind)) {
-      std::fprintf(stderr,
-                   "warning: --substrate: cannot force '%s' to %s: %s\n",
-                   Name.c_str(), KindName.c_str(), Reason);
-      continue;
-    }
-    if (Decl->getStructure() != *Kind) {
-      Decl->setStructure(*Kind);
-      Result->SubstrateDecisions[Name] =
-          KindName + " (forced by --substrate)";
-    }
-  }
-  if (Options.SubstrateFromFeedback && TranslateOptions.Feedback &&
-      TranslateOptions.Feedback->hasAccessPatterns()) {
-    for (const auto &Decl : Parsed.Prog->Relations) {
-      // Explicit forcing wins; only declared-btree relations are eligible
-      // (brie/eqrel declarations are deliberate substrate choices).
-      if (Result->SubstrateDecisions.count(Decl->getName()))
-        continue;
-      if (Decl->getStructure() != ast::StructureKind::Btree ||
-          Decl->getArity() > 8)
-        continue;
-      auto Access =
-          TranslateOptions.Feedback->relationAccess(Decl->getName());
-      if (!Access)
-        continue;
-      // Point-lookup-heavy: fully-bound probes dominate bounded range
-      // scans by 4x. ART serves those in O(key length) with direct-indexed
-      // descent; range-heavy traffic stays on the B-tree.
-      if (Access->PointLookups < 64 ||
-          Access->PointLookups < 4 * std::max(1.0, Access->RangeScans))
-        continue;
-      // Dense keys: the observed col0 span is mostly populated, so path
-      // compression keeps the radix tree shallow.
-      auto Size = TranslateOptions.Feedback->relationSize(Decl->getName());
-      if (!Size || Access->Col0Max < Access->Col0Min)
-        continue;
-      const double Span = static_cast<double>(Access->Col0Max) -
-                          static_cast<double>(Access->Col0Min) + 1.0;
-      if (*Size < 0.25 * Span)
-        continue;
-      Decl->setStructure(ast::StructureKind::Art);
-      Result->SubstrateDecisions[Decl->getName()] =
-          "art (feedback: point-lookup-heavy, dense keys)";
-    }
   }
 
   translate::TranslationResult Translated = translate::translateToRam(

@@ -52,30 +52,14 @@ struct CompileOptions {
   /// textual order, so nothing changes unless a caller opts in.
   translate::SipsStrategy Sips = translate::SipsStrategy::Source;
   /// Path of a stird-profile-v1/-v2 document seeding the profile strategy
-  /// (--feedback=FILE); v2 access-pattern counters additionally drive
-  /// per-relation substrate selection. Loaded during compilation; a
-  /// malformed or stale document (one covering none of the program's
-  /// relations) produces a stderr warning and a fallback to max-bound —
-  /// never a compile error.
+  /// (--feedback=FILE). Loaded during compilation; a malformed or stale
+  /// document (one covering none of the program's relations) produces a
+  /// stderr warning and a fallback to max-bound — never a compile error.
   std::string FeedbackPath;
   /// Preloaded feedback (not owned; must outlive compilation). Takes
   /// precedence over FeedbackPath — used by tests and benches that build
   /// profiles in memory.
   const translate::ProfileFeedback *Feedback = nullptr;
-  /// Per-relation substrate forcing (--substrate=rel:kind,...): keys are
-  /// relation names, values "btree" | "brie" | "art". An unknown relation,
-  /// unknown kind or inapplicable combination (eqrel relations, arity
-  /// outside the target portfolio) degrades with a stderr warning — never
-  /// a compile error.
-  std::map<std::string, std::string> SubstrateOverrides;
-  /// Feedback-driven per-relation substrate selection: when the loaded
-  /// feedback document carries stird-profile-v2 access-pattern counters,
-  /// btree relations that the profiled run probed point-lookup-heavily
-  /// over dense integer keys are switched to the ART substrate. Explicit
-  /// SubstrateOverrides win. Decisions are recorded on the Program and
-  /// surfaced in --dump-ram, the profile document and the serving stats
-  /// reply.
-  bool SubstrateFromFeedback = true;
 };
 
 /// A compiled Datalog program, ready to be executed any number of times by
@@ -125,14 +109,6 @@ public:
   void setNumThreads(std::size_t N) { NumThreads = N; }
   std::size_t getNumThreads() const { return NumThreads; }
 
-  /// Substrate decisions made during compilation: relation name → a short
-  /// human-readable description ("art (forced by --substrate)", "art
-  /// (feedback: point-lookup-heavy, dense keys)"). Empty when every
-  /// relation kept its declared structure.
-  const std::map<std::string, std::string> &getSubstrateDecisions() const {
-    return SubstrateDecisions;
-  }
-
 private:
   Program() = default;
 
@@ -140,7 +116,6 @@ private:
   std::unique_ptr<ram::Program> Ram;
   translate::IndexSelectionResult Indexes;
   SymbolTable Symbols;
-  std::map<std::string, std::string> SubstrateDecisions;
   std::size_t NumThreads = 1;
   /// Shared schedulers keyed by thread count (engines at different -jN
   /// coexist, e.g. a differential test). Guarded by SchedM.

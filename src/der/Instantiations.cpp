@@ -14,7 +14,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "der/Art.h"
 #include "der/BTreeSet.h"
 #include "der/Brie.h"
 
@@ -50,14 +49,5 @@ template class Brie<5>;
 template class Brie<6>;
 template class Brie<7>;
 template class Brie<8>;
-
-template class ArtSet<1>;
-template class ArtSet<2>;
-template class ArtSet<3>;
-template class ArtSet<4>;
-template class ArtSet<5>;
-template class ArtSet<6>;
-template class ArtSet<7>;
-template class ArtSet<8>;
 
 } // namespace stird

@@ -207,7 +207,7 @@ public:
   /// its relation references resolve. Trees are generated on first use and
   /// cached per statement, with the configured backend's opcodes, and run
   /// on the same executor as run(): under the STI a maintained batch gets
-  /// specialized instructions on B-tree, Brie, ART and eqrel relations,
+  /// specialized instructions on B-tree, Brie and eqrel relations,
   /// while counted support stores stay on the generic opcodes every
   /// executor carries.
   void runStatement(const ram::Statement &Stmt);

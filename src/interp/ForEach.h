@@ -31,17 +31,12 @@
   Func(Brie, 1) Func(Brie, 2) Func(Brie, 3) Func(Brie, 4)                     \
   Func(Brie, 5) Func(Brie, 6) Func(Brie, 7) Func(Brie, 8)
 
-#define STIRD_FOR_EACH_ART(Func)                                              \
-  Func(Art, 1) Func(Art, 2) Func(Art, 3) Func(Art, 4)                         \
-  Func(Art, 5) Func(Art, 6) Func(Art, 7) Func(Art, 8)
-
 // The equivalence relation is a specialized binary relation.
 #define STIRD_FOR_EACH_EQREL(Func) Func(Eqrel, 2)
 
 #define STIRD_FOR_EACH(Func)                                                  \
   STIRD_FOR_EACH_BTREE(Func)                                                  \
   STIRD_FOR_EACH_BRIE(Func)                                                   \
-  STIRD_FOR_EACH_ART(Func)                                                    \
   STIRD_FOR_EACH_EQREL(Func)
 
 #endif // STIRD_INTERP_FOREACH_H

@@ -405,8 +405,7 @@ private:
       const Order &Ord = Rel->getOrder(0);
       bool Decode = false;
       if (Rel->getKind() == RelKind::Btree ||
-          Rel->getKind() == RelKind::Brie ||
-          Rel->getKind() == RelKind::Art) {
+          Rel->getKind() == RelKind::Brie) {
         if (Options.StaticReordering) {
           if (!Ord.isIdentity())
             RewriteOrders[S.getTupleId()] = &Ord;
@@ -432,8 +431,7 @@ private:
       SuperInstruction Pattern = buildPatternSuper(Plan, S.getPattern());
       bool Decode = false;
       if (Rel->getKind() == RelKind::Btree ||
-          Rel->getKind() == RelKind::Brie ||
-          Rel->getKind() == RelKind::Art) {
+          Rel->getKind() == RelKind::Brie) {
         if (Options.StaticReordering) {
           if (!Plan.Ord->isIdentity())
             RewriteOrders[S.getTupleId()] = Plan.Ord;
@@ -473,8 +471,7 @@ private:
       SuperInstruction Pattern = buildPatternSuper(Plan, A.getPattern());
       bool Decode = false;
       if (Rel->getKind() == RelKind::Btree ||
-          Rel->getKind() == RelKind::Brie ||
-          Rel->getKind() == RelKind::Art) {
+          Rel->getKind() == RelKind::Brie) {
         if (Options.StaticReordering) {
           if (!Plan.Ord->isIdentity())
             RewriteOrders[A.getTupleId()] = Plan.Ord;

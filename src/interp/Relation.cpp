@@ -341,7 +341,6 @@ namespace {
 // Uniform spelling for the FOR_EACH expansion below.
 template <std::size_t Arity> using Relation_Btree = BTreeRelation<Arity>;
 template <std::size_t Arity> using Relation_Brie = BrieRelation<Arity>;
-template <std::size_t Arity> using Relation_Art = ArtRelation<Arity>;
 template <std::size_t /*Arity*/> using Relation_Eqrel = EqrelRelation;
 
 RelKind kindOf(ram::StructureKind Structure) {
@@ -350,8 +349,6 @@ RelKind kindOf(ram::StructureKind Structure) {
     return RelKind::Btree;
   case ram::StructureKind::Brie:
     return RelKind::Brie;
-  case ram::StructureKind::Art:
-    return RelKind::Art;
   case ram::StructureKind::Eqrel:
     return RelKind::Eqrel;
   case ram::StructureKind::Counts:

@@ -28,7 +28,6 @@
 #ifndef STIRD_INTERP_RELATION_H
 #define STIRD_INTERP_RELATION_H
 
-#include "der/Art.h"
 #include "der/BTreeSet.h"
 #include "der/Brie.h"
 #include "der/EquivalenceRelation.h"
@@ -48,18 +47,16 @@ namespace stird::interp {
 
 /// Which concrete family a wrapper belongs to; the static engine encodes
 /// this (together with the arity) into its opcodes.
-enum class RelKind : std::uint8_t { Btree, Brie, Art, Eqrel, Legacy, Counts };
+enum class RelKind : std::uint8_t { Btree, Brie, Eqrel, Legacy, Counts };
 
 /// The canonical lowercase spelling of a RelKind, as used by the profile
-/// document's "kind" field, the serving stats reply and --substrate values.
+/// document's "kind" field and the serving stats reply.
 inline const char *relKindName(RelKind Kind) {
   switch (Kind) {
   case RelKind::Btree:
     return "btree";
   case RelKind::Brie:
     return "brie";
-  case RelKind::Art:
-    return "art";
   case RelKind::Eqrel:
     return "eqrel";
   case RelKind::Legacy:
@@ -408,75 +405,6 @@ private:
   Brie<Arity> Set;
 };
 
-/// One statically typed adaptive-radix-tree index. ArtSet iterates in the
-/// byte-encoded key order, which equals TupleCompare order over the encoded
-/// tuples, so the adapter is interchangeable with BTreeIndex.
-template <std::size_t Arity> class ArtIndex {
-public:
-  using TupleType = Tuple<Arity>;
-  using iterator = typename ArtSet<Arity>::iterator;
-
-  explicit ArtIndex(Order Ord) : Ord(std::move(Ord)) {}
-
-  const Order &order() const { return Ord; }
-
-  bool insert(const RamDomain *Source) {
-    TupleType Encoded;
-    Ord.encode(Source, Encoded.data());
-    return Set.insert(Encoded);
-  }
-  bool erase(const RamDomain *Source) {
-    TupleType Encoded;
-    Ord.encode(Source, Encoded.data());
-    return Set.erase(Encoded);
-  }
-  bool containsSource(const RamDomain *Source) const {
-    TupleType Encoded;
-    Ord.encode(Source, Encoded.data());
-    return Set.contains(Encoded);
-  }
-  bool containsRange(const RamDomain *EncodedKey,
-                     std::size_t PrefixLen) const {
-    auto [Begin, End] = range(EncodedKey, PrefixLen);
-    return Begin != End;
-  }
-
-  std::pair<iterator, iterator> range(const RamDomain *EncodedKey,
-                                      std::size_t PrefixLen) const {
-    TupleType Low, High;
-    detail::padBounds<Arity>(EncodedKey, PrefixLen, Low, High);
-    return {Set.lowerBound(Low), Set.upperBound(High)};
-  }
-
-  std::vector<std::pair<iterator, iterator>>
-  partition(std::size_t MaxParts) const {
-    return Set.partition(MaxParts);
-  }
-  std::vector<std::pair<iterator, iterator>>
-  partitionRange(const RamDomain *EncodedKey, std::size_t PrefixLen,
-                 std::size_t MaxParts) const {
-    // Bounded ranges are served undivided (cf. BrieIndex): a prefix search
-    // usually touches one subtree, not worth re-partitioning.
-    if (PrefixLen == 0)
-      return Set.partition(MaxParts);
-    std::vector<std::pair<iterator, iterator>> Parts;
-    auto [Begin, End] = range(EncodedKey, PrefixLen);
-    if (Begin != End)
-      Parts.emplace_back(Begin, End);
-    return Parts;
-  }
-
-  iterator begin() const { return Set.begin(); }
-  iterator end() const { return Set.end(); }
-  std::size_t size() const { return Set.size(); }
-  void clear() { Set.clear(); }
-  void swapData(ArtIndex &Other) { Set.swapData(Other.Set); }
-
-private:
-  Order Ord;
-  ArtSet<Arity> Set;
-};
-
 //===----------------------------------------------------------------------===//
 // Concrete relations
 //===----------------------------------------------------------------------===//
@@ -609,9 +537,6 @@ using BTreeRelation =
 
 template <std::size_t Arity>
 using BrieRelation = IndexedRelation<BrieIndex<Arity>, Arity, RelKind::Brie>;
-
-template <std::size_t Arity>
-using ArtRelation = IndexedRelation<ArtIndex<Arity>, Arity, RelKind::Art>;
 
 /// The equivalence-relation wrapper. It ignores orders (the union-find is
 /// symmetric) and serves every search mask natively.

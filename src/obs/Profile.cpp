@@ -108,8 +108,8 @@ json::Value buildProfile(const interp::Engine &E, const ProfileContext &Ctx) {
     O.emplace_back("reorders", RS.Reorders);
     O.emplace_back("point_lookups", RS.PointLookups);
     O.emplace_back("range_scans", RS.RangeScans);
-    // Key-density signal for the substrate selector: the observed range of
-    // the first source column. Computed cold, once, at profile-build time.
+    // Key-density summary: the observed range of the first source column.
+    // Computed cold, once, at profile-build time.
     std::int64_t Col0Min = 0, Col0Max = -1;
     if (Rel->size() > 0 && Rel->getArity() > 0) {
       bool First = true;
@@ -128,12 +128,6 @@ json::Value buildProfile(const interp::Engine &E, const ProfileContext &Ctx) {
     Relations.emplace_back(std::move(O));
   }
   Doc.emplace_back("relations", std::move(Relations));
-  if (!Ctx.SubstrateDecisions.empty()) {
-    json::Object Decisions;
-    for (const auto &[Name, Decision] : Ctx.SubstrateDecisions)
-      Decisions.emplace_back(Name, Decision);
-    Doc.emplace_back("substrate_decisions", std::move(Decisions));
-  }
   return json::Value(std::move(Doc));
 }
 

@@ -18,7 +18,6 @@
 #include "obs/Json.h"
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 namespace stird::interp {
@@ -36,16 +35,11 @@ struct ProfileContext {
   std::size_t Threads = 1;
   /// End-to-end run() wall time.
   double TotalSeconds = 0;
-  /// Per-relation substrate decisions made at compile time (relation name →
-  /// human-readable decision, e.g. "art (feedback: point-lookup-heavy)").
-  /// Emitted under "substrate_decisions" when non-empty.
-  std::map<std::string, std::string> SubstrateDecisions;
 };
 
 /// Current profile document schema identifier. v2 adds the access-pattern
-/// counters (point_lookups, range_scans), the col0_min/col0_max key-density
-/// signal and the substrate_decisions record; readers accept v1 documents
-/// (the new fields simply default to "unknown").
+/// counters (point_lookups, range_scans) and the col0_min/col0_max
+/// key-density summary; the feedback reader accepts v1 and v2 documents.
 inline constexpr const char *ProfileSchemaVersion = "stird-profile-v2";
 
 /// Builds the full profile document: run header, stratum → rule →

@@ -49,7 +49,7 @@ struct RelationStats {
   std::uint64_t Reorders = 0;
   /// Fully-bound probes: index searches and existence checks whose key
   /// binds every column (PrefixLen == arity). A subset of IndexScans +
-  /// Contains; the substrate selector reads this as "hash-like" traffic.
+  /// Contains.
   std::uint64_t PointLookups = 0;
   /// Bounded range searches: a proper non-empty prefix is bound
   /// (0 < PrefixLen < arity). Unbounded (mask-free) searches count in
@@ -79,7 +79,7 @@ struct RelationStats {
 };
 
 /// Classifies one key-bounded search initiation (index scan, existence
-/// check or aggregate) for the substrate selector. \p Mask is the bound
+/// check or aggregate) by how much of its key is bound. \p Mask is the bound
 /// source-column mask: a fully bound key is a point lookup, a partially
 /// bound one a bounded range scan, and unbounded searches (Mask == 0) stay
 /// in the plain Scans/IndexScans counters only. Called once per initiation

@@ -31,7 +31,7 @@ namespace stird::ram {
 /// Data structure backing a RAM relation. Counts is the incremental
 /// maintenance subsystem's tuple -> multiplicity store (support counts and
 /// per-batch count collectors); it never backs a declared relation.
-enum class StructureKind { Btree, Brie, Art, Eqrel, Counts };
+enum class StructureKind { Btree, Brie, Eqrel, Counts };
 
 /// A relation declared in a RAM program. Orders (indexes) are attached by
 /// index selection after translation.

@@ -429,9 +429,6 @@ std::string stird::ram::print(const Program &Prog) {
     case StructureKind::Brie:
       Out << " structure brie";
       break;
-    case StructureKind::Art:
-      Out << " structure art";
-      break;
     case StructureKind::Eqrel:
       Out << " structure eqrel";
       break;

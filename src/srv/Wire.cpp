@@ -529,16 +529,6 @@ static Value handleStats(const RequestContext &Ctx) {
   }
   O.emplace_back("relations", std::move(Relations));
 
-  // Compile-time substrate decisions (forced or feedback-driven), so an
-  // operator can see why a relation serves from a non-declared structure.
-  const auto &Substrates = Session.program().getSubstrateDecisions();
-  if (!Substrates.empty()) {
-    Object Decisions;
-    for (const auto &[RelName, Decision] : Substrates)
-      Decisions.emplace_back(RelName, Decision);
-    O.emplace_back("substrate_decisions", std::move(Decisions));
-  }
-
   // Incremental-maintenance health: every scoped Reeval fallback that
   // ever ran, by reason — fallbacks are counted and visible, never silent.
   // "enabled" (always true) and "rebuild_fallbacks" (always 0) stay for

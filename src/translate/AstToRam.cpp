@@ -42,8 +42,6 @@ ram::StructureKind toRamStructure(ast::StructureKind Kind) {
     return ram::StructureKind::Btree;
   case ast::StructureKind::Brie:
     return ram::StructureKind::Brie;
-  case ast::StructureKind::Art:
-    return ram::StructureKind::Art;
   case ast::StructureKind::Eqrel:
     return ram::StructureKind::Eqrel;
   }

@@ -54,9 +54,8 @@ ProfileFeedback::fromJson(const std::string &Text, std::string *Error) {
       *Error = "invalid JSON: " + ParseError;
     return nullptr;
   }
-  // Backward-compatible reader: v1 documents still seed the join planner,
-  // they just lack the v2 access-pattern counters (so substrate selection
-  // stays off).
+  // Backward-compatible reader: both versions carry the relation sizes the
+  // join planner reads.
   const obs::json::Value *Schema = Doc->find("schema");
   const bool SchemaOk =
       Schema && Schema->isString() &&
@@ -88,25 +87,6 @@ ProfileFeedback::fromJson(const std::string &Text, std::string *Error) {
     if (Final && Final->isNumber())
       Size = std::max(Size, Final->asNumber());
     Feedback->Sizes[Name->asString()] = Size;
-    // v2 access-pattern counters (tolerated as absent: a v1 document, or a
-    // hand-trimmed v2 one, simply provides no substrate signal).
-    const obs::json::Value *Points = Rel.find("point_lookups");
-    const obs::json::Value *Ranges = Rel.find("range_scans");
-    if (Points && Points->isNumber() && Ranges && Ranges->isNumber()) {
-      RelationAccess A;
-      A.PointLookups = Points->asNumber();
-      A.RangeScans = Ranges->asNumber();
-      if (const obs::json::Value *Min = Rel.find("col0_min");
-          Min && Min->isNumber())
-        A.Col0Min = Min->asInt();
-      if (const obs::json::Value *Max = Rel.find("col0_max");
-          Max && Max->isNumber())
-        A.Col0Max = Max->asInt();
-      if (const obs::json::Value *Kind = Rel.find("kind");
-          Kind && Kind->isString())
-        A.Kind = Kind->asString();
-      Feedback->Access[Name->asString()] = std::move(A);
-    }
   }
   if (Feedback->Sizes.empty()) {
     if (Error)
@@ -133,14 +113,6 @@ std::optional<double>
 ProfileFeedback::relationSize(const std::string &Relation) const {
   auto It = Sizes.find(Relation);
   if (It == Sizes.end())
-    return std::nullopt;
-  return It->second;
-}
-
-std::optional<ProfileFeedback::RelationAccess>
-ProfileFeedback::relationAccess(const std::string &Relation) const {
-  auto It = Access.find(Relation);
-  if (It == Access.end())
     return std::nullopt;
   return It->second;
 }

@@ -56,30 +56,13 @@ std::optional<SipsStrategy> parseSipsStrategy(const std::string &Name);
 /// The canonical spelling of a strategy (inverse of parseSipsStrategy).
 const char *sipsStrategyName(SipsStrategy Strategy);
 
-/// Relation cardinalities (and, from v2 documents, access-pattern
-/// counters) harvested from a stird-profile-v1/-v2 document, the feedback
-/// source of SipsStrategy::Profile and of per-relation substrate
-/// selection. Peak sizes are used (for the
-/// translator's delta_/new_ aux relations the final size is always 0 —
+/// Relation cardinalities harvested from a stird-profile-v1/-v2 document,
+/// the feedback source of SipsStrategy::Profile. Peak sizes are used (for
+/// the translator's delta_/new_ aux relations the final size is always 0 —
 /// they are cleared on convergence — while the peak is exactly the largest
 /// per-iteration delta, the quantity a join planner wants).
 class ProfileFeedback {
 public:
-  /// Access-pattern record of one relation, present only in
-  /// stird-profile-v2 documents (v1 carries sizes alone).
-  struct RelationAccess {
-    /// Fully-bound probe initiations observed by the profiled run.
-    double PointLookups = 0;
-    /// Bounded (proper-prefix) range-scan initiations.
-    double RangeScans = 0;
-    /// Observed range of the first source column; Col0Max < Col0Min means
-    /// the relation finished empty (no density signal).
-    std::int64_t Col0Min = 0;
-    std::int64_t Col0Max = -1;
-    /// Substrate the profiled run used ("btree", "brie", "art", ...).
-    std::string Kind;
-  };
-
   /// Parses a profile JSON document (stird-profile-v1 or -v2; the reader is
   /// backward compatible). Returns null and fills \p Error when the text is
   /// not valid JSON, is not a known profile document, or carries no
@@ -94,14 +77,6 @@ public:
   /// The recorded cardinality of \p Relation, if the profiled run saw it.
   std::optional<double> relationSize(const std::string &Relation) const;
 
-  /// The access-pattern record of \p Relation (v2 documents only).
-  std::optional<RelationAccess>
-  relationAccess(const std::string &Relation) const;
-
-  /// True when the document carried v2 access-pattern counters — the
-  /// precondition for feedback-driven substrate selection.
-  bool hasAccessPatterns() const { return !Access.empty(); }
-
   /// Names of every relation in the document (for staleness checks).
   std::size_t relationCount() const { return Sizes.size(); }
   bool hasRelation(const std::string &Relation) const {
@@ -111,7 +86,6 @@ public:
 private:
   ProfileFeedback() = default;
   std::unordered_map<std::string, double> Sizes;
-  std::unordered_map<std::string, RelationAccess> Access;
 };
 
 /// One column of a body atom, as the planner sees it.

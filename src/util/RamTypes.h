@@ -55,6 +55,9 @@ template <typename To, typename From> inline To ramBitCast(From Value) {
 /// exactly this range (Fig 7).
 inline constexpr std::size_t MaxArity = 16;
 
+/// The largest arity the Brie portfolio covers (STIRD_FOR_EACH_BRIE).
+inline constexpr std::size_t MaxBrieArity = 8;
+
 /// A fixed-arity tuple as used by the statically specialized code paths.
 template <std::size_t Arity> using Tuple = std::array<RamDomain, Arity>;
 

@@ -193,6 +193,23 @@ TEST(ParserTest, ErrorArityLimit) {
             std::string::npos);
 }
 
+TEST(ParserTest, ErrorBrieArityLimit) {
+  // Brie covers arities 1-8; a wider brie must fail here, not in the
+  // relation factory.
+  auto brieDecl = [](int Arity) {
+    std::string Decl = ".decl wide(";
+    for (int I = 0; I < Arity; ++I)
+      Decl += (I ? ", a" : "a") + std::to_string(I) + ":number";
+    return Decl + ") brie";
+  };
+  EXPECT_TRUE(parseProgram(brieDecl(8)).succeeded());
+  ParseResult Result = parseProgram(brieDecl(9));
+  ASSERT_FALSE(Result.succeeded());
+  EXPECT_NE(Result.Errors[0].find("maximum supported brie arity 8"),
+            std::string::npos)
+      << Result.Errors[0];
+}
+
 TEST(ParserTest, ErrorRedefinition) {
   ParseResult Result =
       parseProgram(".decl a(x:number)\n.decl a(y:number)");

@@ -6,24 +6,25 @@
 ///
 /// \file
 /// The substrate-invariance contract, checked end-to-end: which concrete
-/// data structure a relation lives in (B-tree, Brie or ART) is a storage
+/// data structure a relation lives in (B-tree or Brie) is a storage
 /// decision, never a semantic one. For every seeded random program the
 /// resolved relation contents must be bit-identical across every substrate,
 /// at -j1 and -j4, both for a one-shot evaluation and for a k-batch mixed
 /// insert/retract stream replayed through the incremental Maintainer.
 ///
-/// Substrates are forced program-wide through CompileOptions'
-/// SubstrateOverrides (the --substrate path), so the delta_/new_ aux
-/// relations inherit the forced structure too — exactly what a feedback
-/// -driven selection would produce. On a mismatch the failing seed and
-/// program are written into $STIRD_ARTIFACT_DIR (when set), the artifact
-/// naming the diverging substrate, mirroring the scheduler suite.
+/// A substrate is chosen program-wide by qualifying every `.decl` line
+/// (testgen::withStructure), so the delta_/new_/@edb auxiliaries inherit
+/// it too; each compiled program is checked to really live on it. On a
+/// mismatch the failing seed and program are written into
+/// $STIRD_ARTIFACT_DIR (when set), the artifact naming the diverging
+/// substrate, mirroring the scheduler suite.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Program.h"
 #include "inc/Maintainer.h"
 #include "interp/Engine.h"
+#include "ram/Ram.h"
 #include "support/ProgramGen.h"
 
 #include <gtest/gtest.h>
@@ -32,6 +33,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -42,29 +44,43 @@ namespace {
 
 using Contents = std::vector<std::pair<std::string, std::vector<DynTuple>>>;
 
-const char *const Substrates[] = {"btree", "brie", "art"};
+const char *const Substrates[] = {"btree", "brie"};
 
-/// Compile options forcing every relation of \p P onto \p Substrate.
-/// Generated programs never use eqrel and stay at arity <= 3, so every
-/// forcing is applicable and silent.
-core::CompileOptions forceAll(const testgen::GeneratedProgram &P,
-                              const std::string &Substrate,
-                              bool WithMaintenance = false) {
+/// Compiles \p Source with every declaration qualified by \p Substrate
+/// (generated programs never use eqrel and stay at arity <= 3, so every
+/// qualifier is legal) and checks that every relation of the resulting
+/// RAM, auxiliaries included, lives on it. Maintenance count stores are
+/// arity-generic and exempt.
+std::unique_ptr<core::Program> compileOn(const testgen::GeneratedProgram &P,
+                                         const std::string &Source,
+                                         const std::string &Substrate,
+                                         bool WithMaintenance = false) {
   core::CompileOptions Compile;
   Compile.EmitMaintenance = WithMaintenance;
-  for (const std::string &Name : P.Relations)
-    Compile.SubstrateOverrides[Name] = Substrate;
-  return Compile;
+  std::vector<std::string> Errors;
+  auto Prog = core::Program::fromSource(
+      testgen::withStructure(Source, Substrate), &Errors, Compile);
+  EXPECT_NE(Prog, nullptr) << "seed " << P.Seed << " substrate " << Substrate
+                           << ": "
+                           << (Errors.empty() ? "compile failed" : Errors[0]);
+  if (!Prog)
+    return nullptr;
+  const ram::StructureKind Want = Substrate == "brie"
+                                      ? ram::StructureKind::Brie
+                                      : ram::StructureKind::Btree;
+  for (const auto &Rel : Prog->getRam().getRelations()) {
+    if (Rel->getStructure() != ram::StructureKind::Counts) {
+      EXPECT_EQ(Rel->getStructure(), Want)
+          << "seed " << P.Seed << " relation " << Rel->getName()
+          << " is not on " << Substrate;
+    }
+  }
+  return Prog;
 }
 
 Contents runOneShot(const testgen::GeneratedProgram &P,
                     const std::string &Substrate, std::size_t Threads) {
-  std::vector<std::string> Errors;
-  auto Prog =
-      core::Program::fromSource(P.Source, &Errors, forceAll(P, Substrate));
-  EXPECT_NE(Prog, nullptr) << "seed " << P.Seed << " substrate " << Substrate
-                           << ": "
-                           << (Errors.empty() ? "compile failed" : Errors[0]);
+  auto Prog = compileOn(P, P.Source, Substrate);
   if (!Prog)
     return {};
 
@@ -119,7 +135,7 @@ TEST_P(DifferentialSubstrateTest, OneShotAllSubstratesAgree) {
   for (const char *Substrate : Substrates) {
     for (std::size_t Threads : {std::size_t(1), std::size_t(4)}) {
       const Contents Out = runOneShot(P, Substrate, Threads);
-      const std::string Description = std::string("--substrate *:") +
+      const std::string Description = std::string("every .decl ") +
                                       Substrate + " -j" +
                                       std::to_string(Threads);
       if (Out != Reference)
@@ -142,17 +158,14 @@ TEST_P(DifferentialSubstrateTest, IncrementalAllSubstratesAgree) {
       testgen::generateMixedStream(P, P.Seed, NumOps);
 
   for (const char *Substrate : Substrates) {
-    std::vector<std::string> Errors;
-    auto Prog = core::Program::fromSource(
-        P.RulesOnly, &Errors, forceAll(P, Substrate, /*WithMaintenance=*/true));
-    ASSERT_NE(Prog, nullptr)
-        << "seed " << P.Seed << " substrate " << Substrate << ": "
-        << (Errors.empty() ? "compile failed" : Errors[0]);
+    auto Prog =
+        compileOn(P, P.RulesOnly, Substrate, /*WithMaintenance=*/true);
+    ASSERT_NE(Prog, nullptr);
     ASSERT_TRUE(Prog->getRam().hasMaintenance());
 
     for (std::size_t K : {std::size_t(1), std::size_t(4)}) {
       for (std::size_t Threads : {std::size_t(1), std::size_t(4)}) {
-        const std::string Description = std::string("incremental *:") +
+        const std::string Description = std::string("incremental ") +
                                         Substrate + " k=" +
                                         std::to_string(K) + " -j" +
                                         std::to_string(Threads);

@@ -277,4 +277,22 @@ std::vector<GeneratedOp> generateMixedStream(const GeneratedProgram &Prog,
   return Ops;
 }
 
+std::string withStructure(const std::string &Source,
+                          const std::string &Structure) {
+  std::string Out;
+  std::size_t Begin = 0;
+  while (Begin < Source.size()) {
+    std::size_t End = Source.find('\n', Begin);
+    if (End == std::string::npos)
+      End = Source.size();
+    Out.append(Source, Begin, End - Begin);
+    if (Source.compare(Begin, 6, ".decl ") == 0)
+      Out += " " + Structure;
+    if (End < Source.size())
+      Out += '\n';
+    Begin = End + 1;
+  }
+  return Out;
+}
+
 } // namespace stird::testgen

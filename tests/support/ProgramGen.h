@@ -118,6 +118,14 @@ std::vector<GeneratedOp> generateMixedStream(const GeneratedProgram &Prog,
                                              std::uint64_t Seed,
                                              std::size_t NumOps);
 
+/// \p Source with the `.decl` qualifier \p Structure ("btree", "brie")
+/// appended to every declaration line, so every relation — and the
+/// delta_/new_/@edb auxiliaries, which inherit their relation's structure
+/// — lives on that substrate. Works on any source text (minimization
+/// candidates included), not just generator output.
+std::string withStructure(const std::string &Source,
+                          const std::string &Structure);
+
 } // namespace stird::testgen
 
 #endif // STIRD_TESTS_SUPPORT_PROGRAMGEN_H

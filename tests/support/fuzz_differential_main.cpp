@@ -9,9 +9,9 @@
 /// maintenance differential suite. Walks seeds forward from a starting
 /// point (--seed, or the wall clock when omitted) for a wall-clock time
 /// budget (--seconds), checking that (a) every --sips strategy at -j1 and
-/// -j4 reproduces the unreordered sequential run, (b) forcing every relation
-/// onto each alternative substrate (--substrate; brie, art) changes
-/// nothing — a failure witness names the diverging substrate pair — and
+/// -j4 reproduces the unreordered sequential run, (b) declaring every
+/// relation brie instead of btree changes nothing — a failure witness names
+/// the diverging substrate pair — and
 /// (c) replaying a seeded mixed insert/retract stream through the
 /// maintenance plan matches a one-shot evaluation of the net EDB at every
 /// batch prefix, at -j1 and -j4.
@@ -88,20 +88,15 @@ std::vector<std::string> declaredRelations(const std::string &Source) {
   return Names;
 }
 
-/// Runs \p Source under one configuration. A non-empty \p Substrate forces
-/// every declared relation onto that substrate (the --substrate path).
-/// Returns false on compile failure (relations left empty) — callers treat
-/// that as "not the bug we are chasing", never as a mismatch.
+/// Runs \p Source under one configuration. Returns false on compile
+/// failure (relations left empty) — callers treat that as "not the bug we
+/// are chasing", never as a mismatch.
 bool run(const std::string &Source, translate::SipsStrategy Sips,
          const translate::ProfileFeedback *Feedback, std::size_t Threads,
-         Contents &Out, std::string *ProfileJson = nullptr,
-         const std::string &Substrate = "") {
+         Contents &Out, std::string *ProfileJson = nullptr) {
   core::CompileOptions Compile;
   Compile.Sips = Sips;
   Compile.Feedback = Feedback;
-  if (!Substrate.empty())
-    for (const std::string &Name : declaredRelations(Source))
-      Compile.SubstrateOverrides[Name] = Substrate;
   std::vector<std::string> Errors;
   auto Prog = core::Program::fromSource(Source, &Errors, Compile);
   if (!Prog)
@@ -158,21 +153,17 @@ bool mismatches(const std::string &Source, std::string &Witness) {
     }
   }
 
-  // Substrate axis: every relation forced onto each alternative substrate,
-  // source-order plans, sequential and parallel. A witness names the
-  // diverging substrate pair — the reference runs on the declared (btree)
-  // structures.
-  for (const char *Substrate : {"brie", "art"}) {
-    for (std::size_t Threads : {std::size_t(1), std::size_t(4)}) {
-      Contents Out;
-      if (!run(Source, translate::SipsStrategy::Source, nullptr, Threads,
-               Out, nullptr, Substrate))
-        continue;
-      if (Out != Reference) {
-        Witness = std::string("substrate pair btree vs ") + Substrate +
-                  " -j" + std::to_string(Threads);
-        return true;
-      }
+  // Substrate axis: every declaration qualified brie, source-order plans,
+  // sequential and parallel. A witness names the diverging substrate pair
+  // — the reference runs on the declared (btree) structures.
+  const std::string OnBrie = testgen::withStructure(Source, "brie");
+  for (std::size_t Threads : {std::size_t(1), std::size_t(4)}) {
+    Contents Out;
+    if (!run(OnBrie, translate::SipsStrategy::Source, nullptr, Threads, Out))
+      continue;
+    if (Out != Reference) {
+      Witness = "substrate pair btree vs brie -j" + std::to_string(Threads);
+      return true;
     }
   }
   return false;

@@ -18,6 +18,8 @@
 #include <sstream>
 #include <string>
 
+#include <sys/wait.h>
+
 #ifndef STIRD_TOOL_PATH
 #error "STIRD_TOOL_PATH must point at the stird driver binary"
 #endif
@@ -136,6 +138,27 @@ TEST(CliTest, ErrorsExitNonZero) {
 
   CommandResult BadFlag = runTool(Dir + "/bad.dl --backend warp", Dir);
   EXPECT_NE(BadFlag.ExitCode, 0);
+}
+
+TEST(CliTest, DeclarationsOutsideThePortfolioAreCompileErrors) {
+  // A structure/arity pair the pre-compiled portfolio lacks must be
+  // rejected at compile time with exit status 1, never reach the relation
+  // factory and abort the process.
+  std::string Dir = makeFixture("portfolio");
+  std::string Wide = ".decl r(";
+  for (int I = 0; I < 9; ++I)
+    Wide += (I ? ", c" : "c") + std::to_string(I) + ":number";
+  std::ofstream(Dir + "/wide_brie.dl")
+      << Wide << ") brie\nr(1, 2, 3, 4, 5, 6, 7, 8, 9).\n";
+  std::ofstream(Dir + "/art.dl") << ".decl r(a:number) art\nr(1).\n";
+  for (const char *Prog : {"wide_brie.dl", "art.dl"}) {
+    CommandResult Result = runTool(Dir + "/" + Prog + " -D " + Dir, Dir);
+    ASSERT_TRUE(WIFEXITED(Result.ExitCode))
+        << Prog << " died by a signal: " << Result.Output;
+    EXPECT_EQ(WEXITSTATUS(Result.ExitCode), 1) << Prog << ": " << Result.Output;
+    EXPECT_NE(Result.Output.find("error:"), std::string::npos)
+        << Prog << ": " << Result.Output;
+  }
 }
 
 TEST(CliTest, ThreadCountFlagVariants) {

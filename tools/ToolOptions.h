@@ -154,35 +154,8 @@ inline void addCompileOptions(util::Args &Args, core::CompileOptions &Options,
               });
   Args.option({"--feedback"}, "profile.json",
               "stird-profile-v1/-v2 document seeding the profile strategy "
-              "(implies --sips=profile; v2 also drives per-relation "
-              "substrate selection)",
+              "(implies --sips=profile)",
               pathSink(Options.FeedbackPath));
-  Args.option({"--substrate"}, "rel:kind,...",
-              "force per-relation substrates (kind: btree | brie | art); "
-              "inapplicable entries warn and are ignored",
-              [&Options](const std::string &Value) -> std::string {
-                std::size_t Start = 0;
-                while (Start <= Value.size()) {
-                  std::size_t Comma = Value.find(',', Start);
-                  if (Comma == std::string::npos)
-                    Comma = Value.size();
-                  const std::string Entry = Value.substr(Start, Comma - Start);
-                  Start = Comma + 1;
-                  if (Entry.empty())
-                    continue;
-                  const std::size_t Colon = Entry.find(':');
-                  if (Colon == std::string::npos || Colon == 0 ||
-                      Colon + 1 == Entry.size())
-                    return "invalid --substrate entry '" + Entry +
-                           "' (expected rel:kind)";
-                  Options.SubstrateOverrides[Entry.substr(0, Colon)] =
-                      Entry.substr(Colon + 1);
-                }
-                return "";
-              });
-  Args.flag({"--no-substrate-feedback"},
-            "disable feedback-driven per-relation substrate selection",
-            [&Options] { Options.SubstrateFromFeedback = false; });
 }
 
 /// Applies the flag-interaction defaults after parsing.

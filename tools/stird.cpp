@@ -23,12 +23,7 @@
 ///                         profile (default source)
 ///   --feedback <file>     stird-profile-v1/-v2 JSON seeding --sips=profile
 ///                         (implies it); malformed or stale documents warn
-///                         and fall back to max-bound; v2 access-pattern
-///                         counters also drive per-relation substrate
-///                         selection
-///   --substrate <r:k,..>  force per-relation substrates (btree|brie|art)
-///   --no-substrate-feedback
-///                         disable feedback-driven substrate selection
+///                         and fall back to max-bound
 ///   --dump-ram            print the RAM program and exit
 ///   --profile             print the per-rule profile after the run
 ///   --profile=<file>      write the JSON profile document instead
@@ -134,7 +129,6 @@ int main(int argc, char **argv) {
     Ctx.Backend = tools::backendName(Options.TheBackend);
     Ctx.Threads = Options.NumThreads > 0 ? Options.NumThreads : 1;
     Ctx.TotalSeconds = TotalSeconds;
-    Ctx.SubstrateDecisions = Prog->getSubstrateDecisions();
     std::ofstream Out(ProfilePath);
     if (!Out) {
       std::fprintf(stderr, "cannot write '%s'\n", ProfilePath.c_str());
