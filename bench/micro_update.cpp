@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Measures the incremental maintenance subsystem on mixed insert/retract
-/// streams: each batch is applied once through the Maintainer (counting +
-/// DRed + scoped Reeval) and once as a full re-evaluation of the net EDB
+/// streams: each batch is applied once through the Maintainer (DRed +
+/// scoped Reeval) and once as a full re-evaluation of the net EDB
 /// from scratch, on the two serving-shaped workloads — skewed transitive
 /// closure (many small communities, one hot community drawing a quarter
 /// of the churn) and a doop-like points-to program (mutually recursive

@@ -73,10 +73,11 @@ private:
     return false;
   }
 
-  void error(const std::string &Message) {
-    const Token &Tok = peek();
-    Errors.push_back("line " + std::to_string(Tok.Loc.Line) + ":" +
-                     std::to_string(Tok.Loc.Col) + ": " + Message);
+  void error(const std::string &Message) { error(peek().Loc, Message); }
+
+  void error(const SrcLoc &Loc, const std::string &Message) {
+    Errors.push_back("line " + std::to_string(Loc.Line) + ":" +
+                     std::to_string(Loc.Col) + ": " + Message);
   }
 
   /// Error recovery: skip to just past the next clause terminator.
@@ -175,33 +176,35 @@ private:
     }
     expect(TokenKind::RParen, "')'");
 
-    // Structure qualifiers: only known keywords are consumed — any other
-    // identifier already belongs to the next clause.
+    // Structure qualifiers: an identifier not followed by '(' is one; an
+    // identifier that opens an atom already starts the next clause.
     StructureKind Structure = StructureKind::Btree;
-    while (at(TokenKind::Ident) &&
-           (peek().Text == "btree" || peek().Text == "brie" ||
-            peek().Text == "eqrel")) {
-      std::string Qual = advance().Text;
-      if (Qual == "btree")
+    while (at(TokenKind::Ident) && peek(1).Kind != TokenKind::LParen) {
+      const Token &Qual = advance();
+      if (Qual.Text == "btree")
         Structure = StructureKind::Btree;
-      else if (Qual == "brie")
+      else if (Qual.Text == "brie")
         Structure = StructureKind::Brie;
-      else
+      else if (Qual.Text == "eqrel")
         Structure = StructureKind::Eqrel;
+      else
+        error(Qual.Loc, "unknown structure qualifier '" + Qual.Text + "'");
     }
+    // The declaration's own errors name its location, not the next token.
     if (Structure == StructureKind::Eqrel && Attributes.size() != 2)
-      error("eqrel relation '" + Name + "' must be binary");
+      error(Loc, "eqrel relation '" + Name + "' must be binary");
     if (Structure == StructureKind::Brie && Attributes.size() > MaxBrieArity)
-      error("brie relation '" + Name +
-            "' exceeds the maximum supported brie arity " +
-            std::to_string(MaxBrieArity));
+      error(Loc, "brie relation '" + Name +
+                     "' exceeds the maximum supported brie arity " +
+                     std::to_string(MaxBrieArity));
     if (Attributes.empty())
-      error("relation '" + Name + "' must have at least one attribute");
+      error(Loc, "relation '" + Name + "' must have at least one attribute");
     if (Attributes.size() > MaxArity)
-      error("relation '" + Name + "' exceeds the maximum supported arity " +
-            std::to_string(MaxArity));
+      error(Loc, "relation '" + Name +
+                     "' exceeds the maximum supported arity " +
+                     std::to_string(MaxArity));
     if (Prog.findRelation(Name))
-      error("redefinition of relation '" + Name + "'");
+      error(Loc, "redefinition of relation '" + Name + "'");
     Prog.Relations.push_back(std::make_unique<RelationDecl>(
         std::move(Name), std::move(Attributes), Structure, Loc));
   }

@@ -45,8 +45,8 @@ namespace stird::core {
 /// Compilation-time choices (as opposed to the per-engine EngineOptions).
 struct CompileOptions {
   /// Also emit the incremental maintenance program for mixed
-  /// insert/retract batches (counting + DRed per stratum, scoped Reeval
-  /// fallbacks — see translate::TranslationOptions::EmitMaintenance).
+  /// insert/retract batches (DRed per stratum, scoped Reeval fallbacks —
+  /// see translate::TranslationOptions::EmitMaintenance).
   bool EmitMaintenance = false;
   /// Join-ordering strategy for rule bodies (--sips). Source keeps the
   /// textual order, so nothing changes unless a caller opts in.

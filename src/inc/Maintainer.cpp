@@ -6,7 +6,6 @@
 
 #include "inc/Maintainer.h"
 
-#include "inc/CountedRelation.h"
 #include "util/MiscUtil.h"
 
 #include <cassert>
@@ -26,13 +25,8 @@ Maintainer::Maintainer(const ram::Program &Prog, interp::Engine &Eng)
       continue;
     if (!Aux->Edb.empty())
       Shadows.insert(Aux->Edb);
-    Tracked T{&rel(Decl->getName()), &rel(Aux->Ins), &rel(Aux->Del)};
-    if (!Aux->Support.empty()) {
-      T.Support = counted(Aux->Support);
-      T.CntAdd = counted(Aux->CntAdd);
-      T.CntDec = counted(Aux->CntDec);
-    }
-    Relations.push_back(T);
+    Relations.push_back(
+        {&rel(Decl->getName()), &rel(Aux->Ins), &rel(Aux->Del)});
   }
 }
 
@@ -43,16 +37,8 @@ interp::RelationWrapper &Maintainer::rel(const std::string &Name) const {
   return *R;
 }
 
-CountedRelation *Maintainer::counted(const std::string &Name) const {
-  interp::RelationWrapper &R = rel(Name);
-  assert(R.getKind() == interp::RelKind::Counts && "not a count store");
-  return static_cast<CountedRelation *>(&R);
-}
-
 void Maintainer::bootstrap() {
-  assert(!Bootstrapped && "support counts would double");
-  if (const ram::Statement *Init = Prog.getCountInit())
-    Eng.runStatement(*Init);
+  assert(!Bootstrapped && "bootstrap() runs once");
   Bootstrapped = true;
 }
 
@@ -179,42 +165,20 @@ static void appendTuples(const interp::RelationWrapper &Rel,
 
 void Maintainer::harvest(ChangeSet &Out) const {
   Out.Relations.clear();
-  Out.Supports.clear();
   for (std::size_t Slot = 0; Slot < Relations.size(); ++Slot) {
     const Tracked &T = Relations[Slot];
-    if (!T.Ins->empty() || !T.Del->empty()) {
-      ChangeSet::RelationDelta D;
-      D.Slot = Slot;
-      // An equivalence relation has no per-tuple erase.
-      if (T.Full->getKind() == interp::RelKind::Eqrel && !T.Del->empty()) {
-        D.CopyFrom = T.Full;
-      } else {
-        appendTuples(*T.Del, D.Deleted);
-        appendTuples(*T.Ins, D.Inserted);
-      }
-      Out.Relations.push_back(std::move(D));
-    }
-    if (!T.Support || (T.CntAdd->empty() && T.CntDec->empty()))
+    if (T.Ins->empty() && T.Del->empty())
       continue;
-    // The same netting FoldCounts applied to the support store.
-    ChangeSet::SupportDelta S;
-    S.Slot = Slot;
-    auto Record = [&](const DynTuple &Key, std::int64_t Net) {
-      if (Net == 0)
-        return;
-      S.Keys.insert(S.Keys.end(), Key.begin(), Key.end());
-      S.Adjust.push_back(Net);
-    };
-    T.CntAdd->forEachCount([&](const DynTuple &Key, std::uint64_t Count) {
-      Record(Key, static_cast<std::int64_t>(Count) -
-                      static_cast<std::int64_t>(T.CntDec->countOf(Key)));
-    });
-    T.CntDec->forEachCount([&](const DynTuple &Key, std::uint64_t Count) {
-      if (T.CntAdd->countOf(Key) == 0)
-        Record(Key, -static_cast<std::int64_t>(Count));
-    });
-    if (!S.Adjust.empty())
-      Out.Supports.push_back(std::move(S));
+    ChangeSet::RelationDelta D;
+    D.Slot = Slot;
+    // An equivalence relation has no per-tuple erase.
+    if (T.Full->getKind() == interp::RelKind::Eqrel && !T.Del->empty()) {
+      D.CopyFrom = T.Full;
+    } else {
+      appendTuples(*T.Del, D.Deleted);
+      appendTuples(*T.Ins, D.Inserted);
+    }
+    Out.Relations.push_back(std::move(D));
   }
 }
 
@@ -233,14 +197,6 @@ void Maintainer::replay(const ChangeSet &Changes) {
       Full.erase(D.Deleted.data() + I);
     for (std::size_t I = 0; I < D.Inserted.size(); I += Arity)
       Full.insert(D.Inserted.data() + I);
-  }
-  for (const ChangeSet::SupportDelta &S : Changes.Supports) {
-    CountedRelation &Support = *Relations[S.Slot].Support;
-    const std::size_t Arity = Support.getArity();
-    for (std::size_t I = 0; I < S.Adjust.size(); ++I) {
-      const RamDomain *Key = S.Keys.data() + I * Arity;
-      Support.adjust(DynTuple(Key, Key + Arity), S.Adjust[I]);
-    }
   }
 }
 

@@ -8,13 +8,13 @@
 /// The runtime driver of the incremental maintenance subsystem: stages one
 /// mixed insert/retract batch into the per-relation net deltas
 /// (delta_ins_E / delta_del_E), then runs the translator's maintenance
-/// plan stratum by stratum — the counting and DRed statements through the
-/// engine's de-specialized statement executor, the Reeval fallbacks as a
-/// scoped snapshot/clear/re-run/diff of that stratum's main statements —
-/// and reports what happened per stratum.
+/// plan stratum by stratum — the DRed statements through the engine's
+/// de-specialized statement executor, the Reeval fallbacks as a scoped
+/// snapshot/clear/re-run/diff of that stratum's main statements — and
+/// reports what happened per stratum.
 ///
 /// A maintained batch can also leave behind its ChangeSet: the net change
-/// it made to every declared relation and support store. replay() applies
+/// it made to every declared relation. replay() applies
 /// a ChangeSet to a second engine in the same state as the first was
 /// before the batch, running no rule, which is how the serving layer's
 /// passive side catches up.
@@ -38,8 +38,6 @@
 
 namespace stird::inc {
 
-class CountedRelation;
-
 /// One relation's portion of a mixed batch. Within a batch, retractions
 /// are applied before insertions: a tuple both retracted and inserted ends
 /// up present (and counts as a duplicate, not a change).
@@ -55,7 +53,7 @@ using MixedBatch = std::vector<RelationOps>;
 /// What one maintained stratum did for a batch.
 struct StratumReport {
   ram::Program::MaintStrategy Strategy;
-  /// Why the stratum is a Reeval fallback ("" for counting/DRed).
+  /// Why the stratum is a Reeval fallback ("" for DRed).
   std::string FallbackReason;
   /// Net derived-tuple changes this stratum emitted downstream.
   std::uint64_t Inserted = 0;
@@ -100,15 +98,7 @@ struct ChangeSet {
     /// still hold the batch's result when replay runs.
     const interp::RelationWrapper *CopyFrom = nullptr;
   };
-  /// One counting relation's net support adjustment (cadd_R - cdec_R) per
-  /// key, zero adjustments omitted.
-  struct SupportDelta {
-    std::size_t Slot = 0;
-    std::vector<RamDomain> Keys;
-    std::vector<std::int64_t> Adjust;
-  };
   std::vector<RelationDelta> Relations;
-  std::vector<SupportDelta> Supports;
 };
 
 /// Drives the maintenance plan of one engine. The engine and program must
@@ -118,9 +108,10 @@ public:
   /// \p Prog must carry a maintenance plan (ram::Program::hasMaintenance).
   Maintainer(const ram::Program &Prog, interp::Engine &Eng);
 
-  /// Seeds the counting strata's support stores from the bootstrapped
-  /// relation contents. Must run exactly once, after the engine's initial
-  /// run(), before the first apply().
+  /// Marks the engine's initial run() as done: the maintenance plan keeps
+  /// no state beyond the relations themselves, so there is nothing to
+  /// seed. Must run exactly once, after that run(), before the first
+  /// apply() or replay().
   void bootstrap();
 
   /// Returns "" when apply() can process \p Batch, else the reason it
@@ -140,7 +131,7 @@ public:
 
   /// Applies a ChangeSet harvested by another maintainer over the same
   /// program whose engine was, before that batch, in the state this one
-  /// is in now: erases, inserts and support adjustments only, no rule.
+  /// is in now: erases and inserts only, no rule.
   void replay(const ChangeSet &Changes);
 
 private:
@@ -150,14 +141,9 @@ private:
     interp::RelationWrapper *Full;
     interp::RelationWrapper *Ins;
     interp::RelationWrapper *Del;
-    /// Counting relations only, else null.
-    CountedRelation *Support = nullptr;
-    CountedRelation *CntAdd = nullptr;
-    CountedRelation *CntDec = nullptr;
   };
 
   interp::RelationWrapper &rel(const std::string &Name) const;
-  CountedRelation *counted(const std::string &Name) const;
   void harvest(ChangeSet &Out) const;
   /// Scoped re-evaluation of one Reeval stratum: snapshot, clear, re-run
   /// its main statements, diff into the ins/del deltas.

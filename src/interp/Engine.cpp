@@ -200,7 +200,11 @@ void Engine::runStatement(const ram::Statement &Stmt) {
   NodePtr &Tree = StmtTrees[&Stmt];
   if (!Tree)
     Tree = generateTree(Stmt, Indexes, State, generatorOptions(Options));
+  // A resident engine runs statements once per batch, indefinitely: they
+  // add to each rule's totals but keep no per-execution sample.
+  State.Prof.setSampling(false);
   ensureExecutor().run(*Tree);
+  State.Prof.setSampling(true);
   if (State.CollectStats)
     for (std::size_t I = 0; I < State.StatsRelations.size(); ++I)
       State.Stats[I].notePeak(State.StatsRelations[I]->size());

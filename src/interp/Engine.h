@@ -201,15 +201,14 @@ public:
 
   /// Executes one RAM statement of the engine's program over the resident
   /// relations. Used by the maintenance driver (inc::Maintainer) to run
-  /// per-stratum update statements, the count-initialization statement,
-  /// and recorded Main sub-ranges for re-evaluated strata. The statement
-  /// must belong to (or be reachable from) the engine's ram::Program so
-  /// its relation references resolve. Trees are generated on first use and
-  /// cached per statement, with the configured backend's opcodes, and run
-  /// on the same executor as run(): under the STI a maintained batch gets
-  /// specialized instructions on B-tree, Brie and eqrel relations,
-  /// while counted support stores stay on the generic opcodes every
-  /// executor carries.
+  /// per-stratum update statements and recorded Main sub-ranges for
+  /// re-evaluated strata. The statement must belong to (or be reachable
+  /// from) the engine's ram::Program so its relation references resolve.
+  /// Trees are generated on first use and cached per statement, with the
+  /// configured backend's opcodes, and run on the same executor as run():
+  /// under the STI a maintained batch gets specialized instructions on
+  /// B-tree, Brie and eqrel relations. Its rules add to their profiler
+  /// totals but append no IterationSample.
   void runStatement(const ram::Statement &Stmt);
 
   const ram::Program &getProgram() const { return Prog; }

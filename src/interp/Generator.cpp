@@ -246,13 +246,6 @@ public:
                                             wrapper(S.getFilter()),
                                             wrapper(S.getDestination()));
     }
-    case K::FoldCounts: {
-      const auto &F = static_cast<const ram::FoldCounts &>(Stmt);
-      return std::make_unique<FoldCountsNode>(
-          &Stmt, wrapper(F.getAdd()), wrapper(F.getDec()),
-          wrapper(F.getSupport()), wrapper(F.getTarget()),
-          wrapper(F.getInsOut()), wrapper(F.getDelOut()));
-    }
     case K::Io: {
       const auto &IoStmt = static_cast<const ram::Io &>(Stmt);
       return std::make_unique<IoNode>(&Stmt, wrapper(IoStmt.getRelation()),
@@ -385,10 +378,9 @@ private:
   //===--------------------------------------------------------------------===
 
   NodeType opType(SpecOp Op, RelationWrapper *Rel) {
-    // Legacy and counted relations have no specialized instructions; they
-    // are always driven through the virtual adapter.
-    if (!Options.Specialize || Rel->getKind() == RelKind::Legacy ||
-        Rel->getKind() == RelKind::Counts)
+    // Legacy relations have no specialized instructions; they are always
+    // driven through the virtual adapter.
+    if (!Options.Specialize || Rel->getKind() == RelKind::Legacy)
       return genericType(Op);
     return specializedType(Op, Rel->getKind(), Rel->getArity());
   }

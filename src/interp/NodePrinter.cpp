@@ -71,8 +71,6 @@ const char *stird::interp::nodeTypeName(NodeType Type) {
     return "EraseRel";
   case NodeType::Subtract:
     return "Subtract";
-  case NodeType::FoldCounts:
-    return "FoldCounts";
   case NodeType::Io:
     return "Io";
   case NodeType::LogTimer:
@@ -166,12 +164,6 @@ private:
     if (const auto *S = dynamic_cast<const SubtractNode *>(&N))
       Out << " without=" << S->Filter->getName()
           << " into=" << S->Destination->getName();
-    if (const auto *F = dynamic_cast<const FoldCountsNode *>(&N))
-      Out << " dec=" << F->Dec->getName()
-          << " support=" << F->Support->getName()
-          << " target=" << F->Target->getName()
-          << " ins=" << F->InsOut->getName()
-          << " del=" << F->DelOut->getName();
     if (const auto *Scan = dynamic_cast<const ScanNode *>(&N))
       Out << " index=" << Scan->IndexPos << " t" << Scan->TupleId
           << (Scan->Decode ? " decode" : "");

@@ -7,8 +7,10 @@
 /// \file
 /// The Soufflé-profiler analog: accumulates wall time, invocation counts,
 /// dispatch counts and produced-tuple deltas per LogTimer label (one label
-/// per rule version), keeping every individual sample so recursive rules
-/// expose their full stratum → version → iteration hierarchy. Drives the
+/// per rule version), keeping every individual sample of the main run so
+/// recursive rules expose their full stratum → version → iteration
+/// hierarchy. Maintenance executions of a resident engine add to the
+/// totals only: one sample per rule and batch would grow without bound. Drives the
 /// Section 5.2 case study (Fig 16), the dispatch-elimination measurement
 /// of the super-instruction experiment (Fig 19), and the JSON profile sink
 /// of the observability layer.
@@ -66,7 +68,8 @@ struct RuleProfile {
   std::uint64_t Invocations = 0;
   std::uint64_t Dispatches = 0;
   std::uint64_t DeltaTuples = 0;
-  /// Per-execution samples in execution order (iteration order for rules
+  /// Per-execution samples of the executions recorded while sampling was
+  /// on (Engine::run), in execution order (iteration order for rules
   /// inside a fixpoint loop).
   std::vector<IterationSample> Iterations;
 };
@@ -95,7 +98,15 @@ public:
     Profile.Invocations += 1;
     Profile.Dispatches += Dispatches;
     Profile.DeltaTuples += DeltaTuples;
-    Profile.Iterations.push_back({Seconds, Dispatches, DeltaTuples});
+    if (Sampling)
+      Profile.Iterations.push_back({Seconds, Dispatches, DeltaTuples});
+  }
+
+  /// Whether record() appends an IterationSample (on by default). Call
+  /// only while no rule executes.
+  void setSampling(bool On) {
+    std::lock_guard<std::mutex> Lock(M);
+    Sampling = On;
   }
 
   /// Snapshot of every rule profile, copied under the mutex: safe to call
@@ -112,6 +123,7 @@ public:
 private:
   std::vector<RuleProfile> Rules;
   std::unordered_map<std::string, std::size_t> IdOf;
+  bool Sampling = true;
   mutable std::mutex M;
 };
 

@@ -6,7 +6,6 @@
 
 #include "interp/Relation.h"
 
-#include "inc/CountedRelation.h"
 #include "interp/ForEach.h"
 
 #include <algorithm>
@@ -351,8 +350,6 @@ RelKind kindOf(ram::StructureKind Structure) {
     return RelKind::Brie;
   case ram::StructureKind::Eqrel:
     return RelKind::Eqrel;
-  case ram::StructureKind::Counts:
-    return RelKind::Counts;
   }
   unreachable("unknown structure kind");
 }
@@ -364,11 +361,6 @@ stird::interp::createRelation(const ram::Relation &Decl,
                               std::vector<Order> Orders, bool Legacy) {
   if (Orders.empty())
     Orders.push_back(Order::identity(Decl.getArity()));
-  // Count collectors are arity-generic (no specialized portfolio entry):
-  // the maintenance programs only project into and fold over them, so the
-  // virtual adapter path is the only access path, under every backend.
-  if (Decl.getStructure() == ram::StructureKind::Counts)
-    return std::make_unique<inc::CountedRelation>(Decl, std::move(Orders));
   if (Legacy)
     return std::make_unique<LegacyRelation>(Decl, std::move(Orders));
 

@@ -47,7 +47,7 @@ namespace stird::interp {
 
 /// Which concrete family a wrapper belongs to; the static engine encodes
 /// this (together with the arity) into its opcodes.
-enum class RelKind : std::uint8_t { Btree, Brie, Eqrel, Legacy, Counts };
+enum class RelKind : std::uint8_t { Btree, Brie, Eqrel, Legacy };
 
 /// The canonical lowercase spelling of a RelKind, as used by the profile
 /// document's "kind" field and the serving stats reply.
@@ -61,8 +61,6 @@ inline const char *relKindName(RelKind Kind) {
     return "eqrel";
   case RelKind::Legacy:
     return "legacy";
-  case RelKind::Counts:
-    break;
   }
   return "unknown";
 }

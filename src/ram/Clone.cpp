@@ -146,12 +146,6 @@ StmtPtr stird::ram::clone(const Statement &Stmt) {
     return std::make_unique<SubtractInto>(&S.getSource(), &S.getFilter(),
                                           &S.getDestination());
   }
-  case Statement::Kind::FoldCounts: {
-    const auto &F = static_cast<const FoldCounts &>(Stmt);
-    return std::make_unique<FoldCounts>(&F.getAdd(), &F.getDec(),
-                                        &F.getSupport(), &F.getTarget(),
-                                        &F.getInsOut(), &F.getDelOut());
-  }
   case Statement::Kind::Io: {
     const auto &IoStmt = static_cast<const Io &>(Stmt);
     return std::make_unique<Io>(IoStmt.getDirection(), &IoStmt.getRelation());

@@ -28,10 +28,8 @@
 
 namespace stird::ram {
 
-/// Data structure backing a RAM relation. Counts is the incremental
-/// maintenance subsystem's tuple -> multiplicity store (support counts and
-/// per-batch count collectors); it never backs a declared relation.
-enum class StructureKind { Btree, Brie, Eqrel, Counts };
+/// Data structure backing a RAM relation.
+enum class StructureKind { Btree, Brie, Eqrel };
 
 /// A relation declared in a RAM program. Orders (indexes) are attached by
 /// index selection after translation.
@@ -493,7 +491,6 @@ public:
     MergeInto,
     Erase,
     SubtractInto,
-    FoldCounts,
     Io,
     LogTimer,
   };
@@ -623,35 +620,6 @@ private:
   const Relation *Destination;
 };
 
-/// FOLD COUNTS — nets the per-batch count collectors (cadd minus cdec)
-/// into the support store and applies the resulting transitions to the
-/// maintained relation: a tuple whose support drops to zero is erased from
-/// Target and recorded in DelOut; one whose support rises from zero is
-/// inserted into Target and recorded in InsOut. The counting strata's
-/// single mutation point.
-class FoldCounts : public Statement {
-public:
-  FoldCounts(const Relation *Add, const Relation *Dec,
-             const Relation *Support, const Relation *Target,
-             const Relation *InsOut, const Relation *DelOut)
-      : Statement(Kind::FoldCounts), Add(Add), Dec(Dec), Support(Support),
-        Target(Target), InsOut(InsOut), DelOut(DelOut) {}
-  const Relation &getAdd() const { return *Add; }
-  const Relation &getDec() const { return *Dec; }
-  const Relation &getSupport() const { return *Support; }
-  const Relation &getTarget() const { return *Target; }
-  const Relation &getInsOut() const { return *InsOut; }
-  const Relation &getDelOut() const { return *DelOut; }
-
-private:
-  const Relation *Add;
-  const Relation *Dec;
-  const Relation *Support;
-  const Relation *Target;
-  const Relation *InsOut;
-  const Relation *DelOut;
-};
-
 /// Loads or stores a relation according to its IO attributes.
 class Io : public Statement {
 public:
@@ -756,12 +724,10 @@ public:
 
   /// How one stratum is maintained under deletions.
   enum class MaintStrategy {
-    /// Non-recursive stratum: exact derivation counting. Signed delta rule
-    /// versions project into count collectors; FoldCounts applies the
-    /// support transitions.
-    Counting,
-    /// Recursive stratum (or one whose negated literals carry wildcards):
-    /// over-delete via delta-deletion rules, rederive from survivors.
+    /// Every stratum that is not Reeval: over-delete via delta-deletion
+    /// rules, keep the candidates an exit clause still derives, rederive
+    /// the rest from survivors. A non-recursive stratum's clauses are all
+    /// exit clauses, so there it over-deletes nothing.
     DRed,
     /// Scoped per-stratum re-evaluation fallback (eqrel, aggregates, `$`):
     /// the serving layer clears the stratum and re-runs its main
@@ -771,7 +737,7 @@ public:
 
   /// One stratum's maintenance plan, in bottom-up stratum order.
   struct MaintStratum {
-    MaintStrategy Strategy = MaintStrategy::Counting;
+    MaintStrategy Strategy = MaintStrategy::DRed;
     /// Why the stratum fell back to Reeval ("" otherwise).
     std::string FallbackReason;
     /// Declared relations the stratum defines.
@@ -785,17 +751,15 @@ public:
   };
 
   /// Names of the per-relation maintenance aux relations: net insertions
-  /// and net deletions of the running batch (every declared relation), the
-  /// DRed over-deletion set (DRed strata only, else empty), and the
-  /// counting support store plus its per-batch collectors (counting strata
-  /// only, else empty). Edb names the hidden EDB shadow R@edb of an .input
-  /// relation that also has clauses: loads and batch inserts land there,
-  /// and the clause R(x) :- R@edb(x) derives them into R (else empty).
+  /// and net deletions of the running batch (every declared relation) and
+  /// the DRed over-deletion set (DRed strata only, else empty). Edb names
+  /// the hidden EDB shadow R@edb of an .input relation that also has
+  /// clauses: loads and batch inserts land there, and the clause
+  /// R(x) :- R@edb(x) derives them into R (else empty).
   struct MaintAux {
     std::string Ins;
     std::string Del;
     std::string Rederive;
-    std::string Support, CntAdd, CntDec;
     std::string Edb;
   };
 
@@ -821,19 +785,13 @@ public:
     return MaintAuxOf;
   }
 
-  /// Bootstraps the counting strata's support stores from the main run's
-  /// fixpoint (one derivation count per rule match); run once after the
-  /// initial evaluation. Null when no stratum uses Counting.
-  void setCountInit(StmtPtr Stmt) { CountInit = std::move(Stmt); }
-  const Statement *getCountInit() const { return CountInit.get(); }
-
   /// Applies the staged EDB nets: erases delta_del_E from every input
   /// relation and merges delta_ins_E in, before the strata run bottom-up.
   void setMaintPrologue(StmtPtr Stmt) { MaintPrologue = std::move(Stmt); }
   const Statement *getMaintPrologue() const { return MaintPrologue.get(); }
 
   /// Clears every maintenance aux relation (ins/del deltas and
-  /// collectors); run after the Maintainer has harvested the batch's
+  /// over-deletion sets); run after the Maintainer has harvested the batch's
   /// telemetry and change set.
   void setMaintEpilogue(StmtPtr Stmt) { MaintEpilogue = std::move(Stmt); }
   const Statement *getMaintEpilogue() const { return MaintEpilogue.get(); }
@@ -843,7 +801,6 @@ private:
   StmtPtr Main;
   std::vector<MaintStratum> MaintStrata;
   std::unordered_map<std::string, MaintAux> MaintAuxOf;
-  StmtPtr CountInit;
   StmtPtr MaintPrologue;
   StmtPtr MaintEpilogue;
 };

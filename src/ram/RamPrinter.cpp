@@ -326,15 +326,6 @@ public:
                << S.getDestination().getName() << "\n";
       return;
     }
-    case Statement::Kind::FoldCounts: {
-      const auto &F = static_cast<const FoldCounts &>(Stmt);
-      indent() << "FOLD COUNTS " << F.getAdd().getName() << " - "
-               << F.getDec().getName() << " INTO " << F.getSupport().getName()
-               << " MAINTAINING " << F.getTarget().getName() << " (ins -> "
-               << F.getInsOut().getName() << ", del -> "
-               << F.getDelOut().getName() << ")\n";
-      return;
-    }
     case Statement::Kind::Io: {
       const auto &IoStmt = static_cast<const Io &>(Stmt);
       const char *Verb = IoStmt.getDirection() == Io::Direction::Load
@@ -432,9 +423,6 @@ std::string stird::ram::print(const Program &Prog) {
     case StructureKind::Eqrel:
       Out << " structure eqrel";
       break;
-    case StructureKind::Counts:
-      Out << " structure counts";
-      break;
     }
     Out << "\n";
   }
@@ -446,11 +434,8 @@ std::string stird::ram::print(const Program &Prog) {
       Out << "PROLOGUE\n" << print(*Prologue);
     for (std::size_t I = 0; I < Prog.getMaintStrata().size(); ++I) {
       const auto &S = Prog.getMaintStrata()[I];
-      const char *Name = S.Strategy == Program::MaintStrategy::Counting
-                             ? "counting"
-                             : (S.Strategy == Program::MaintStrategy::DRed
-                                    ? "dred"
-                                    : "reeval");
+      const char *Name =
+          S.Strategy == Program::MaintStrategy::DRed ? "dred" : "reeval";
       Out << "STRATUM " << I << " " << Name;
       if (!S.FallbackReason.empty())
         Out << " (" << S.FallbackReason << ")";
@@ -458,8 +443,6 @@ std::string stird::ram::print(const Program &Prog) {
       if (S.Stmt)
         Out << print(*S.Stmt);
     }
-    if (const Statement *CountInit = Prog.getCountInit())
-      Out << "COUNT INIT\n" << print(*CountInit);
     if (const Statement *Epilogue = Prog.getMaintEpilogue())
       Out << "EPILOGUE\n" << print(*Epilogue);
   }

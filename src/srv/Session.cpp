@@ -200,8 +200,8 @@ BatchResult EngineSession::applyMixed(const inc::MixedBatch &Batch) {
     Result.CatchUpSeconds = CatchUp.seconds();
   }
   // Every batch — pure inserts included — goes through the maintenance
-  // plan; bypassing it would let the support counts drift. The batch's net
-  // change replaces the one the passive side just replayed.
+  // plan, so every stratum's deltas reach the strata above. The batch's
+  // net change replaces the one the passive side just replayed.
   inc::MaintenanceReport Report = W.Maint->apply(Batch, &Pending);
   Result.Inserted = Report.Inserted;
   Result.Duplicates = Report.Duplicates;

@@ -13,9 +13,8 @@
 /// ones. A session has one write path: every program it serves is compiled
 /// with a maintenance plan (TranslationOptions::EmitMaintenance, forced on
 /// by fromSource/fromFile), and every batch routes through the
-/// inc::Maintainer: counting for non-recursive strata, DRed for recursive
-/// ones, with scoped per-stratum re-evaluation fallbacks that are counted
-/// and reported, never silent. A rule-free program is maintained by its
+/// inc::Maintainer: DRed for every stratum, with scoped per-stratum
+/// re-evaluation fallbacks that are counted and reported, never silent. A rule-free program is maintained by its
 /// EDB prologue alone. An .input relation that also has clauses is lifted
 /// into a hidden EDB shadow R@edb plus the exit clause R(x) :- R@edb(x):
 /// inserts into R stage into the shadow, retractions from R stay
@@ -214,8 +213,8 @@ public:
                         std::vector<FactError> &Errors);
 
   /// Applies one mixed insert/retract batch through the maintenance plan.
-  /// Every batch — even a pure-insert one — routes through it so the
-  /// support counts stay exact. A rejected batch sets BatchResult::Error
+  /// Every batch — even a pure-insert one — routes through it, so every
+  /// stratum's deltas reach the strata above. A rejected batch sets BatchResult::Error
   /// and applies (and retains) nothing.
   BatchResult applyMixed(const inc::MixedBatch &Batch);
 

@@ -9,6 +9,7 @@
 #include "util/MiscUtil.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <functional>
 #include <optional>
@@ -451,42 +452,30 @@ private:
   // delta_del_R before any downstream stratum runs.
   //
   // Strategy per stratum:
-  //  * Counting (non-recursive): exact derivation counting. For a rule with
-  //    n non-constraint literals, version i reads literal i's change
-  //    (delta_ins with sign +, delta_del with sign -; a negated literal
-  //    triggers with the signs flipped), literals before i at NEW (the
-  //    plain relation) and literals after i at OLD. OLD is reconstructed
-  //    per trailing literal as two disjoint subversions:
-  //    (B AND NOT delta_ins_B) OR delta_del_B for positive atoms, and
-  //    ((NOT B) OR delta_ins_B) AND NOT delta_del_B for negations. The
-  //    versions project into the cadd_R/cdec_R multiplicity collectors;
-  //    FOLD COUNTS nets them into the cnt_R support store and applies the
-  //    0<->positive transitions to R, recording them in delta_ins_R /
-  //    delta_del_R. Wildcards in positive atoms are renamed to fresh
-  //    variables so each ground body instantiation counts once and the
-  //    trailing NOT-in-ins guards test the scanned tuple, not a pattern.
-  //  * DRed (recursive strata, and non-recursive ones whose negated
-  //    literals carry wildcards, which make the count-trigger rewrite
-  //    multiplicity-unsound): over-delete candidates into rederive_R with
-  //    a semi-naive loop seeded from the lower deletion deltas (non-delta
-  //    lower atoms over-approximated as NEW UNION delta_del, negations as
-  //    (NOT N) OR delta_ins_N; a head-membership atom keeps candidates
-  //    inside the old fixpoint), pruning each round's frontier of the
-  //    candidates an exit clause (no positive SCC atom) or an exit
-  //    unfolding (a clause whose SCC atoms are replaced by exit-clause
-  //    bodies, see exitUnfoldings) still derives over the final lower
-  //    strata, erase them, rederive survivors from the remaining tuples
-  //    (candidate-restricted, so brand-new tuples are left to the
-  //    insertion phase and correctly reach delta_ins_R), emit the net
-  //    deletions with SUBTRACT, run the insertion semi-naive loop seeded
-  //    from the lower insertion deltas, then drop from both deltas every
-  //    tuple in both (over-deleted and re-inserted), so they stay
-  //    disjoint. A kept candidate is in the new fixpoint and is neither
-  //    over-deleted nor propagated; a check never reads the SCC, since
-  //    over the not-yet-erased state cyclic support alone would satisfy
-  //    it. The candidate-seeded checks (the [keep] versions and the
-  //    rederive seed) stop each candidate at its first witness (see
-  //    RuleVariant::FirstWitness), which keeps them sequential.
+  //  * DRed (every stratum that is not Reeval): over-delete candidates
+  //    into rederive_R with a semi-naive loop seeded from the lower
+  //    deletion deltas (non-delta lower atoms over-approximated as NEW
+  //    UNION delta_del, negations as (NOT N) OR delta_ins_N; a
+  //    head-membership atom keeps candidates inside the old fixpoint),
+  //    pruning each round's frontier of the candidates an exit clause (no
+  //    positive SCC atom) or an exit unfolding (a clause whose SCC atoms
+  //    are replaced by exit-clause bodies, see exitUnfoldings) still
+  //    derives over the final lower strata, erase them, rederive survivors
+  //    from the remaining tuples (candidate-restricted, so brand-new tuples
+  //    are left to the insertion phase and correctly reach delta_ins_R),
+  //    emit the net deletions with SUBTRACT, run the insertion semi-naive
+  //    loop seeded from the lower insertion deltas, then drop from both
+  //    deltas every tuple in both (over-deleted and re-inserted), so they
+  //    stay disjoint. A kept candidate is in the new fixpoint and is
+  //    neither over-deleted nor propagated; a check never reads the SCC,
+  //    since over the not-yet-erased state cyclic support alone would
+  //    satisfy it. The candidate-seeded checks (the [keep] versions and
+  //    the rederive seed) stop each candidate at its first witness (see
+  //    RuleVariant::FirstWitness), which keeps them sequential. In a
+  //    non-recursive stratum every clause is an exit clause, so the prune
+  //    is exact: nothing is over-deleted, no deletion cascades through a
+  //    tuple that is still derivable, and the stratum has no fixpoint
+  //    loop and no rederive phase.
   //  * Reeval (`$`, eqrel, aggregates, eqrel body dependencies, or rules
   //    too wide for delta versions): no statement. The maintenance driver
   //    snapshots the stratum's relations, clears them, re-runs the
@@ -586,23 +575,12 @@ private:
     unreachable("unknown literal kind");
   }
 
-  std::unique_ptr<ast::Argument> cloneArgMaint(const ast::Argument &Orig,
-                                               bool RenameWildcards,
-                                               int &Fresh) {
-    if (RenameWildcards &&
-        Orig.getKind() == ast::Argument::Kind::UnnamedVariable)
-      return std::make_unique<ast::Variable>(
-          "@maint_wc" + std::to_string(Fresh++), Orig.getLoc());
-    return substArg(Orig, {}, "");
-  }
-
+  /// Copies \p Orig over the relation \p NewName.
   std::unique_ptr<ast::Atom> cloneAtomMaint(const ast::Atom &Orig,
-                                            std::string NewName,
-                                            bool RenameWildcards,
-                                            int &Fresh) {
+                                            std::string NewName) {
     std::vector<std::unique_ptr<ast::Argument>> Args;
     for (const auto &Arg : Orig.getArgs())
-      Args.push_back(cloneArgMaint(*Arg, RenameWildcards, Fresh));
+      Args.push_back(substArg(*Arg, {}, ""));
     return std::make_unique<ast::Atom>(std::move(NewName), std::move(Args),
                                        Orig.getLoc());
   }
@@ -617,13 +595,6 @@ private:
     DelScan,      ///< Positive atom over delta_del_B (negations with
                   ///< wildcards: plus a NOT B guard, since losing one
                   ///< matching tuple need not make NOT B true).
-    OldKeep,      ///< Counting trailing atom at OLD: B plus a NOT-in-
-                  ///< delta_ins_B guard over the same arguments.
-    OldDel,       ///< Counting trailing atom at OLD: delta_del_B scan.
-    NegOldKeep,   ///< Counting trailing negation at OLD: NOT B plus a
-                  ///< NOT-in-delta_del_B guard.
-    NegOldIns,    ///< Counting trailing negation at OLD: positive
-                  ///< delta_ins_B scan plus a NOT-in-delta_del_B guard.
   };
 
   /// Builds one synthesized maintenance rule version of \p C. \p Modes is
@@ -637,22 +608,19 @@ private:
   /// delta instead of a full scan of the leading Keep literals — the
   /// difference between per-batch cost proportional to the change and
   /// proportional to the database. The hoist is pure reordering of a
-  /// commutative conjunction: the satisfying assignments (and hence
-  /// counting multiplicities) are unchanged.
+  /// commutative conjunction: the satisfying assignments are unchanged.
   /// The clause is kept alive for the translator's lifetime so the type
   /// overlay's node addresses stay unique.
   const ast::Clause *synthesizeMaintClause(const ast::Clause &C,
                                            const std::vector<LitMode> &Modes,
-                                           bool RenameWildcards,
                                            const std::string &PrependRel,
                                            const std::string &AppendRel,
                                            int PivotLit = -1) {
-    int Fresh = 0;
     std::vector<std::unique_ptr<ast::Literal>> Body;
     std::vector<std::unique_ptr<ast::Literal>> Guards;
     int PivotBodyIdx = -1;
     if (!PrependRel.empty())
-      Body.push_back(cloneAtomMaint(C.getHead(), PrependRel, false, Fresh));
+      Body.push_back(cloneAtomMaint(C.getHead(), PrependRel));
     std::size_t LitIdx = 0;
     for (const auto &Lit : C.getBody()) {
       if (Lit->getKind() == ast::Literal::Kind::Constraint) {
@@ -664,85 +632,35 @@ private:
       const LitMode Mode = Modes[LitIdx++];
       if (ThisLit == PivotLit)
         PivotBodyIdx = static_cast<int>(BodyBefore);
-      if (Lit->getKind() == ast::Literal::Kind::Atom) {
-        const auto &A = static_cast<const ast::Atom &>(*Lit);
-        switch (Mode) {
-        case LitMode::Keep:
-          Body.push_back(
-              cloneAtomMaint(A, A.getName(), RenameWildcards, Fresh));
-          break;
-        case LitMode::ScratchDelta:
-          Body.push_back(cloneAtomMaint(A, "delta_" + A.getName(),
-                                        RenameWildcards, Fresh));
-          break;
-        case LitMode::InsScan:
-          Body.push_back(
-              cloneAtomMaint(A, insName(A.getName()), RenameWildcards,
-                             Fresh));
-          break;
-        case LitMode::DelScan:
-        case LitMode::OldDel:
-          Body.push_back(
-              cloneAtomMaint(A, delName(A.getName()), RenameWildcards,
-                             Fresh));
-          break;
-        case LitMode::OldKeep: {
-          // The guard must test the exact scanned tuple, so its arguments
-          // are cloned from the (wildcard-renamed) atom, not the original.
-          std::unique_ptr<ast::Atom> Atom =
-              cloneAtomMaint(A, A.getName(), RenameWildcards, Fresh);
-          Guards.push_back(std::make_unique<ast::Negation>(
-              cloneAtomMaint(*Atom, insName(A.getName()), false, Fresh),
-              A.getLoc()));
-          Body.push_back(std::move(Atom));
-          break;
-        }
-        case LitMode::NegOldKeep:
-        case LitMode::NegOldIns:
-          unreachable("negation mode on a positive atom");
-        }
-      } else {
-        const auto &A = static_cast<const ast::Negation &>(*Lit).getAtom();
-        switch (Mode) {
-        case LitMode::Keep:
+      const bool Neg = Lit->getKind() == ast::Literal::Kind::Negation;
+      const ast::Atom &A =
+          Neg ? static_cast<const ast::Negation &>(*Lit).getAtom()
+              : static_cast<const ast::Atom &>(*Lit);
+      switch (Mode) {
+      case LitMode::Keep:
+        if (Neg)
           Body.push_back(std::make_unique<ast::Negation>(
-              cloneAtomMaint(A, A.getName(), false, Fresh), Lit->getLoc()));
-          break;
-        case LitMode::InsScan:
-          Body.push_back(cloneAtomMaint(A, insName(A.getName()), false,
-                                        Fresh));
-          break;
-        case LitMode::DelScan:
-          Body.push_back(cloneAtomMaint(A, delName(A.getName()), false,
-                                        Fresh));
-          if (std::any_of(A.getArgs().begin(), A.getArgs().end(),
-                          [](const auto &Arg) {
-                            return Arg->getKind() ==
-                                   ast::Argument::Kind::UnnamedVariable;
-                          }))
-            Guards.push_back(std::make_unique<ast::Negation>(
-                cloneAtomMaint(A, A.getName(), false, Fresh),
-                Lit->getLoc()));
-          break;
-        case LitMode::NegOldKeep:
-          Body.push_back(std::make_unique<ast::Negation>(
-              cloneAtomMaint(A, A.getName(), false, Fresh), Lit->getLoc()));
+              cloneAtomMaint(A, A.getName()), Lit->getLoc()));
+        else
+          Body.push_back(cloneAtomMaint(A, A.getName()));
+        break;
+      case LitMode::ScratchDelta:
+        assert(!Neg && "scratch delta on a negation");
+        Body.push_back(cloneAtomMaint(A, "delta_" + A.getName()));
+        break;
+      case LitMode::InsScan:
+        Body.push_back(cloneAtomMaint(A, insName(A.getName())));
+        break;
+      case LitMode::DelScan:
+        Body.push_back(cloneAtomMaint(A, delName(A.getName())));
+        if (Neg && std::any_of(A.getArgs().begin(), A.getArgs().end(),
+                               [](const auto &Arg) {
+                                 return Arg->getKind() ==
+                                        ast::Argument::Kind::UnnamedVariable;
+                               }))
           Guards.push_back(std::make_unique<ast::Negation>(
-              cloneAtomMaint(A, delName(A.getName()), false, Fresh),
-              Lit->getLoc()));
-          break;
-        case LitMode::NegOldIns:
-          Body.push_back(
-              cloneAtomMaint(A, insName(A.getName()), false, Fresh));
-          Guards.push_back(std::make_unique<ast::Negation>(
-              cloneAtomMaint(A, delName(A.getName()), false, Fresh),
-              Lit->getLoc()));
-          break;
-        case LitMode::ScratchDelta:
-        case LitMode::OldKeep:
-        case LitMode::OldDel:
-          unreachable("atom mode on a negation");
-        }
+              cloneAtomMaint(A, A.getName()), Lit->getLoc()));
+        break;
       }
     }
     if (PivotBodyIdx >= 0) {
@@ -757,17 +675,17 @@ private:
     for (auto &G : Guards)
       Body.push_back(std::move(G));
     if (!AppendRel.empty())
-      Body.push_back(cloneAtomMaint(C.getHead(), AppendRel, false, Fresh));
+      Body.push_back(cloneAtomMaint(C.getHead(), AppendRel));
     std::unique_ptr<ast::Atom> Head =
-        cloneAtomMaint(C.getHead(), C.getHead().getName(), false, Fresh);
+        cloneAtomMaint(C.getHead(), C.getHead().getName());
     SynthClauses.push_back(std::make_unique<ast::Clause>(
         std::move(Head), std::move(Body), C.getLoc()));
     return SynthClauses.back().get();
   }
 
-  /// Most non-constraint literals a maintained rule body may have: the OLD
-  /// reconstruction and DRed availability splits emit up to
-  /// 2^(literals - 1) subversions per delta position.
+  /// Most non-constraint literals a maintained rule body may have: DRed's
+  /// availability splits emit up to 2^(literals - 1) over-deletion
+  /// versions per delta position.
   static constexpr std::size_t MaxMaintLiterals = 6;
   /// Most exit-clause combinations one clause is unfolded into (see
   /// exitUnfoldings). Each combination is one more [keep] query over the
@@ -928,7 +846,7 @@ private:
 
     // Per-stratum strategy classification.
     struct Plan {
-      MaintStrategy Strategy = MaintStrategy::Counting;
+      MaintStrategy Strategy = MaintStrategy::DRed;
       std::string Reason;
       bool Edb = false;
     };
@@ -941,8 +859,7 @@ private:
       const ast::Stratum &Stratum = Info.Strata[SI];
       Plan &P = Plans[SI];
       bool HasClauses = false, HasEqrel = false, HasAgg = false;
-      bool UsesCounter = false;
-      bool WildcardNeg = false, TooWide = false, EqrelDep = false;
+      bool UsesCounter = false, TooWide = false, EqrelDep = false;
       for (const auto *Decl : Stratum.Relations) {
         if (Decl->getStructure() == ast::StructureKind::Eqrel)
           HasEqrel = true;
@@ -963,10 +880,6 @@ private:
                     : static_cast<const ast::Atom &>(*Lit);
             if (Eqrels.count(A.getName()))
               EqrelDep = true;
-            if (Lit->getKind() == ast::Literal::Kind::Negation)
-              for (const auto &Arg : A.getArgs())
-                WildcardNeg |=
-                    Arg->getKind() == ast::Argument::Kind::UnnamedVariable;
           }
           TooWide |= NumLits > MaxMaintLiterals;
         }
@@ -990,11 +903,6 @@ private:
       } else if (TooWide) {
         P.Strategy = MaintStrategy::Reeval;
         P.Reason = "rule body too wide for delta versions";
-      } else if (Stratum.Recursive || Stratum.Relations.size() > 1 ||
-                 WildcardNeg) {
-        P.Strategy = MaintStrategy::DRed;
-      } else {
-        P.Strategy = MaintStrategy::Counting;
       }
     }
 
@@ -1009,11 +917,9 @@ private:
     }
 
     // Aux relations: net ins/del deltas for every maintained relation (the
-    // EDB staging area and the inter-stratum interface), the DRed
-    // over-deletion sets and scratch pairs, and the counting support
-    // stores with their per-batch collectors.
+    // EDB staging area and the inter-stratum interface), and the DRed
+    // over-deletion sets and scratch pairs.
     std::unordered_map<std::string, ram::Relation *> Ins, Del, Rederive;
-    std::unordered_map<std::string, ram::Relation *> Cnt, CAdd, CDec;
     for (const std::string &Name : Maintained) {
       ram::Relation *Full = RelOf.at(Name);
       const ram::StructureKind AuxStructure =
@@ -1050,26 +956,13 @@ private:
     };
     for (std::size_t SI = 0; SI < Info.Strata.size(); ++SI) {
       const Plan &P = Plans[SI];
-      if (P.Edb)
+      if (P.Edb || P.Strategy != MaintStrategy::DRed)
         continue;
       for (const auto *Decl : Info.Strata[SI].Relations) {
         const std::string &Name = Decl->getName();
-        ram::Relation *Full = RelOf.at(Name);
-        if (P.Strategy == MaintStrategy::DRed) {
-          Rederive[Name] = EnsureScratch(Name, "rederive_", Rederive);
-          EnsureScratch(Name, "delta_", MainDeltaRel);
-          EnsureScratch(Name, "new_", MainNewRel);
-        } else if (P.Strategy == MaintStrategy::Counting) {
-          Cnt[Name] = Prog->addRelation("cnt_" + Name,
-                                        Full->getColumnTypes(),
-                                        ram::StructureKind::Counts);
-          CAdd[Name] = Prog->addRelation("cadd_" + Name,
-                                         Full->getColumnTypes(),
-                                         ram::StructureKind::Counts);
-          CDec[Name] = Prog->addRelation("cdec_" + Name,
-                                         Full->getColumnTypes(),
-                                         ram::StructureKind::Counts);
-        }
+        Rederive[Name] = EnsureScratch(Name, "rederive_", Rederive);
+        EnsureScratch(Name, "delta_", MainDeltaRel);
+        EnsureScratch(Name, "new_", MainNewRel);
       }
     }
     for (const std::string &Name : Maintained) {
@@ -1078,11 +971,6 @@ private:
       Names.Del = Del.at(Name)->getName();
       if (Rederive.count(Name))
         Names.Rederive = Rederive.at(Name)->getName();
-      if (Cnt.count(Name)) {
-        Names.Support = Cnt.at(Name)->getName();
-        Names.CntAdd = CAdd.at(Name)->getName();
-        Names.CntDec = CDec.at(Name)->getName();
-      }
       if (auto Shadow = EdbShadow.find(Name); Shadow != EdbShadow.end())
         Names.Edb = Shadow->second->getName();
       Prog->setMaintAux(Name, std::move(Names));
@@ -1103,7 +991,6 @@ private:
 
     // Per-stratum statements.
     std::vector<MaintStratum> Strata;
-    std::vector<ram::StmtPtr> InitRules;
     for (std::size_t SI = 0; SI < Info.Strata.size(); ++SI) {
       const Plan &P = Plans[SI];
       if (P.Edb)
@@ -1113,118 +1000,30 @@ private:
       MS.FallbackReason = P.Reason;
       for (const auto *Decl : Info.Strata[SI].Relations)
         MS.Relations.push_back(Decl->getName());
-      switch (P.Strategy) {
-      case MaintStrategy::Counting:
-        MS.Stmt = emitCountingStratum(Info.Strata[SI],
-                                      static_cast<int>(SI), Cnt, CAdd,
-                                      CDec, Ins, Del, InitRules);
-        break;
-      case MaintStrategy::DRed:
+      if (P.Strategy == MaintStrategy::DRed) {
         MS.Stmt = emitDRedStratum(Info.Strata[SI], static_cast<int>(SI),
                                   Rederive, Ins, Del);
-        break;
-      case MaintStrategy::Reeval:
+      } else {
         MS.MainBegin = StratumSpans[SI].first;
         MS.MainEnd = StratumSpans[SI].second;
-        break;
       }
       Strata.push_back(std::move(MS));
     }
-    if (!InitRules.empty())
-      Prog->setCountInit(
-          std::make_unique<ram::Sequence>(std::move(InitRules)));
 
     // Epilogue: clear every staging/interface aux so the next batch starts
     // clean (run after the Maintainer has harvested telemetry and the
-    // batch's change set, count collectors included).
+    // batch's change set).
     std::vector<ram::StmtPtr> Epi;
     for (const std::string &Name : Maintained) {
       Epi.push_back(std::make_unique<ram::Clear>(Ins.at(Name)));
       Epi.push_back(std::make_unique<ram::Clear>(Del.at(Name)));
       if (Rederive.count(Name))
         Epi.push_back(std::make_unique<ram::Clear>(Rederive.at(Name)));
-      if (CAdd.count(Name)) {
-        Epi.push_back(std::make_unique<ram::Clear>(CAdd.at(Name)));
-        Epi.push_back(std::make_unique<ram::Clear>(CDec.at(Name)));
-      }
     }
     Prog->setMaintEpilogue(
         std::make_unique<ram::Sequence>(std::move(Epi)));
 
     Prog->setMaintStrata(std::move(Strata));
-  }
-
-  /// Emits the counting-stratum statement (signed delta versions into the
-  /// cadd/cdec collectors, then FOLD COUNTS) and appends the stratum's
-  /// count-bootstrap rules to \p InitRules. The collectors stay filled
-  /// until the epilogue clears them, so the batch's net support change can
-  /// be harvested.
-  ram::StmtPtr emitCountingStratum(
-      const ast::Stratum &Stratum, int StratumId,
-      std::unordered_map<std::string, ram::Relation *> &Cnt,
-      std::unordered_map<std::string, ram::Relation *> &CAdd,
-      std::unordered_map<std::string, ram::Relation *> &CDec,
-      std::unordered_map<std::string, ram::Relation *> &Ins,
-      std::unordered_map<std::string, ram::Relation *> &Del,
-      std::vector<ram::StmtPtr> &InitRules) {
-    std::vector<ram::StmtPtr> Out;
-    for (const auto *Decl : Stratum.Relations) {
-      const std::string &Name = Decl->getName();
-      for (const auto *C : clausesOf(Name)) {
-        const std::vector<const ast::Literal *> Lits = maintLiterals(*C);
-        // Bootstrap version: every literal at the current state, into the
-        // support store (multiplicities accumulate per derivation).
-        {
-          std::vector<LitMode> Modes(Lits.size(), LitMode::Keep);
-          RuleVariant V;
-          V.LabelSuffix = " [cnt-init]";
-          emitRule(*synthesizeMaintClause(*C, Modes, /*RenameWildcards=*/true,
-                                          "", ""),
-                   Cnt.at(Name), {}, -1, nullptr, {}, StratumId, InitRules,
-                   V);
-        }
-        // Signed delta versions: telescoping over the literal positions.
-        for (std::size_t D = 0; D < Lits.size(); ++D) {
-          const std::size_t Trailing = Lits.size() - D - 1;
-          const bool DNeg =
-              Lits[D]->getKind() == ast::Literal::Kind::Negation;
-          for (std::uint32_t Mask = 0; Mask < (1u << Trailing); ++Mask) {
-            for (int Sign = 0; Sign < 2; ++Sign) {
-              std::vector<LitMode> Modes(Lits.size(), LitMode::Keep);
-              // A negated literal flips truth when its relation moves the
-              // other way: delta_del makes NOT B newly true.
-              Modes[D] = Sign == 0
-                             ? (DNeg ? LitMode::DelScan : LitMode::InsScan)
-                             : (DNeg ? LitMode::InsScan : LitMode::DelScan);
-              for (std::size_t T = 0; T < Trailing; ++T) {
-                const std::size_t Pos = D + 1 + T;
-                const bool Alt = (Mask >> T) & 1;
-                const bool Neg =
-                    Lits[Pos]->getKind() == ast::Literal::Kind::Negation;
-                Modes[Pos] = Neg ? (Alt ? LitMode::NegOldIns
-                                        : LitMode::NegOldKeep)
-                                 : (Alt ? LitMode::OldDel
-                                        : LitMode::OldKeep);
-              }
-              RuleVariant V;
-              V.LabelSuffix = Sign == 0 ? " [cadd]" : " [cdec]";
-              V.ForceMaxBound = true;
-              emitRule(*synthesizeMaintClause(*C, Modes, true, "", "",
-                                              static_cast<int>(D)),
-                       Sign == 0 ? CAdd.at(Name) : CDec.at(Name), {}, -1,
-                       nullptr, {}, StratumId, Out, V);
-            }
-          }
-        }
-      }
-    }
-    for (const auto *Decl : Stratum.Relations) {
-      const std::string &Name = Decl->getName();
-      Out.push_back(std::make_unique<ram::FoldCounts>(
-          CAdd.at(Name), CDec.at(Name), Cnt.at(Name), RelOf.at(Name),
-          Ins.at(Name), Del.at(Name)));
-    }
-    return std::make_unique<ram::Sequence>(std::move(Out));
   }
 
   /// Emits the DRed stratum statement: over-delete, erase, rederive,
@@ -1248,6 +1047,13 @@ private:
       return std::none_of(Lits.begin(), Lits.end(),
                           [&](const ast::Literal *L) { return IsSccAtom(*L); });
     };
+    // Whether some clause reads the SCC. When none does (a non-recursive
+    // stratum), a frontier can never feed another round: no phase has a
+    // fixpoint loop, and Phase C has nothing to rederive.
+    bool ReadsScc = false;
+    for (const auto *Decl : Stratum.Relations)
+      for (const auto *C : clausesOf(Decl->getName()))
+        ReadsScc |= !IsExitClause(*C);
 
     std::vector<ram::StmtPtr> Out;
     auto ClearScratch = [&] {
@@ -1270,7 +1076,7 @@ private:
       return Cond;
     };
     // Publishes each member's frontier: new_R is merged into the phase's
-    // accumulators, swapped into delta_R and cleared.
+    // accumulators, swapped into delta_R when a loop reads it, and cleared.
     auto Advance = [&](std::vector<ram::StmtPtr> &Dst,
                        const std::unordered_map<std::string,
                                                 ram::Relation *> *Acc1,
@@ -1285,13 +1091,15 @@ private:
         if (Acc2)
           Dst.push_back(
               std::make_unique<ram::MergeInto>(NewR, Acc2->at(Name)));
-        Dst.push_back(std::make_unique<ram::Swap>(MainDeltaRel.at(Name),
-                                                  NewR));
+        if (ReadsScc)
+          Dst.push_back(std::make_unique<ram::Swap>(MainDeltaRel.at(Name),
+                                                    NewR));
         Dst.push_back(std::make_unique<ram::Clear>(NewR));
       }
     };
-    // Emits one phase: seed versions, frontier publication, then the
-    // semi-naive loop over the SCC delta versions.
+    // Emits one phase: seed versions, frontier publication, then, when
+    // some clause reads the SCC, the semi-naive loop over its delta
+    // versions.
     auto Phase =
         [&](const std::function<void(std::vector<ram::StmtPtr> &, bool)>
                 &EmitVersions,
@@ -1300,6 +1108,8 @@ private:
           ClearScratch();
           EmitVersions(Out, /*LoopBody=*/false);
           Advance(Out, Acc1, Acc2);
+          if (!ReadsScc)
+            return;
           std::vector<ram::StmtPtr> Body;
           EmitVersions(Body, /*LoopBody=*/true);
           Body.push_back(std::make_unique<ram::Exit>(ExitCond()));
@@ -1358,8 +1168,7 @@ private:
                   RuleVariant V;
                   V.LabelSuffix = " [odel]";
                   V.ForceMaxBound = true;
-                  emitRule(*synthesizeMaintClause(*C, Modes, false, "",
-                                                  Name,
+                  emitRule(*synthesizeMaintClause(*C, Modes, "", Name,
                                                   static_cast<int>(D)),
                            MainNewRel.at(Name), {}, -1, Rederive.at(Name),
                            {}, StratumId, Dst, V);
@@ -1385,7 +1194,7 @@ private:
                              *Check,
                              std::vector<LitMode>(
                                  maintLiterals(*Check).size(), LitMode::Keep),
-                             false, NewR->getName(), ""),
+                             NewR->getName(), ""),
                          DeltaR, {}, -1, nullptr, {}, StratumId, Keep, V);
               }
             }
@@ -1408,52 +1217,53 @@ private:
     // Phase C: rederive candidates from the survivors (and the final
     // lower state). The candidate restriction keeps brand-new tuples out:
     // they belong to the insertion phase, which records them in
-    // delta_ins_R for downstream strata.
-    Phase(
-        [&](std::vector<ram::StmtPtr> &Dst, bool LoopBody) {
-          for (const auto *Decl : Stratum.Relations) {
-            const std::string &Name = Decl->getName();
-            for (const auto *C : clausesOf(Name)) {
-              const std::vector<const ast::Literal *> Lits =
-                  maintLiterals(*C);
-              if (!LoopBody) {
-                // Phase A kept every candidate an exit clause derives, so
-                // only clauses over the SCC can rederive one.
-                if (IsExitClause(*C))
+    // delta_ins_R for downstream strata. Without a clause over the SCC
+    // there is nothing to rederive: Phase A kept every candidate an exit
+    // clause derives.
+    if (ReadsScc)
+      Phase(
+          [&](std::vector<ram::StmtPtr> &Dst, bool LoopBody) {
+            for (const auto *Decl : Stratum.Relations) {
+              const std::string &Name = Decl->getName();
+              for (const auto *C : clausesOf(Name)) {
+                const std::vector<const ast::Literal *> Lits =
+                    maintLiterals(*C);
+                if (!LoopBody) {
+                  // Phase A kept every candidate an exit clause derives, so
+                  // only clauses over the SCC can rederive one.
+                  if (IsExitClause(*C))
+                    continue;
+                  std::vector<LitMode> Modes(Lits.size(), LitMode::Keep);
+                  // The rederive candidate atom sits at position 0; MaxBound
+                  // chains the body off its bindings so unconnected literals
+                  // are not free-scanned once per candidate, and the check
+                  // stops at the candidate's first witness.
+                  RuleVariant V(" [rdrv]", /*ForceMaxBound=*/true,
+                                /*FirstWitness=*/true);
+                  emitRule(*synthesizeMaintClause(
+                               *C, Modes, Rederive.at(Name)->getName(), ""),
+                           MainNewRel.at(Name), {}, -1, RelOf.at(Name), {},
+                           StratumId, Dst, V);
                   continue;
-                std::vector<LitMode> Modes(Lits.size(), LitMode::Keep);
-                // The rederive candidate atom sits at position 0; MaxBound
-                // chains the body off its bindings so unconnected literals
-                // are not free-scanned once per candidate, and the check
-                // stops at the candidate's first witness.
-                RuleVariant V(" [rdrv]", /*ForceMaxBound=*/true,
-                              /*FirstWitness=*/true);
-                emitRule(*synthesizeMaintClause(
-                             *C, Modes, false,
-                             Rederive.at(Name)->getName(), ""),
-                         MainNewRel.at(Name), {}, -1, RelOf.at(Name), {},
-                         StratumId, Dst, V);
-                continue;
-              }
-              for (std::size_t D = 0; D < Lits.size(); ++D) {
-                if (!IsSccAtom(*Lits[D]))
-                  continue;
-                std::vector<LitMode> Modes(Lits.size(), LitMode::Keep);
-                Modes[D] = LitMode::ScratchDelta;
-                RuleVariant V;
-                V.LabelSuffix = " [rdrv]";
-                V.ForceMaxBound = true;
-                emitRule(*synthesizeMaintClause(
-                             *C, Modes, false, "",
-                             Rederive.at(Name)->getName(),
-                             static_cast<int>(D)),
-                         MainNewRel.at(Name), {}, -1, RelOf.at(Name), {},
-                         StratumId, Dst, V);
+                }
+                for (std::size_t D = 0; D < Lits.size(); ++D) {
+                  if (!IsSccAtom(*Lits[D]))
+                    continue;
+                  std::vector<LitMode> Modes(Lits.size(), LitMode::Keep);
+                  Modes[D] = LitMode::ScratchDelta;
+                  RuleVariant V;
+                  V.LabelSuffix = " [rdrv]";
+                  V.ForceMaxBound = true;
+                  emitRule(*synthesizeMaintClause(
+                               *C, Modes, "", Rederive.at(Name)->getName(),
+                               static_cast<int>(D)),
+                           MainNewRel.at(Name), {}, -1, RelOf.at(Name), {},
+                           StratumId, Dst, V);
+                }
               }
             }
-          }
-        },
-        &RelOf, nullptr);
+          },
+          &RelOf, nullptr);
 
     // Phase D: net deletions for downstream strata.
     for (const auto *Decl : Stratum.Relations)
@@ -1484,7 +1294,7 @@ private:
                 RuleVariant V;
                 V.LabelSuffix = " [ins]";
                 V.ForceMaxBound = true;
-                emitRule(*synthesizeMaintClause(*C, Modes, false, "", "",
+                emitRule(*synthesizeMaintClause(*C, Modes, "", "",
                                                 static_cast<int>(D)),
                          MainNewRel.at(Name), {}, -1, RelOf.at(Name), {},
                          StratumId, Dst, V);
@@ -1540,9 +1350,8 @@ private:
     /// Stops each candidate's nest at its first witness: every range scan
     /// evaluated once the head is bound (by the prepended candidate atom,
     /// at depth 0) is guarded by NOT head IN Target, so after the first
-    /// insert each remaining iteration costs one lookup. Set-semantic
-    /// targets only; a Counts collector needs every derivation. The query
-    /// then reads its own target, which keeps it sequential.
+    /// insert each remaining iteration costs one lookup. The query then
+    /// reads its own target, which keeps it sequential.
     bool FirstWitness;
     // Explicitly defaulted arguments instead of member initializers: the
     // latter cannot feed a default argument of the enclosing class.
@@ -2146,7 +1955,6 @@ private:
       std::vector<ram::CondPtr> SelfConds;
       std::vector<ram::ExprPtr> Witnessed;
       if (Variant.FirstWitness &&
-          Target->getStructure() != ram::StructureKind::Counts &&
           std::all_of(C.getHead().getArgs().begin(),
                       C.getHead().getArgs().end(),
                       [&](const auto &Arg) { return allVarsBound(*Arg); }))

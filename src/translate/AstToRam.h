@@ -41,12 +41,10 @@ struct TranslationOptions {
   /// semantically identical — used by the semi-naive equivalence tests.
   bool ForceNaiveEvaluation = false;
   /// Additionally emit the incremental maintenance program for mixed
-  /// insert/retract batches (src/inc): per-stratum update statements
-  /// selected between exact derivation counting (non-recursive strata)
-  /// and DRed over-delete/rederive (recursive strata), plus the EDB
-  /// prologue, the count-bootstrap statement and the aux-clearing
-  /// epilogue (see ram::Program::getMaintStrata). Every program gets a
-  /// plan, so a session has one write path. Strata using `$`, eqrel or
+  /// insert/retract batches (src/inc): per-stratum DRed
+  /// over-delete/rederive statements, plus the EDB prologue and the
+  /// aux-clearing epilogue (see ram::Program::getMaintStrata). Every
+  /// program gets a plan, so a session has one write path. Strata using `$`, eqrel or
   /// aggregates fall back to a scoped per-stratum re-evaluation recorded
   /// in the plan (the `$` strata re-run with the counter restarted, so
   /// they mint a cold run's ids). An .input relation that also has

@@ -95,7 +95,6 @@ public:
     case Statement::Kind::MergeInto:
     case Statement::Kind::Erase:
     case Statement::Kind::SubtractInto:
-    case Statement::Kind::FoldCounts:
     case Statement::Kind::Io:
       // Bulk statements enumerate via full scans and full-tuple
       // membership only; no primitive searches to serve.
@@ -252,14 +251,12 @@ IndexSelectionResult stird::translate::selectIndexes(ram::Program &Prog) {
   SearchCollector Collector(Searches);
   if (Prog.hasMain())
     Collector.visitStmt(Prog.getMain());
-  // The maintenance programs run over the same relations: their signed
-  // delta versions search the ins_/del_/rederive_ aux relations with bound
+  // The maintenance programs run over the same relations: their delta
+  // versions search the ins_/del_/rederive_ aux relations with bound
   // patterns, and those searches must be index-served too.
   for (const auto &S : Prog.getMaintStrata())
     if (S.Stmt)
       Collector.visitStmt(*S.Stmt);
-  if (const Statement *CountInit = Prog.getCountInit())
-    Collector.visitStmt(*CountInit);
   if (const Statement *Prologue = Prog.getMaintPrologue())
     Collector.visitStmt(*Prologue);
 

@@ -49,6 +49,36 @@ TEST(ParserTest, StructureQualifiers) {
   EXPECT_EQ(Prog->Relations[2]->getStructure(), StructureKind::Btree);
 }
 
+TEST(ParserTest, QualifierNamedRelationStartsTheNextClause) {
+  // brie followed by '(' opens an atom: it is a clause head, not r's
+  // qualifier.
+  auto Prog = parseOk(".decl brie(x:number)\n"
+                      ".decl r(x:number)\n"
+                      "brie(1).");
+  EXPECT_EQ(Prog->Relations[1]->getStructure(), StructureKind::Btree);
+  ASSERT_EQ(Prog->Clauses.size(), 1u);
+  EXPECT_EQ(Prog->Clauses[0]->getHead().getName(), "brie");
+}
+
+TEST(ParserTest, ErrorUnknownQualifierNamesItself) {
+  ParseResult Result = parseProgram(".decl r(a:number) art\nr(1).");
+  ASSERT_EQ(Result.Errors.size(), 1u);
+  EXPECT_EQ(Result.Errors[0], "line 1:19: unknown structure qualifier 'art'");
+}
+
+TEST(ParserTest, ErrorQualifierArityNamesTheDeclaration) {
+  ParseResult Eqrel = parseProgram(".decl e(a:number) eqrel\ne(1).");
+  ASSERT_EQ(Eqrel.Errors.size(), 1u);
+  EXPECT_EQ(Eqrel.Errors[0], "line 1:7: eqrel relation 'e' must be binary");
+  std::string Wide = "\n.decl wide(";
+  for (int I = 0; I < 9; ++I)
+    Wide += (I ? ", a" : "a") + std::to_string(I) + ":number";
+  ParseResult Brie = parseProgram(Wide + ") brie\nwide(1, 2, 3).");
+  ASSERT_FALSE(Brie.Errors.empty());
+  EXPECT_EQ(Brie.Errors[0].rfind("line 2:7: brie relation 'wide'", 0), 0u)
+      << Brie.Errors[0];
+}
+
 TEST(ParserTest, IoDirectives) {
   auto Prog = parseOk(".decl e(a:number)\n.input e\n.output e(\"out.csv\")\n"
                       ".printsize e");

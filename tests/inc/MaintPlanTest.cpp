@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Unit tests for the translator's maintenance plan: per-stratum strategy
-/// classification (counting / DRed / scoped Reeval), aux-relation naming,
+/// classification (DRed / scoped Reeval), aux-relation naming, the
+/// loop-free shape and exact deletions of a non-recursive stratum,
 /// the plan shapes of the classes that once had none (rule-free programs,
 /// `$`, `.input` relations with clauses), the guarantee that
 /// negation-only programs never fall back to re-evaluation, DRed's prune
@@ -19,6 +20,7 @@
 #include "inc/Maintainer.h"
 
 #include "core/Program.h"
+#include "ram/RamPrinter.h"
 
 #include <gtest/gtest.h>
 
@@ -54,7 +56,7 @@ TEST(MaintPlan, DefaultCompileHasNoMaintenance) {
   EXPECT_EQ(Prog->getRam().getMaintAux("a"), nullptr);
 }
 
-TEST(MaintPlan, NonRecursiveStratumCounts) {
+TEST(MaintPlan, NonRecursiveStratumIsLoopFreeDRed) {
   auto Prog = core::Program::fromSource(
       ".decl a(x:number, y:number)\n.decl r(x:number)\n"
       "r(x) :- a(x, _).",
@@ -62,23 +64,26 @@ TEST(MaintPlan, NonRecursiveStratumCounts) {
   ASSERT_NE(Prog, nullptr);
   const ram::Program::MaintStratum *MS = stratumOf(Prog->getRam(), "r");
   ASSERT_NE(MS, nullptr);
-  EXPECT_EQ(MS->Strategy, Strategy::Counting);
-  EXPECT_NE(MS->Stmt, nullptr);
+  EXPECT_EQ(MS->Strategy, Strategy::DRed);
+  ASSERT_NE(MS->Stmt, nullptr);
   const ram::Program::MaintAux *Aux = Prog->getRam().getMaintAux("r");
   ASSERT_NE(Aux, nullptr);
   EXPECT_EQ(Aux->Ins, "delta_ins_r");
   EXPECT_EQ(Aux->Del, "delta_del_r");
-  EXPECT_EQ(Aux->Support, "cnt_r");
-  EXPECT_EQ(Aux->CntAdd, "cadd_r");
-  EXPECT_EQ(Aux->CntDec, "cdec_r");
-  EXPECT_TRUE(Aux->Rederive.empty());
-  // EDB relations still carry their staging deltas, but no support store.
+  EXPECT_EQ(Aux->Rederive, "rederive_r");
+  // EDB relations carry their staging deltas and nothing else.
   const ram::Program::MaintAux *EdbAux = Prog->getRam().getMaintAux("a");
   ASSERT_NE(EdbAux, nullptr);
   EXPECT_EQ(EdbAux->Ins, "delta_ins_a");
-  EXPECT_TRUE(EdbAux->Support.empty());
-  // A count-bootstrap statement exists for the counting stratum.
-  EXPECT_NE(Prog->getRam().getCountInit(), nullptr);
+  EXPECT_TRUE(EdbAux->Rederive.empty());
+  // No clause reads r, so no frontier can feed another round: the
+  // stratum's statement has no fixpoint loop, and the plan declares no
+  // store beside the relations and their deltas.
+  const std::string Stmt = ram::print(*MS->Stmt);
+  EXPECT_EQ(Stmt.find("LOOP"), std::string::npos) << Stmt;
+  for (const auto &Rel : Prog->getRam().getRelations())
+    for (const char *Prefix : {"cnt_", "cadd_", "cdec_"})
+      EXPECT_NE(Rel->getName().rfind(Prefix, 0), 0u) << Rel->getName();
 }
 
 TEST(MaintPlan, RecursiveStratumUsesDRed) {
@@ -94,7 +99,8 @@ TEST(MaintPlan, RecursiveStratumUsesDRed) {
   const ram::Program::MaintAux *Aux = Prog->getRam().getMaintAux("path");
   ASSERT_NE(Aux, nullptr);
   EXPECT_EQ(Aux->Rederive, "rederive_path");
-  EXPECT_TRUE(Aux->Support.empty());
+  ASSERT_NE(MS->Stmt, nullptr);
+  EXPECT_NE(ram::print(*MS->Stmt).find("LOOP"), std::string::npos);
 }
 
 TEST(MaintPlan, NegationOnlyProgramNeverFallsBack) {
@@ -128,10 +134,10 @@ TEST(MaintPlan, AggregateStratumFallsBackScoped) {
   EXPECT_EQ(Total->Strategy, Strategy::Reeval);
   EXPECT_FALSE(Total->FallbackReason.empty());
   EXPECT_LT(Total->MainBegin, Total->MainEnd);
-  // The stratum above the aggregate still counts exactly.
+  // The stratum above the aggregate is still maintained from deltas.
   const ram::Program::MaintStratum *Big = stratumOf(Prog->getRam(), "big");
   ASSERT_NE(Big, nullptr);
-  EXPECT_EQ(Big->Strategy, Strategy::Counting);
+  EXPECT_EQ(Big->Strategy, Strategy::DRed);
 }
 
 TEST(MaintPlan, EqrelDependencyFallsBackScoped) {
@@ -181,7 +187,7 @@ TEST(MaintPlan, CounterStratumIsReeval) {
   // The stratum above keeps its own strategy and consumes the Reeval diff.
   const ram::Program::MaintStratum *C = stratumOf(Prog->getRam(), "c");
   ASSERT_NE(C, nullptr);
-  EXPECT_EQ(C->Strategy, Strategy::Counting);
+  EXPECT_EQ(C->Strategy, Strategy::DRed);
 }
 
 TEST(MaintPlan, InputDerivedRelationGetsEdbShadow) {
@@ -313,6 +319,40 @@ runWith(core::Program &Prog,
     Eng->insertTuples(Name, Tuples);
   Eng->run();
   return Eng;
+}
+
+TEST(MaintPlan, NonRecursiveStratumDeletesExactly) {
+  // r(1) has three derivations: a(1, 2) and a(1, 3) with b absent, and
+  // c(1). The batch takes two of them away and every derivation of r(2).
+  // Every clause of r is an exit clause, so the prune keeps r(1) as a
+  // candidate an exit clause still derives: nothing is over-deleted, and
+  // only r(2) leaves.
+  auto Prog = core::Program::fromSource(
+      ".decl a(x:number, y:number)\n.decl b(y:number)\n"
+      ".decl c(x:number)\n.decl r(x:number)\n"
+      "r(x) :- a(x, y), !b(y).\n"
+      "r(x) :- c(x).\n",
+      nullptr, withMaint());
+  ASSERT_NE(Prog, nullptr);
+  std::map<std::string, std::vector<DynTuple>> Facts = {
+      {"a", {{1, 2}, {1, 3}, {2, 5}}}, {"c", {{1}, {2}}}};
+  auto Eng = runWith(*Prog, Facts);
+  ASSERT_EQ(Eng->getTuples("r"), (std::vector<DynTuple>{{1}, {2}}));
+  inc::Maintainer Maint(Prog->getRam(), *Eng);
+  Maint.bootstrap();
+
+  inc::MaintenanceReport Report = Maint.apply(inc::MixedBatch{
+      {"a", {}, {{1, 2}}}, {"b", {{5}}, {}}, {"c", {}, {{1}, {2}}}});
+  const inc::StratumReport &SR = reportOf(Report, Prog->getRam(), "r");
+  EXPECT_EQ(SR.Strategy, Strategy::DRed);
+  EXPECT_EQ(SR.Deleted, 1u);
+  EXPECT_EQ(SR.Inserted, 0u);
+  EXPECT_EQ(SR.Rederived, 0u);
+
+  Facts = {{"a", {{1, 3}, {2, 5}}}, {"b", {{5}}}};
+  auto Fresh = runWith(*Prog, Facts);
+  EXPECT_EQ(Eng->getTuples("r"), (std::vector<DynTuple>{{1}}));
+  EXPECT_EQ(Eng->getTuples("r"), Fresh->getTuples("r"));
 }
 
 TEST(MaintPlan, ExitDerivableCandidatesAreNotOverDeleted) {

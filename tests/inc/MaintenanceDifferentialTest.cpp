@@ -9,13 +9,14 @@
 /// insert/retract streams replayed through the Maintainer, with exact
 /// equality against a one-shot evaluation of the net EDB at EVERY batch
 /// prefix. Each subject runs the full matrix of batch splits k in
-/// {1, 2, 5, 8}, the four backends and thread counts -j{1, 4}, so
-/// counting, DRed and the scoped Reeval fallback are all exercised on every
-/// executor under both sequential and parallel evaluation. Every batch's
+/// {1, 2, 5, 8}, the four backends and thread counts -j{1, 4}, so DRed
+/// (recursive and non-recursive strata) and the scoped Reeval fallback are
+/// both exercised on every executor under both sequential and parallel
+/// evaluation. Every batch's
 /// MaintenanceReport must also equal the StaticLambda -j1 report: the
 /// executor and thread count change how a batch runs, never what it did.
 /// A replica engine replays every batch's ChangeSet and must equal the
-/// maintained engine in every declared relation and cnt_ support store.
+/// maintained engine in every declared relation.
 /// The ChangeSet itself must be the batch's net change: per declared
 /// relation, disjoint insert and delete sets equal to NEW \ OLD and
 /// OLD \ NEW of the oracle, with every StratumReport's Inserted/Deleted
@@ -24,8 +25,8 @@
 /// The session leg runs the same streams through EngineSession::applyMixed,
 /// where the two left-right sides alternate: one maintains a batch, the
 /// other catches up by replaying its change set. After every batch the
-/// published side must equal the oracle in every declared relation and
-/// every cnt_ support store (tuples and counts), and an empty batch must
+/// published side must equal the oracle in every declared relation, and
+/// an empty batch must
 /// publish the other, replayed side with the same contents.
 ///
 //===----------------------------------------------------------------------===//
@@ -33,7 +34,6 @@
 #include "inc/Maintainer.h"
 
 #include "core/Program.h"
-#include "inc/CountedRelation.h"
 #include "srv/Session.h"
 
 #include <gtest/gtest.h>
@@ -218,68 +218,48 @@ void expectSameReport(const inc::MaintenanceReport &Want,
   }
 }
 
-/// Tuple -> multiplicity for every compared relation: 1 per tuple of a set
-/// relation, the support count of a cnt_ store.
-using Contents = std::map<std::string, std::map<DynTuple, std::uint64_t>>;
+/// Each declared relation's tuples.
+using TupleSets = std::map<std::string, std::set<DynTuple>>;
 
-Contents
+TupleSets
 contentsOf(const std::vector<std::string> &Names,
            const std::function<const interp::RelationWrapper *(
                const std::string &)> &Lookup) {
-  Contents Out;
+  TupleSets Out;
   for (const std::string &Name : Names) {
     const interp::RelationWrapper *Rel = Lookup(Name);
     EXPECT_NE(Rel, nullptr) << Name;
     if (!Rel)
       continue;
-    std::map<DynTuple, std::uint64_t> &Rows = Out[Name];
-    if (Rel->getKind() == interp::RelKind::Counts) {
-      static_cast<const inc::CountedRelation &>(*Rel).forEachCount(
-          [&](const DynTuple &Key, std::uint64_t Count) {
-            Rows[Key] = Count;
-          });
-    } else {
-      Rel->forEach([&](const RamDomain *Tuple) {
-        Rows[DynTuple(Tuple, Tuple + Rel->getArity())] = 1;
-      });
-    }
+    std::set<DynTuple> &Rows = Out[Name];
+    Rel->forEach([&](const RamDomain *Tuple) {
+      Rows.emplace(Tuple, Tuple + Rel->getArity());
+    });
   }
   return Out;
 }
 
-/// Every declared relation plus every counting relation's support store.
-std::vector<std::string> comparedRelations(const core::Program &Prog) {
+TupleSets tupleSetsOf(const interp::Engine &Eng,
+                      const std::vector<std::string> &Relations) {
+  return contentsOf(Relations, [&](const std::string &Name) {
+    return Eng.getRelation(Name);
+  });
+}
+
+std::vector<std::string> declaredRelations(const core::Program &Prog) {
   std::vector<std::string> Names;
-  for (const auto &Decl : Prog.getAst().Relations) {
+  for (const auto &Decl : Prog.getAst().Relations)
     Names.push_back(Decl->getName());
-    const ram::Program::MaintAux *Aux =
-        Prog.getRam().getMaintAux(Decl->getName());
-    if (!Aux->Support.empty())
-      Names.push_back(Aux->Support);
-  }
   return Names;
 }
 
-void expectSameContents(const Contents &Want, const Contents &Got,
+void expectSameContents(const TupleSets &Want, const TupleSets &Got,
                         const std::string &Where) {
   for (const auto &[Name, Rows] : Want) {
     auto It = Got.find(Name);
     ASSERT_NE(It, Got.end()) << Where << " relation=" << Name;
     EXPECT_EQ(Rows, It->second) << Where << " relation=" << Name;
   }
-}
-
-/// Each declared relation's tuples.
-using TupleSets = std::map<std::string, std::set<DynTuple>>;
-
-TupleSets tupleSetsOf(const interp::Engine &Eng,
-                      const std::vector<std::string> &Relations) {
-  TupleSets Out;
-  for (const std::string &Rel : Relations) {
-    const std::vector<DynTuple> Tuples = Eng.getTuples(Rel);
-    Out[Rel] = {Tuples.begin(), Tuples.end()};
-  }
-  return Out;
 }
 
 std::set<DynTuple> minus(const std::set<DynTuple> &A,
@@ -352,10 +332,7 @@ void runSubject(const Subject &S, std::uint64_t Seed, std::size_t NumOps) {
   ASSERT_TRUE(Prog->getRam().hasMaintenance()) << S.Name;
 
   const std::vector<Op> Ops = makeStream(S, Seed, NumOps);
-  std::vector<std::string> Relations;
-  for (const auto &Decl : Prog->getAst().Relations)
-    Relations.push_back(Decl->getName());
-  const std::vector<std::string> Compared = comparedRelations(*Prog);
+  const std::vector<std::string> Relations = declaredRelations(*Prog);
 
   for (std::size_t K :
        {std::size_t(1), std::size_t(2), std::size_t(5), std::size_t(8)}) {
@@ -377,8 +354,8 @@ void runSubject(const Subject &S, std::uint64_t Seed, std::size_t NumOps) {
         Eng->run();
         inc::Maintainer Maint(Prog->getRam(), *Eng);
         Maint.bootstrap();
-        // Replays every batch's change set and must stay equal to Eng,
-        // support counts included. (A session never observes a replayed
+        // Replays every batch's change set and must stay equal to Eng.
+        // (A session never observes a replayed
         // side before maintaining a batch on it, and a Reeval stratum
         // recomputes itself then, so only this check sees the replay of
         // an eqrel.)
@@ -419,13 +396,8 @@ void runSubject(const Subject &S, std::uint64_t Seed, std::size_t NumOps) {
                           IsReference ? Reference.back() : Report, Old, New,
                           Where);
           Old = std::move(New);
-          auto Lookup = [](const interp::Engine &E) {
-            return [&E](const std::string &Name) {
-              return E.getRelation(Name);
-            };
-          };
-          expectSameContents(contentsOf(Compared, Lookup(*Eng)),
-                             contentsOf(Compared, Lookup(*Replica)),
+          expectSameContents(tupleSetsOf(*Eng, Relations),
+                             tupleSetsOf(*Replica, Relations),
                              Where + " replica");
         }
       }
@@ -441,7 +413,7 @@ void runSessionSubject(const Subject &S, std::uint64_t Seed,
   ASSERT_TRUE(Prog->getRam().hasMaintenance()) << S.Name;
 
   const std::vector<Op> Ops = makeStream(S, Seed, NumOps);
-  const std::vector<std::string> Compared = comparedRelations(*Prog);
+  const std::vector<std::string> Compared = declaredRelations(*Prog);
   // The eqrel-derived relations must lose tuples somewhere in the stream
   // so the replay's copy-from-published path runs.
   std::vector<std::string> DerivedEqrels;
@@ -470,7 +442,7 @@ void runSessionSubject(const Subject &S, std::uint64_t Seed,
 
       EdbState State(S.Edb.size());
       std::size_t EqrelShrinks = 0;
-      Contents Previous;
+      TupleSets Previous;
       for (std::size_t Begin = 0, Index = 0; Begin < NumOps;
            Begin += PerBatch, ++Index) {
         const std::size_t End = std::min(NumOps, Begin + PerBatch);
@@ -482,21 +454,17 @@ void runSessionSubject(const Subject &S, std::uint64_t Seed,
             Config + " prefix=[0," + std::to_string(End) + ")";
 
         auto Oracle = runOracle(*Prog, S, State);
-        inc::Maintainer(Prog->getRam(), *Oracle).bootstrap();
-        const Contents Want =
-            contentsOf(Compared, [&](const std::string &Name) {
-              return Oracle->getRelation(Name);
-            });
+        const TupleSets Want = tupleSetsOf(*Oracle, Compared);
         for (const std::string &Name : DerivedEqrels)
           if (Previous.count(Name) &&
               std::any_of(Previous.at(Name).begin(),
-                          Previous.at(Name).end(), [&](const auto &Row) {
-                            return !Want.at(Name).count(Row.first);
+                          Previous.at(Name).end(), [&](const DynTuple &Row) {
+                            return !Want.at(Name).count(Row);
                           }))
             ++EqrelShrinks;
         Previous = Want;
 
-        Contents Got;
+        TupleSets Got;
         {
           srv::Snapshot Published = Session->snapshot();
           Got = contentsOf(Compared, [&](const std::string &Name) {
@@ -534,8 +502,8 @@ void runSessionSubject(const Subject &S, std::uint64_t Seed,
 // Subjects
 //===----------------------------------------------------------------------===//
 
-// 1. Counting: joins and unions with shared derivations (a tuple derived
-// several ways must survive until its last derivation dies).
+// 1. Non-recursive DRed: joins and unions with shared derivations (a
+// tuple derived several ways must survive until its last derivation dies).
 const Subject JoinSubject = {
     "join",
     ".decl a(x:number, y:number)\n"
@@ -548,8 +516,8 @@ const Subject JoinSubject = {
     {{"a", 2, 6}, {"b", 2, 6}},
 };
 
-// 2. Counting with stratified negation: deletion of b can derive c, and
-// insertion of b can delete c.
+// 2. Non-recursive DRed with stratified negation: deletion of b can
+// derive c, and insertion of b can delete c.
 const Subject NegationSubject = {
     "negation",
     ".decl a(x:number)\n"
@@ -572,8 +540,8 @@ const Subject TcSubject = {
     {{"edge", 2, 7}},
 };
 
-// 4. DRed below counting-with-negation: recursive stratum feeding a
-// negated dependency (count-carrying deltas across the negation).
+// 4. Recursive DRed below a negation: the recursive stratum's deltas
+// cross the negation into the stratum above.
 const Subject TcNegSubject = {
     "tc-negation",
     ".decl edge(a:number, b:number)\n"
@@ -605,8 +573,8 @@ const Subject DoopSubject = {
     {{"new", 2, 5}, {"assign", 2, 5}, {"load", 2, 5}, {"store", 2, 5}},
 };
 
-// 6. Aggregates: scoped Reeval fallback for the aggregate stratum, exact
-// counting for the stratum above it.
+// 6. Aggregates: scoped Reeval fallback for the aggregate stratum, DRed
+// for the stratum above it.
 const Subject AggregateSubject = {
     "aggregate",
     ".decl item(k:number, v:number)\n"
@@ -629,8 +597,8 @@ const Subject EqrelSubject = {
     {{"link", 2, 8}},
 };
 
-// 8. Wildcard under negation: DRed on a non-recursive stratum (the
-// counting trigger rewrite is multiplicity-unsound there).
+// 8. Wildcard under negation: losing one b(x, _) tuple need not make
+// !b(x, _) true, so the deletion seed carries a NOT b guard.
 const Subject WildcardNegSubject = {
     "wildcard-negation",
     ".decl a(x:number)\n"
@@ -640,8 +608,8 @@ const Subject WildcardNegSubject = {
     {{"a", 1, 10}, {"b", 2, 10}},
 };
 
-// 9. Functors and constraints in counting rules (typed arguments flow
-// through the synthesized versions).
+// 9. Functors and constraints in non-recursive rules (typed arguments
+// flow through the synthesized versions).
 const Subject FunctorSubject = {
     "functor",
     ".decl a(x:number, y:number)\n"
@@ -674,7 +642,7 @@ const Subject ExitPruneSubject = {
 
 // 11. `.input` relations that also have clauses, lifted into EDB shadows:
 // e has an inline fact, a rule into it and recursion through it with p
-// (DRed, the copy clause an exit clause); c is a counting stratum whose
+// (the copy clause an exit clause); c is a non-recursive stratum whose
 // inserted facts must survive the loss of their derivation from b.
 const Subject InputDerivedSubject = {
     "input-derived",
@@ -701,7 +669,7 @@ const Subject InputDerivedSubject = {
 // negation, and the lifted copy clause (e is an .input relation), but
 // not through its head-functor exit clause; p's exit body has a
 // wildcard, and p(x, x) :- e(_, x) matches a wildcard against exit
-// heads. A counting consumer negates p.
+// heads. A non-recursive consumer negates p.
 const Subject UnfoldSubject = {
     "unfold",
     ".decl a(x:number, y:number)\n"

@@ -68,13 +68,10 @@ std::unique_ptr<core::Program> compileOn(const testgen::GeneratedProgram &P,
   const ram::StructureKind Want = Substrate == "brie"
                                       ? ram::StructureKind::Brie
                                       : ram::StructureKind::Btree;
-  for (const auto &Rel : Prog->getRam().getRelations()) {
-    if (Rel->getStructure() != ram::StructureKind::Counts) {
-      EXPECT_EQ(Rel->getStructure(), Want)
-          << "seed " << P.Seed << " relation " << Rel->getName()
-          << " is not on " << Substrate;
-    }
-  }
+  for (const auto &Rel : Prog->getRam().getRelations())
+    EXPECT_EQ(Rel->getStructure(), Want)
+        << "seed " << P.Seed << " relation " << Rel->getName()
+        << " is not on " << Substrate;
   return Prog;
 }
 

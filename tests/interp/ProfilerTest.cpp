@@ -10,10 +10,14 @@
 /// and that profiling composes with multi-threaded evaluation: dispatch
 /// counts are merged at the partition barrier inside the timed window, so
 /// the per-rule numbers must come out identical at every thread count.
+/// A resident engine's maintained batches add to the rule totals but keep
+/// no iteration samples, so the profiler stays bounded however many
+/// batches it serves.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Program.h"
+#include "inc/Maintainer.h"
 #include "interp/Profiler.h"
 
 #include <gtest/gtest.h>
@@ -54,6 +58,22 @@ TEST(ProfilerTest, RecordAccumulates) {
   EXPECT_EQ(Profile->Iterations[0].DeltaTuples, 7u);
   EXPECT_EQ(Profile->Iterations[1].DeltaTuples, 2u);
   EXPECT_EQ(Profile->Iterations[2].DeltaTuples, 0u);
+}
+
+TEST(ProfilerTest, SamplingOffKeepsTotalsOnly) {
+  Profiler Prof;
+  std::size_t Id = Prof.registerRule("rule");
+  Prof.record(Id, 0.5, 100, 7);
+  Prof.setSampling(false);
+  Prof.record(Id, 0.25, 40, 2);
+  Prof.setSampling(true);
+  std::optional<RuleProfile> Profile = Prof.find("rule");
+  ASSERT_TRUE(Profile.has_value());
+  EXPECT_EQ(Profile->Invocations, 2u);
+  EXPECT_EQ(Profile->Dispatches, 140u);
+  EXPECT_EQ(Profile->DeltaTuples, 9u);
+  ASSERT_EQ(Profile->Iterations.size(), 1u);
+  EXPECT_EQ(Profile->Iterations[0].DeltaTuples, 7u);
 }
 
 TEST(ProfilerTest, FindUnknownLabelIsEmpty) {
@@ -135,6 +155,41 @@ TEST(ProfilerTest, EngineRecordsEveryRuleVersion) {
   }
   EXPECT_TRUE(SawBase);
   EXPECT_TRUE(SawRecursive);
+}
+
+TEST(ProfilerTest, MaintainedBatchesKeepNoSamples) {
+  core::CompileOptions Compile;
+  Compile.EmitMaintenance = true;
+  auto Prog = core::Program::fromSource(TcSource, nullptr, Compile);
+  ASSERT_NE(Prog, nullptr);
+  EngineOptions Options;
+  Options.SuppressIo = true;
+  auto Engine = Prog->makeEngine(Options);
+  Engine->insertTuples("edge", chainEdges(8));
+  Engine->run();
+  auto Totals = [&] {
+    std::pair<std::uint64_t, std::uint64_t> Sum;
+    for (const RuleProfile &Rule : Engine->getProfiler().rules()) {
+      Sum.first += Rule.Invocations;
+      Sum.second += Rule.Iterations.size();
+    }
+    return Sum;
+  };
+  const auto [RunInvocations, RunSamples] = Totals();
+  ASSERT_GT(RunSamples, 0u);
+  EXPECT_EQ(RunInvocations, RunSamples);
+
+  // Each batch cuts the chain in the middle or mends it again.
+  inc::Maintainer Maint(Prog->getRam(), *Engine);
+  Maint.bootstrap();
+  for (int I = 0; I < 1000; ++I) {
+    inc::MixedBatch Batch{{"edge", {}, {}}};
+    (I % 2 ? Batch[0].Inserts : Batch[0].Retracts).push_back({4, 5});
+    Maint.apply(Batch);
+  }
+  const auto [Invocations, Samples] = Totals();
+  EXPECT_GT(Invocations, RunInvocations + 1000);
+  EXPECT_EQ(Samples, RunSamples);
 }
 
 TEST(ProfilerTest, ConcurrentRecordLosesNothing) {

@@ -178,8 +178,8 @@ TEST(StatsInvarianceTest, RuleProfilesMatchAcrossThreadCounts) {
 
 TEST(StatsInvarianceTest, MaintainedBatchMatchesAcrossThreadCounts) {
   // A mixed batch on the skewed TC: retracting hub edges over-deletes most
-  // of path (DRed), the inserted chain edges extend it, and near's support
-  // counts move both ways.
+  // of path, the inserted chain edges extend it, and the non-recursive
+  // near loses and gains tuples.
   inc::MixedBatch Batch(1);
   Batch[0].Relation = "edge";
   for (RamDomain I = 1; I <= 30; ++I)
