@@ -10,7 +10,7 @@
 /// stratified negation and a per-variable definition count via aggregates.
 /// Shows the per-rule profiler and the ablation switches from the paper.
 ///
-///   $ ./dataflow [num_blocks] [--no-super] [--fuse-conditions]
+///   $ ./dataflow [num_blocks] [--no-super] [--no-fuse-conditions]
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <random>
+#include <vector>
 
 using namespace stird;
 
@@ -30,8 +31,8 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--no-super") == 0)
       Options.SuperInstructions = false;
-    else if (std::strcmp(argv[I], "--fuse-conditions") == 0)
-      Options.FuseConditions = true;
+    else if (std::strcmp(argv[I], "--no-fuse-conditions") == 0)
+      Options.FuseConditions = false;
     else
       NumBlocks = std::atoi(argv[I]);
   }
@@ -102,7 +103,11 @@ int main(int argc, char **argv) {
   std::printf("\nhottest rules:\n");
   double Best[3] = {0, 0, 0};
   const interp::RuleProfile *Top[3] = {nullptr, nullptr, nullptr};
-  for (const auto &Rule : Engine->getProfiler().rules())
+  // rules() returns a snapshot; Top points into it, so it must outlive the
+  // loop below.
+  const std::vector<interp::RuleProfile> Rules =
+      Engine->getProfiler().rules();
+  for (const auto &Rule : Rules)
     for (int Slot = 0; Slot < 3; ++Slot)
       if (Rule.Seconds > Best[Slot]) {
         for (int Shift = 2; Shift > Slot; --Shift) {

@@ -67,8 +67,11 @@ struct EngineOptions {
   bool SuperInstructions = true;
   /// Section 4.2 static tuple reordering (Section 5.5 ablation).
   bool StaticReordering = true;
-  /// Section 5.2 hand-crafted fused-condition super-instructions.
-  bool FuseConditions = false;
+  /// Section 5.2 hand-crafted super-instructions: a filter chain that saves
+  /// enough dispatches (the static rule in Generator.cpp) runs as one fused
+  /// micro-program. On by default; --no-fuse-conditions is the ablation.
+  /// The legacy backend never fuses.
+  bool FuseConditions = true;
   /// Directory searched for .input fact files.
   std::string FactDir = ".";
   /// Directory receiving .output files.

@@ -36,7 +36,7 @@ struct GeneratorOptions {
   bool Specialize = true;
   bool SuperInstructions = true;
   bool StaticReordering = true;
-  bool FuseConditions = false;
+  bool FuseConditions = true;
   /// With more than one thread, eligible query roots are lowered to
   /// ParallelScan / ParallelIndexScan (see Generator.cpp for the
   /// eligibility rules that keep evaluation deterministic).

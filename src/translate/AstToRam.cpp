@@ -1142,9 +1142,14 @@ private:
               for (std::size_t D = 0; D < Lits.size(); ++D) {
                 if (IsSccAtom(*Lits[D]) != LoopBody)
                   continue;
+                // A seed version telescopes over the first deleted lower
+                // literal D: the literals before it still hold in NEW, so
+                // only those after it are mask-split (2^n - 1 versions for
+                // n lower literals). A loop-body version splits every
+                // lower literal.
                 std::vector<std::size_t> Maskable;
                 for (std::size_t I : Lower)
-                  if (I != D)
+                  if (LoopBody ? I != D : I > D)
                     Maskable.push_back(I);
                 for (std::uint32_t Mask = 0;
                      Mask < (1u << Maskable.size()); ++Mask) {

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Invariant 1 of DESIGN.md: the STI (both register variants), the
-/// dynamic-adapter interpreter and the legacy interpreter must compute
-/// identical relation contents for every program in the corpus. The
-/// synthesized-code path is covered by tests/synth.
+/// Invariant 1 of DESIGN.md: the STI (both register variants, and the
+/// lambda variant without condition fusion), the dynamic-adapter
+/// interpreter and the legacy interpreter must compute identical relation
+/// contents for every program in the corpus. The synthesized-code path is
+/// covered by tests/synth.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -129,14 +130,33 @@ const CorpusEntry *corpus() {
          {"q", "z"},
          {{"s", {{IntMin}, {-6}, {7}}}},
          {{{IntMin, 0, IntMin}, {-7, 0, -7}, {6, 0, 6}}, {{IntMin}}}});
+    // vpc-style filter chains over the edge values: the fused micro-program
+    // and the tree evaluator must wrap identically (divWrap/modWrap,
+    // two's-complement Add/Mul, shift counts masked with & 31).
+    constexpr RamDomain IntMax = std::numeric_limits<RamDomain>::max();
+    Result.push_back(
+        {"filter_chain_extremes",
+         ".decl s(x:number)\n.decl dv(x:number)\n.decl sh(x:number)\n"
+         ".decl bx(x:number)\n.decl ov(x:number)\n"
+         "dv(x) :- s(x), x / -1 = x, x % -1 = 0, -x = x, x != 0.\n"
+         "sh(x) :- s(x), x bshl 32 = x, x bshr -1 = x bshr 31, "
+         "(x bshl 1) bshr 1 != x.\n"
+         "bx(x) :- s(x), (x bxor -1) band 3 = 2, x bor 1 != 0.\n"
+         "ov(x) :- s(x), x * 2 / 2 != x, x + 1 < x.",
+         {"dv", "sh", "bx", "ov"},
+         {{"s", {{IntMin}, {-1}, {0}, {1}, {5}, {IntMax}}}},
+         {{{IntMin}}, {{IntMin}, {IntMax}}, {{1}, {5}}, {{IntMax}}}});
     return Result;
   }();
   return Entries.data();
 }
-constexpr std::size_t CorpusSize = 9;
+constexpr std::size_t CorpusSize = 10;
 
 class CrossEngineTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+/// Index 4 is the lambda STI again, with condition fusion switched off.
+constexpr int UnfusedIndex = 4;
 
 Backend backendOf(int Index) {
   switch (Index) {
@@ -146,8 +166,10 @@ Backend backendOf(int Index) {
     return Backend::StaticPlain;
   case 2:
     return Backend::DynamicAdapter;
-  default:
+  case 3:
     return Backend::Legacy;
+  default:
+    return Backend::StaticLambda;
   }
 }
 
@@ -159,13 +181,16 @@ const char *backendName(int Index) {
     return "StaticPlain";
   case 2:
     return "DynamicAdapter";
-  default:
+  case 3:
     return "Legacy";
+  default:
+    return "StaticLambdaUnfused";
   }
 }
 
 std::vector<std::vector<DynTuple>> runOn(const CorpusEntry &Entry,
-                                         Backend TheBackend) {
+                                         Backend TheBackend,
+                                         bool FuseConditions = true) {
   std::vector<std::string> Errors;
   auto Prog = core::Program::fromSource(Entry.Source, &Errors);
   EXPECT_NE(Prog, nullptr)
@@ -174,6 +199,7 @@ std::vector<std::vector<DynTuple>> runOn(const CorpusEntry &Entry,
     return {};
   EngineOptions Options;
   Options.TheBackend = TheBackend;
+  Options.FuseConditions = FuseConditions;
   auto E = Prog->makeEngine(Options);
   for (const auto &[Rel, Tuples] : Entry.Inputs)
     E->insertTuples(Rel, Tuples);
@@ -194,7 +220,8 @@ TEST_P(CrossEngineTest, BackendMatchesReferenceSti) {
   if (!Entry.Expected.empty()) {
     EXPECT_EQ(Reference, Entry.Expected) << Entry.Name;
   }
-  auto Other = runOn(Entry, backendOf(BackendIndex));
+  auto Other = runOn(Entry, backendOf(BackendIndex),
+                     BackendIndex != UnfusedIndex);
   ASSERT_EQ(Reference.size(), Other.size());
   for (std::size_t I = 0; I < Reference.size(); ++I)
     EXPECT_EQ(Reference[I], Other[I])
@@ -205,7 +232,7 @@ TEST_P(CrossEngineTest, BackendMatchesReferenceSti) {
 INSTANTIATE_TEST_SUITE_P(
     Corpus, CrossEngineTest,
     ::testing::Combine(::testing::Range(0, static_cast<int>(CorpusSize)),
-                       ::testing::Range(1, 4)),
+                       ::testing::Range(1, UnfusedIndex + 1)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>> &Info) {
       return std::string(corpus()[std::get<0>(Info.param)].Name) + "_vs_" +
              backendName(std::get<1>(Info.param));

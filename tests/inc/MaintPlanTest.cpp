@@ -12,8 +12,8 @@
 /// `$`, `.input` relations with clauses), the guarantee that
 /// negation-only programs never fall back to re-evaluation, DRed's prune
 /// through exit clauses and exit unfoldings (what it keeps, what it must
-/// still delete, and that each check stops at its first witness), and
-/// DRed's disjoint net deltas.
+/// still delete, and that each check stops at its first witness), the
+/// telescoped over-deletion seeds, and DRed's disjoint net deltas.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -353,6 +353,43 @@ TEST(MaintPlan, NonRecursiveStratumDeletesExactly) {
   auto Fresh = runWith(*Prog, Facts);
   EXPECT_EQ(Eng->getTuples("r"), (std::vector<DynTuple>{{1}}));
   EXPECT_EQ(Eng->getTuples("r"), Fresh->getTuples("r"));
+}
+
+TEST(MaintPlan, OverDeleteSeedsTelescope) {
+  // Phase A seeds one group of [odel] versions per first deleted literal
+  // D: the literals before D still hold in NEW, and only those after it
+  // are split into NEW and delta. Three literals give 4 + 2 + 1 = 7
+  // versions, not the 3 * 4 = 12 of splitting every other literal.
+  auto Prog = core::Program::fromSource(
+      ".decl a(x:number)\n.decl b(x:number)\n.decl c(x:number)\n"
+      ".decl r(x:number)\n"
+      "r(x) :- a(x), b(x), !c(x).\n",
+      nullptr, withMaint());
+  ASSERT_NE(Prog, nullptr);
+  const ram::Program::MaintStratum *MS = stratumOf(Prog->getRam(), "r");
+  ASSERT_NE(MS, nullptr);
+  ASSERT_NE(MS->Stmt, nullptr);
+  const std::string Stmt = ram::print(*MS->Stmt);
+  std::size_t Versions = 0;
+  for (std::size_t At = Stmt.find("[odel]"); At != std::string::npos;
+       At = Stmt.find("[odel]", At + 1))
+    ++Versions;
+  EXPECT_EQ(Versions, 7u) << Stmt;
+
+  // One batch takes r(1)'s first and second literals at once, r(2)'s
+  // second alone and r(3)'s negation, and makes r(4) derivable.
+  auto Eng = runWith(*Prog, {{"a", {{1}, {2}, {3}, {4}}},
+                             {"b", {{1}, {2}, {3}, {4}}},
+                             {"c", {{4}}}});
+  ASSERT_EQ(Eng->getTuples("r"), (std::vector<DynTuple>{{1}, {2}, {3}}));
+  inc::Maintainer Maint(Prog->getRam(), *Eng);
+  Maint.bootstrap();
+  inc::MaintenanceReport Report = Maint.apply(inc::MixedBatch{
+      {"a", {}, {{1}}}, {"b", {}, {{1}, {2}}}, {"c", {{3}}, {{4}}}});
+  EXPECT_EQ(Eng->getTuples("r"), (std::vector<DynTuple>{{4}}));
+  const inc::StratumReport &SR = reportOf(Report, Prog->getRam(), "r");
+  EXPECT_EQ(SR.Deleted, 3u);
+  EXPECT_EQ(SR.Inserted, 1u);
 }
 
 TEST(MaintPlan, ExitDerivableCandidatesAreNotOverDeleted) {

@@ -66,14 +66,17 @@ TEST(NodePrinterTest, SuperInstructionSlotsAreShown) {
 }
 
 TEST(NodePrinterTest, FusedConditionShowsMicroOpCount) {
-  EngineOptions Fuse;
-  Fuse.FuseConditions = true;
-  std::string Tree = dumpFor(
-      ".decl a(x:number, y:number)\n.decl b(x:number)\n"
-      "b(x) :- a(x, y), x + y * 2 < 100, x != y.",
-      Fuse);
+  const char *Source = ".decl a(x:number, y:number)\n.decl b(x:number)\n"
+                       "b(x) :- a(x, y), x + y * 2 < 100, x != y.";
+  std::string Tree = dumpFor(Source);
   EXPECT_NE(Tree.find("FusedCondition ["), std::string::npos);
   EXPECT_NE(Tree.find("micro-ops]"), std::string::npos);
+  // The ablation prints the filter as its node tree.
+  EngineOptions Unfused;
+  Unfused.FuseConditions = false;
+  std::string Plain = dumpFor(Source, Unfused);
+  EXPECT_EQ(Plain.find("FusedCondition"), std::string::npos);
+  EXPECT_NE(Plain.find("Constraint"), std::string::npos);
 }
 
 /// One kitchen-sink program whose generated tree touches every structural
@@ -102,7 +105,12 @@ const char *KitchenSink = R"(
 )";
 
 TEST(NodePrinterTest, EveryStructuralNodeKindPrints) {
-  std::string Tree = dumpFor(KitchenSink);
+  // `x < 50` prints as a FusedCondition by default and as a Constraint
+  // without fusion; every other kind prints the same either way.
+  EngineOptions Unfused;
+  Unfused.FuseConditions = false;
+  std::string Tree = dumpFor(KitchenSink, Unfused);
+  EXPECT_NE(dumpFor(KitchenSink).find("FusedCondition"), std::string::npos);
   for (const char *Token :
        {"Sequence", "Loop", "Exit", "Query", "Clear", "SwapRel", "Merge",
         "Io", "LogTimer", "Filter", "Negation", "Constraint",

@@ -13,8 +13,11 @@
 
 #include "core/Program.h"
 #include "interp/Engine.h"
+#include "support/ProgramGen.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace stird;
 using namespace stird::interp;
@@ -95,6 +98,61 @@ TEST(OptimizationTest, FusedConditionsPreserveResultsAndCutDispatches) {
   EXPECT_EQ(A.Tc, B.Tc);
   // The arithmetic filter collapses into one micro-program dispatch.
   EXPECT_LT(A.Dispatches, B.Dispatches);
+}
+
+/// Micro-operations over every fused condition of \p Source's default
+/// tree.
+std::size_t fusedMicroOps(const std::string &Source) {
+  auto Prog = core::Program::fromSource(Source);
+  const std::string Tree = Prog->makeEngine(EngineOptions{})->dumpTree();
+  const std::string Marker = "FusedCondition [";
+  std::size_t Ops = 0;
+  for (std::size_t At = Tree.find(Marker); At != std::string::npos;
+       At = Tree.find(Marker, At + 1))
+    Ops += std::stoul(Tree.substr(At + Marker.size()));
+  return Ops;
+}
+
+TEST(OptimizationTest, GeneratedArithmeticChainsAgreeFusedAndUnfused) {
+  // Generated programs with arithmetic filter chains over INT_MIN,
+  // INT_MAX, -1 and 0: the fused micro-program, the unfused STI tree, the
+  // dynamic adapter and the legacy interpreter agree on every relation.
+  std::size_t ChainsFused = 0;
+  for (std::uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    const testgen::GeneratedProgram P =
+        testgen::generateProgram(Seed, /*ArithChains=*/true);
+    std::vector<std::string> Errors;
+    auto Prog = core::Program::fromSource(P.Source, &Errors);
+    ASSERT_NE(Prog, nullptr) << "seed " << Seed << ": "
+                             << (Errors.empty() ? "" : Errors[0]) << "\n"
+                             << P.Source;
+    auto Run = [&](Backend TheBackend, bool Fuse) {
+      EngineOptions Options;
+      Options.TheBackend = TheBackend;
+      Options.FuseConditions = Fuse;
+      Options.EchoPrintSize = false;
+      auto E = Prog->makeEngine(Options);
+      E->run();
+      std::vector<std::vector<DynTuple>> Contents;
+      for (const std::string &Rel : P.Relations) {
+        Contents.push_back(E->getTuples(Rel));
+        std::sort(Contents.back().begin(), Contents.back().end());
+      }
+      return Contents;
+    };
+    const auto Fused = Run(Backend::StaticLambda, true);
+    EXPECT_EQ(Fused, Run(Backend::StaticLambda, false))
+        << "seed " << Seed << "\n" << P.Source;
+    EXPECT_EQ(Fused, Run(Backend::DynamicAdapter, true))
+        << "seed " << Seed << "\n" << P.Source;
+    EXPECT_EQ(Fused, Run(Backend::Legacy, true))
+        << "seed " << Seed << "\n" << P.Source;
+    if (fusedMicroOps(P.Source) >
+        fusedMicroOps(testgen::generateProgram(Seed).Source))
+      ++ChainsFused;
+  }
+  // Most programs draw a chain, and their chains run fused.
+  EXPECT_GE(ChainsFused, 30u);
 }
 
 TEST(OptimizationTest, AllOptimizationCombinationsAgree) {

@@ -75,12 +75,55 @@ void dedup(std::vector<std::string> &Names) {
   Names = std::move(Unique);
 }
 
+/// A constant of an arithmetic chain: the two's-complement edge values
+/// (where division, modulo and shifts must wrap, not trap) or a small one.
+std::string chainConstant(Rng &C) {
+  static constexpr const char *Edges[] = {"-2147483648", "2147483647", "-1",
+                                          "0"};
+  return C.chance(50) ? Edges[C.below(4)] : std::to_string(C.range(1, 33));
+}
+
+/// One side of a chain comparison: a bound variable, alone or combined
+/// with a constant or another bound variable by one or two integer
+/// functors. The second functor sees the first one's result, which can be
+/// negative or wrapped although every variable lies in [0, MaxConst].
+std::string chainTerm(Rng &C, const std::vector<std::string> &Bound) {
+  static constexpr const char *Ops[] = {"+",   "-",   "*",    "/",    "%",
+                                        "band", "bor", "bxor", "bshl", "bshr"};
+  std::string Term = Bound[C.below(Bound.size())];
+  if (C.chance(20))
+    return Term;
+  const std::size_t Depth = C.chance(40) ? 2 : 1;
+  for (std::size_t I = 0; I < Depth; ++I) {
+    const std::string Rhs =
+        C.chance(70) ? chainConstant(C) : Bound[C.below(Bound.size())];
+    Term = "(" + Term + " " + Ops[C.below(10)] + " " + Rhs + ")";
+  }
+  return Term;
+}
+
+/// 2-4 comparisons over arithmetic on bound variables: a filter chain the
+/// interpreter fuses into one micro-program.
+void appendChain(Rng &C, const std::vector<std::string> &Bound,
+                 std::vector<std::string> &Body) {
+  static constexpr const char *Cmps[] = {"<", "<=", ">", ">=", "=", "!="};
+  const std::size_t Length = C.range(2, 4);
+  for (std::size_t I = 0; I < Length; ++I) {
+    const std::string Rhs =
+        C.chance(50) ? chainTerm(C, Bound) : chainConstant(C);
+    Body.push_back(chainTerm(C, Bound) + " " + Cmps[C.below(6)] + " " + Rhs);
+  }
+}
+
 /// Emits one rule for \p Head. \p Positives are the relations its body may
 /// read (base + earlier layers + Head itself); \p Negatables are the
-/// strictly-earlier relations a negation may target.
+/// strictly-earlier relations a negation may target. \p Chains, when
+/// set, is the separate stream that decides and draws arithmetic chains,
+/// so \p R's draws are the same with and without them.
 std::string ruleText(Rng &R, const RelInfo &Head,
                      const std::vector<const RelInfo *> &Positives,
-                     const std::vector<const RelInfo *> &Negatables) {
+                     const std::vector<const RelInfo *> &Negatables,
+                     Rng *Chains) {
   std::vector<std::string> Body;
   std::vector<std::string> Bound;
 
@@ -106,6 +149,9 @@ std::string ruleText(Rng &R, const RelInfo &Head,
         R.chance(50) ? Bound[R.below(Bound.size())] : constant(R);
     Body.push_back(Lhs + " " + Ops[R.below(5)] + " " + Rhs);
   }
+
+  if (Chains && !Bound.empty() && Chains->chance(40))
+    appendChain(*Chains, Bound, Body);
 
   // Stratified negation over a strictly earlier relation.
   if (!Negatables.empty() && R.chance(30)) {
@@ -133,8 +179,12 @@ std::string ruleText(Rng &R, const RelInfo &Head,
 
 } // namespace
 
-GeneratedProgram generateProgram(std::uint64_t Seed) {
+GeneratedProgram generateProgram(std::uint64_t Seed, bool ArithChains) {
   Rng R(Seed * 0x2545f4914f6cdd1dULL + 1);
+  // The chains' own stream (own multiplier): the rest of the program is
+  // byte-identical to the one drawn without chains.
+  Rng ChainRng(Seed * 0xd1342543de82ef95ULL + 0x2545f4914f6cdd1dULL);
+  Rng *Chains = ArithChains ? &ChainRng : nullptr;
   GeneratedProgram Prog;
   Prog.Seed = Seed;
   std::string &Src = Prog.Source;
@@ -203,7 +253,7 @@ GeneratedProgram generateProgram(std::uint64_t Seed) {
     }
     const std::size_t NumRules = R.range(1, 3);
     for (std::size_t I = 0; I < NumRules; ++I)
-      Src += ruleText(R, Rel, Positives, Negatables) + "\n";
+      Src += ruleText(R, Rel, Positives, Negatables, Chains) + "\n";
   }
 
   Prog.RulesOnly = Src.substr(0, DeclEnd) + Src.substr(FactEnd);

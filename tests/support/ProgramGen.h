@@ -13,8 +13,8 @@
 /// relation's rules only read base relations, relations of strictly earlier
 /// layers, and (positively) the relation itself — and cover the planner's
 /// interesting shapes: linear and nonlinear recursion, negation, constant
-/// arguments, repeated variables, wildcards, comparison constraints, and
-/// equality-defined variables. All columns are numbers over a small domain
+/// arguments, repeated variables, wildcards, comparison constraints,
+/// equality-defined variables and, on request, arithmetic filter chains. All columns are numbers over a small domain
 /// and no arithmetic feeds back into heads, so every fixpoint is finite.
 ///
 //===----------------------------------------------------------------------===//
@@ -96,8 +96,13 @@ struct GeneratedProgram {
 
 /// Generates the program for \p Seed. Total work per program is bounded
 /// (small relation counts, arities <= 3, constants in [0, 6]), so a run
-/// under any strategy and thread count finishes in milliseconds.
-GeneratedProgram generateProgram(std::uint64_t Seed);
+/// under any strategy and thread count finishes in milliseconds. With
+/// \p ArithChains, some rules also get a chain of 2-4 comparisons over
+/// integer arithmetic on bound variables (+ - * / % band bor bxor bshl
+/// bshr, constants from INT_MIN, INT_MAX, -1, 0 and 1-33), drawn from a
+/// separate stream: the program is the one drawn without chains plus those
+/// filters.
+GeneratedProgram generateProgram(std::uint64_t Seed, bool ArithChains = false);
 
 /// generateProgram(Seed) plus a skew-heavy fact block: every base relation
 /// gains 40-60 extra facts whose first column is the hub value 0 for ~90%

@@ -11,10 +11,13 @@
 /// budget (--seconds), checking that (a) every --sips strategy at -j1 and
 /// -j4 reproduces the unreordered sequential run, (b) declaring every
 /// relation brie instead of btree changes nothing — a failure witness names
-/// the diverging substrate pair — and
-/// (c) replaying a seeded mixed insert/retract stream through the
-/// maintenance plan matches a one-shot evaluation of the net EDB at every
-/// batch prefix, at -j1 and -j4.
+/// the diverging substrate pair —, (c) the unfused STI
+/// (--no-fuse-conditions) agrees with the default, which fuses filter
+/// chains, and (d) replaying a seeded mixed insert/retract stream through
+/// the maintenance plan matches a one-shot evaluation of the net EDB at
+/// every batch prefix, at -j1 and -j4. Each seed is checked twice: as
+/// generated, and with the generator's arithmetic filter chains added (a
+/// witness from the second says so).
 /// Generated programs use only negation/recursion/constraints, so
 /// maintenance ineligibility itself is reported as a failure (the plan
 /// must never silently fall back for such programs). On a mismatch it
@@ -93,7 +96,8 @@ std::vector<std::string> declaredRelations(const std::string &Source) {
 /// are chasing", never as a mismatch.
 bool run(const std::string &Source, translate::SipsStrategy Sips,
          const translate::ProfileFeedback *Feedback, std::size_t Threads,
-         Contents &Out, std::string *ProfileJson = nullptr) {
+         Contents &Out, std::string *ProfileJson = nullptr,
+         bool FuseConditions = true) {
   core::CompileOptions Compile;
   Compile.Sips = Sips;
   Compile.Feedback = Feedback;
@@ -104,6 +108,7 @@ bool run(const std::string &Source, translate::SipsStrategy Sips,
   interp::EngineOptions Options;
   Options.NumThreads = Threads;
   Options.EchoPrintSize = false;
+  Options.FuseConditions = FuseConditions;
   auto Engine = Prog->makeEngine(Options);
   Engine->run();
   Out.clear();
@@ -165,6 +170,16 @@ bool mismatches(const std::string &Source, std::string &Witness) {
       Witness = "substrate pair btree vs brie -j" + std::to_string(Threads);
       return true;
     }
+  }
+
+  // Fusion axis: the reference fuses every filter chain that saves enough
+  // dispatches; the unfused tree must agree.
+  Contents Unfused;
+  if (run(Source, translate::SipsStrategy::Source, nullptr, 1, Unfused,
+          nullptr, /*FuseConditions=*/false) &&
+      Unfused != Reference) {
+    Witness = "--no-fuse-conditions -j1";
+    return true;
   }
   return false;
 }
@@ -399,31 +414,35 @@ int main(int Argc, char **Argv) {
                          std::chrono::duration<double>(Seconds));
   std::size_t Checked = 0;
   for (std::uint64_t S = Seed; Clock::now() < Deadline; ++S, ++Checked) {
-    const testgen::GeneratedProgram P = testgen::generateProgram(S);
-    std::string Witness;
-    std::size_t FailedBatch = 0;
-    const bool SipsBug = mismatches(P.Source, Witness);
-    if (!SipsBug && !mismatchesIncremental(P, Witness, FailedBatch))
-      continue;
+    for (bool Chains : {false, true}) {
+      const testgen::GeneratedProgram P = testgen::generateProgram(S, Chains);
+      std::string Witness;
+      std::size_t FailedBatch = 0;
+      const bool SipsBug = mismatches(P.Source, Witness);
+      if (!SipsBug && !mismatchesIncremental(P, Witness, FailedBatch))
+        continue;
+      if (Chains)
+        Witness += " (program generated with arithmetic chains)";
 
-    std::fprintf(stderr, "stird_fuzz: seed %llu FAILS under %s\n",
-                 static_cast<unsigned long long>(S), Witness.c_str());
-    std::ofstream(OutDir + "/failing_seed.txt")
-        << S << "\n" << Witness << "\n";
-    std::ofstream(OutDir + "/failing.dl") << P.Source;
-    // Line-wise shrinking only preserves SIPS mismatches; incremental
-    // failures depend on the seed-derived stream, which a reduced source
-    // no longer reproduces, so the full program is the artifact.
-    std::ofstream(OutDir + "/minimized.dl")
-        << (SipsBug ? minimize(P.Source) : P.Source);
-    if (!SipsBug)
-      writeStream(P, FailedBatch, OutDir);
-    std::fprintf(stderr,
-                 "stird_fuzz: artifacts written to %s "
-                 "(failing_seed.txt, failing.dl, minimized.dl%s)\n",
-                 OutDir.c_str(),
-                 SipsBug ? "" : ", failing_rules.dl, failing_batches/");
-    return 1;
+      std::fprintf(stderr, "stird_fuzz: seed %llu FAILS under %s\n",
+                   static_cast<unsigned long long>(S), Witness.c_str());
+      std::ofstream(OutDir + "/failing_seed.txt")
+          << S << "\n" << Witness << "\n";
+      std::ofstream(OutDir + "/failing.dl") << P.Source;
+      // Line-wise shrinking only preserves SIPS mismatches; incremental
+      // failures depend on the seed-derived stream, which a reduced source
+      // no longer reproduces, so the full program is the artifact.
+      std::ofstream(OutDir + "/minimized.dl")
+          << (SipsBug ? minimize(P.Source) : P.Source);
+      if (!SipsBug)
+        writeStream(P, FailedBatch, OutDir);
+      std::fprintf(stderr,
+                   "stird_fuzz: artifacts written to %s "
+                   "(failing_seed.txt, failing.dl, minimized.dl%s)\n",
+                   OutDir.c_str(),
+                   SipsBug ? "" : ", failing_rules.dl, failing_batches/");
+      return 1;
+    }
   }
 
   std::fprintf(stderr, "stird_fuzz: %zu seeds checked, no mismatches\n",

@@ -201,7 +201,7 @@ TEST(CliTest, IntMinDivisionWrapsInsteadOfTrapping) {
          "z(v) :- v = (-2147483647 - 1) / -1.\n"
          ".output q\n.output z\n";
   for (const char *Backend : {"sti", "sti-plain", "dynamic", "legacy"}) {
-    for (const char *Fuse : {"", " --fuse-conditions"}) {
+    for (const char *Fuse : {"", " --no-fuse-conditions"}) {
       std::filesystem::remove(Dir + "/q.csv");
       std::filesystem::remove(Dir + "/z.csv");
       CommandResult Result = runTool(Dir + "/wrap.dl -D " + Dir +
@@ -219,7 +219,7 @@ TEST(CliTest, AblationFlagsAccepted) {
   std::string Dir = makeFixture("flags");
   CommandResult Result = runTool(
       Dir + "/tc.dl -F " + Dir + " -D " + Dir +
-          " --no-super --no-reorder --fuse-conditions",
+          " --no-super --no-reorder --no-fuse-conditions",
       Dir);
   EXPECT_EQ(Result.ExitCode, 0) << Result.Output;
   EXPECT_EQ(readFile(Dir + "/path.csv"),

@@ -129,9 +129,9 @@ inline void addEngineOptions(util::Args &Args, interp::EngineOptions &Options,
             [&Options] { Options.SuperInstructions = false; });
   Args.flag({"--no-reorder"}, "disable static tuple reordering (Section 4.2)",
             [&Options] { Options.StaticReordering = false; });
-  Args.flag({"--fuse-conditions"},
-            "enable fused-condition super-instructions (Section 5.2)",
-            [&Options] { Options.FuseConditions = true; });
+  Args.flag({"--no-fuse-conditions"},
+            "disable fused-condition super-instructions (Section 5.2)",
+            [&Options] { Options.FuseConditions = false; });
 }
 
 /// Registers the compile-time planning flags shared by stird and

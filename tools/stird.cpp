@@ -18,7 +18,7 @@
 ///   --backend <name>      sti | sti-plain | dynamic | legacy
 ///   --no-super            disable super-instructions (Section 4.4)
 ///   --no-reorder          disable static tuple reordering (Section 4.2)
-///   --fuse-conditions     enable fused-condition super-instructions (5.2)
+///   --no-fuse-conditions  disable fused-condition super-instructions (5.2)
 ///   --sips <strategy>     rule-body join order: source | max-bound |
 ///                         profile (default source)
 ///   --feedback <file>     stird-profile-v1/-v2 JSON seeding --sips=profile
