@@ -10,110 +10,17 @@
 /// tuples decoded at runtime. Paper: 3.2-5.1% improvement, consistent
 /// across benchmarks (modest because inserts cannot be reordered).
 ///
-/// A second part compares the join-ordering strategies (--sips=source,
-/// max-bound, profile) on an adversarially ordered transitive closure:
-/// the rule body names the large ground relation before the recursive
-/// atom, so the textual plan rescans every edge on every semi-naive
-/// iteration while the planned orders drive the join from the delta. The
-/// measurements and the acceptance ratios (max-bound vs source, profile
-/// vs max-bound) are written to sec55_sips.json.
-///
 //===----------------------------------------------------------------------===//
 
 #include "workloads/Harness.h"
 
-#include "obs/Json.h"
-#include "obs/Profile.h"
-#include "translate/Sips.h"
 #include "util/MiscUtil.h"
-#include "util/Timer.h"
 
 #include <cstdio>
-#include <fstream>
-#include <memory>
-#include <string>
 #include <vector>
 
 using namespace stird;
 using namespace stird::bench;
-
-namespace {
-
-/// The adversarial workload: one long chain (driving ChainLength
-/// semi-naive iterations with ever-shrinking deltas) drowned in detached
-/// two-node edges that only ever contribute to the first iteration. The
-/// textual body order `edge(y, z), path(x, y)` makes the source plan scan
-/// all |edge| tuples once per iteration; delta-first orders touch only
-/// the live frontier.
-Workload adversarialTc(int ChainLength, int DetachedEdges) {
-  Workload W;
-  W.Suite = "sips";
-  // Parameters are part of the name: Harness::materializeFacts caches
-  // fact files per workload name, so resized inputs need a new key.
-  W.Name = "tc_adversarial_" + std::to_string(ChainLength) + "_" +
-           std::to_string(DetachedEdges);
-  W.Source = ".decl edge(a:number, b:number)\n"
-             ".decl path(a:number, b:number)\n"
-             ".input edge\n"
-             ".printsize path\n"
-             "path(x, y) :- edge(x, y).\n"
-             "path(x, z) :- edge(y, z), path(x, y).\n";
-  std::vector<DynTuple> Edges;
-  for (int I = 0; I < ChainLength; ++I)
-    Edges.push_back({I, I + 1});
-  const int Base = ChainLength + 1;
-  for (int I = 0; I < DetachedEdges; ++I)
-    Edges.push_back({Base + 2 * I, Base + 2 * I + 1});
-  W.Facts.emplace_back("edge", std::move(Edges));
-  return W;
-}
-
-struct SipsMeasurement {
-  double Seconds = 1e100;    // best observed wall time
-  std::size_t TotalTuples = 0;
-  std::uint64_t Dispatches = 0; // deterministic per plan, from the last run
-  std::string ProfileJson;   // last run, when requested
-};
-
-/// One measured run under a chosen --sips strategy (and optional feedback
-/// document): compile, evaluate, fold the wall time / checksums into
-/// \p Result. Wall seconds include parse/translate/plan, as everywhere
-/// else in the bench suite. Callers interleave repetitions of competing
-/// strategies so clock drift hits them equally.
-void runWithSips(const std::string &FactDir, const Workload &W,
-                 translate::SipsStrategy Sips,
-                 const translate::ProfileFeedback *Feedback,
-                 bool WantProfile, SipsMeasurement &Result) {
-  interp::EngineOptions Options;
-  Options.FactDir = FactDir;
-  Options.EchoPrintSize = false;
-
-  core::CompileOptions Compile;
-  Compile.Sips = Sips;
-  Compile.Feedback = Feedback;
-
-  Timer T;
-  std::vector<std::string> Errors;
-  auto Prog = core::Program::fromSource(W.Source, &Errors, Compile);
-  if (!Prog)
-    fatal("workload '" + W.Name + "' failed to compile: " +
-          (Errors.empty() ? "?" : Errors[0]));
-  auto Engine = Prog->makeEngine(Options);
-  Engine->run();
-  Result.Seconds = std::min(Result.Seconds, T.seconds());
-  Result.Dispatches = Engine->getNumDispatches();
-  Result.TotalTuples = 0;
-  for (const auto &Rel : Prog->getRam().getRelations())
-    Result.TotalTuples += Engine->getRelation(Rel->getName())->size();
-  if (WantProfile) {
-    obs::ProfileContext Ctx;
-    Ctx.Program = W.Name;
-    Ctx.Backend = "sti";
-    Result.ProfileJson = obs::buildProfile(*Engine, Ctx).dump();
-  }
-}
-
-} // namespace
 
 int main() {
   printHeader("Sec 5.5 — static tuple reordering ablation",
@@ -147,100 +54,5 @@ int main() {
                 "(%.1f%% improvement)\n",
                 geomean(Relatives), 100.0 * (1.0 - geomean(Relatives)));
 
-  // --- Part two: join-order (SIPS) strategies on adversarial TC --------
-  std::printf("\nJoin reordering (--sips) on adversarially ordered "
-              "transitive closure:\n");
-
-  const Workload W = adversarialTc(/*ChainLength=*/800,
-                                   /*DetachedEdges=*/40000);
-  const std::string FactDir = H.materializeFacts(W);
-  const int Reps = 5; // planned runs finish in tenths of a second —
-                      // best-of-3 still carries scheduler jitter
-
-  // The profiled source run doubles as the feedback producer, exactly
-  // like `stird --profile=FILE` followed by `stird --feedback=FILE`.
-  SipsMeasurement Source;
-  for (int Rep = 0; Rep < Reps; ++Rep)
-    runWithSips(FactDir, W, translate::SipsStrategy::Source, nullptr,
-                /*WantProfile=*/true, Source);
-  std::string FeedbackError;
-  std::unique_ptr<translate::ProfileFeedback> Feedback =
-      translate::ProfileFeedback::fromJson(Source.ProfileJson,
-                                           &FeedbackError);
-  if (!Feedback)
-    fatal("profile feedback round-trip failed: " + FeedbackError);
-
-  // Interleaved repetitions: max-bound and profile are expected to pick
-  // the same plan here, so any wall-clock gap is measurement noise —
-  // alternating the runs exposes both to the same drift.
-  SipsMeasurement MaxBound, Profile;
-  for (int Rep = 0; Rep < Reps; ++Rep) {
-    runWithSips(FactDir, W, translate::SipsStrategy::MaxBound, nullptr,
-                false, MaxBound);
-    runWithSips(FactDir, W, translate::SipsStrategy::Profile,
-                Feedback.get(), false, Profile);
-  }
-
-  std::printf("%-12s %12s %14s %10s\n", "sips", "seconds", "tuples",
-              "speedup");
-  const struct {
-    const char *Name;
-    const SipsMeasurement *M;
-  } Rows[] = {{"source", &Source},
-              {"max-bound", &MaxBound},
-              {"profile", &Profile}};
-  for (const auto &Row : Rows)
-    std::printf("%-12s %12.4f %14zu %10.2fx\n", Row.Name, Row.M->Seconds,
-                Row.M->TotalTuples, Source.Seconds / Row.M->Seconds);
-
-  bool Agree = Source.TotalTuples == MaxBound.TotalTuples &&
-               Source.TotalTuples == Profile.TotalTuples;
-  if (!Agree)
-    std::printf("RESULT MISMATCH across strategies\n");
-
-  const double MaxBoundSpeedup = Source.Seconds / MaxBound.Seconds;
-  const double ProfileOverMaxBound = Profile.Seconds / MaxBound.Seconds;
-  std::printf("\nmax-bound speedup over source: %.2fx (need >= 1.20x)\n"
-              "profile / max-bound runtime:   %.3f (dispatches %llu vs "
-              "%llu; need no more work, wall clock within noise)\n",
-              MaxBoundSpeedup, ProfileOverMaxBound,
-              static_cast<unsigned long long>(Profile.Dispatches),
-              static_cast<unsigned long long>(MaxBound.Dispatches));
-
-  // Record the comparison for CI and the acceptance criteria.
-  using obs::json::Value;
-  Value Doc{obs::json::Object{}};
-  Doc.set("schema", "stird-bench-sips-v1");
-  Doc.set("benchmark", W.Name);
-  Doc.set("edges", static_cast<std::uint64_t>(W.Facts[0].second.size()));
-  Doc.set("repetitions", Reps);
-  obs::json::Array Strategies;
-  for (const auto &Row : Rows) {
-    Value S{obs::json::Object{}};
-    S.set("sips", Row.Name);
-    S.set("seconds", Row.M->Seconds);
-    S.set("total_tuples", static_cast<std::uint64_t>(Row.M->TotalTuples));
-    S.set("dispatches", Row.M->Dispatches);
-    S.set("speedup_over_source", Source.Seconds / Row.M->Seconds);
-    Strategies.push_back(std::move(S));
-  }
-  Doc.set("strategies", Value(std::move(Strategies)));
-  Doc.set("max_bound_speedup_over_source", MaxBoundSpeedup);
-  Doc.set("profile_over_max_bound", ProfileOverMaxBound);
-  Value Criteria{obs::json::Object{}};
-  Criteria.set("strategies_agree", Agree);
-  Criteria.set("max_bound_at_least_1_2x", MaxBoundSpeedup >= 1.2);
-  // "Never slower": the deterministic evidence is the dispatch count
-  // (identical plans execute identical work); wall clock gets a 10%
-  // slack on top since these runs last tenths of a second.
-  Criteria.set("profile_not_slower_than_max_bound",
-               Profile.Dispatches <= MaxBound.Dispatches &&
-                   ProfileOverMaxBound <= 1.10);
-  Doc.set("criteria", std::move(Criteria));
-
-  const char *JsonPath = "sec55_sips.json";
-  std::ofstream(JsonPath) << Doc.dump(2) << "\n";
-  std::printf("wrote %s\n", JsonPath);
-
-  return Agree ? 0 : 1;
+  return 0;
 }

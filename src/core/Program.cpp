@@ -48,48 +48,6 @@ Program::fromSource(const std::string &Source,
   auto Result = std::unique_ptr<Program>(new Program());
   translate::TranslationOptions TranslateOptions;
   TranslateOptions.EmitMaintenance = Options.EmitMaintenance;
-  TranslateOptions.Sips = Options.Sips;
-  TranslateOptions.Feedback = Options.Feedback;
-
-  // The profile strategy needs usable feedback; anything less degrades to
-  // max-bound with a warning rather than failing the compile (a stale
-  // profile must never make a program unrunnable).
-  std::unique_ptr<translate::ProfileFeedback> OwnedFeedback;
-  if (TranslateOptions.Sips == translate::SipsStrategy::Profile) {
-    if (!TranslateOptions.Feedback && !Options.FeedbackPath.empty()) {
-      std::string FeedbackError;
-      OwnedFeedback = translate::ProfileFeedback::fromFile(
-          Options.FeedbackPath, &FeedbackError);
-      if (OwnedFeedback)
-        TranslateOptions.Feedback = OwnedFeedback.get();
-      else
-        std::fprintf(stderr,
-                     "warning: --feedback: %s; falling back to "
-                     "--sips=max-bound\n",
-                     FeedbackError.c_str());
-    }
-    if (TranslateOptions.Feedback) {
-      bool Covers = false;
-      for (const auto &Decl : Parsed.Prog->Relations)
-        if (TranslateOptions.Feedback->hasRelation(Decl->getName())) {
-          Covers = true;
-          break;
-        }
-      if (!Covers) {
-        std::fprintf(stderr,
-                     "warning: --feedback: profile covers none of this "
-                     "program's relations (stale?); falling back to "
-                     "--sips=max-bound\n");
-        TranslateOptions.Feedback = nullptr;
-      }
-    } else if (Options.FeedbackPath.empty()) {
-      std::fprintf(stderr,
-                   "warning: --sips=profile without --feedback; falling "
-                   "back to --sips=max-bound\n");
-    }
-    if (!TranslateOptions.Feedback)
-      TranslateOptions.Sips = translate::SipsStrategy::MaxBound;
-  }
 
   translate::TranslationResult Translated = translate::translateToRam(
       *Parsed.Prog, Info, Result->Symbols, TranslateOptions);
@@ -100,13 +58,9 @@ Program::fromSource(const std::string &Source,
 
   Result->Ast = std::move(Parsed.Prog);
   Result->Ram = std::move(Translated.Prog);
-  // RAM-level optimizations, shared by interpreters and synthesizer.
+  // RAM-level optimizations over main and every maintenance statement,
+  // shared by interpreters and synthesizer.
   ram::foldConstants(*Result->Ram, Result->Symbols);
-  // Sinking runs only under a reordering strategy: it is what converts a
-  // reorder's newly-adjacent equality filters into indexed lookups, and
-  // gating it keeps source-order plans bit-identical to older builds.
-  if (TranslateOptions.Sips != translate::SipsStrategy::Source)
-    ram::sinkFiltersIntoScans(*Result->Ram);
   ram::mergeAdjacentFilters(*Result->Ram);
   Result->Indexes = translate::selectIndexes(*Result->Ram);
   return Result;

@@ -48,18 +48,6 @@ struct CompileOptions {
   /// insert/retract batches (DRed per stratum, scoped Reeval fallbacks —
   /// see translate::TranslationOptions::EmitMaintenance).
   bool EmitMaintenance = false;
-  /// Join-ordering strategy for rule bodies (--sips). Source keeps the
-  /// textual order, so nothing changes unless a caller opts in.
-  translate::SipsStrategy Sips = translate::SipsStrategy::Source;
-  /// Path of a stird-profile-v1/-v2 document seeding the profile strategy
-  /// (--feedback=FILE). Loaded during compilation; a malformed or stale
-  /// document (one covering none of the program's relations) produces a
-  /// stderr warning and a fallback to max-bound — never a compile error.
-  std::string FeedbackPath;
-  /// Preloaded feedback (not owned; must outlive compilation). Takes
-  /// precedence over FeedbackPath — used by tests and benches that build
-  /// profiles in memory.
-  const translate::ProfileFeedback *Feedback = nullptr;
 };
 
 /// A compiled Datalog program, ready to be executed any number of times by

@@ -39,7 +39,8 @@ struct RuleMeta {
   /// Semi-naive version index ([vN] in the label); -1 for non-recursive.
   int Version = -1;
   bool Recursive = false;
-  /// The SIPS strategy that planned the rule body ("" when unknown).
+  /// The planner that ordered the rule body: "source" or "max-bound" (""
+  /// when unknown).
   std::string Sips;
   /// Chosen join order: element i is the source-order body-atom index
   /// scanned at depth i. Empty for non-rule timers.

@@ -39,7 +39,7 @@ struct ProfileContext {
 
 /// Current profile document schema identifier. v2 adds the access-pattern
 /// counters (point_lookups, range_scans) and the col0_min/col0_max
-/// key-density summary; the feedback reader accepts v1 and v2 documents.
+/// key-density summary.
 inline constexpr const char *ProfileSchemaVersion = "stird-profile-v2";
 
 /// Builds the full profile document: run header, stratum → rule →

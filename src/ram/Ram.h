@@ -21,6 +21,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -652,7 +653,8 @@ public:
     int Version = -1;
     bool Recursive = false;
     const ram::Relation *Target = nullptr;
-    /// The SIPS strategy that planned this rule's body ("" for timers not
+    /// The planner that ordered this rule's body: "source" for main
+    /// rules, "max-bound" for maintenance versions ("" for timers not
     /// produced by rule translation).
     std::string Sips;
     /// The chosen join order: element i is the source-order index of the
@@ -795,6 +797,27 @@ public:
   /// telemetry and change set.
   void setMaintEpilogue(StmtPtr Stmt) { MaintEpilogue = std::move(Stmt); }
   const Statement *getMaintEpilogue() const { return MaintEpilogue.get(); }
+
+  //===--------------------------------------------------------------------===//
+  // Statement roots
+  //===--------------------------------------------------------------------===//
+
+  /// Which part of the program a statement root belongs to.
+  enum class RootKind { Main, MaintPrologue, MaintStratum, MaintEpilogue };
+
+  /// Visits the statement roots in listing order: main, then, when a
+  /// maintenance plan was emitted, the prologue, every maintenance stratum
+  /// (\p Index is its position in getMaintStrata()) and the epilogue. An
+  /// absent root (no main, a Reeval stratum) is passed as null. The RAM
+  /// passes, index selection and the printer all walk the program through
+  /// here, so a maintenance statement gets everything main gets.
+  void forEachRoot(const std::function<void(RootKind Kind, std::size_t Index,
+                                            const Statement *Root)> &Visit)
+      const;
+
+  /// Replaces every present root R by \p Rewrite(*R), in forEachRoot order.
+  void rewriteRoots(
+      const std::function<StmtPtr(const Statement &)> &Rewrite);
 
 private:
   std::vector<std::unique_ptr<Relation>> Relations;

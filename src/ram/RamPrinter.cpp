@@ -426,13 +426,15 @@ std::string stird::ram::print(const Program &Prog) {
     }
     Out << "\n";
   }
-  if (Prog.hasMain())
-    Out << print(Prog.getMain());
-  if (Prog.hasMaintenance()) {
-    Out << "MAINTENANCE\n";
-    if (const Statement *Prologue = Prog.getMaintPrologue())
-      Out << "PROLOGUE\n" << print(*Prologue);
-    for (std::size_t I = 0; I < Prog.getMaintStrata().size(); ++I) {
+  Prog.forEachRoot([&](Program::RootKind Kind, std::size_t I,
+                       const Statement *Root) {
+    switch (Kind) {
+    case Program::RootKind::Main:
+      break;
+    case Program::RootKind::MaintPrologue:
+      Out << "MAINTENANCE\nPROLOGUE\n";
+      break;
+    case Program::RootKind::MaintStratum: {
       const auto &S = Prog.getMaintStrata()[I];
       const char *Name =
           S.Strategy == Program::MaintStrategy::DRed ? "dred" : "reeval";
@@ -440,11 +442,15 @@ std::string stird::ram::print(const Program &Prog) {
       if (!S.FallbackReason.empty())
         Out << " (" << S.FallbackReason << ")";
       Out << "\n";
-      if (S.Stmt)
-        Out << print(*S.Stmt);
+      break;
     }
-    if (const Statement *Epilogue = Prog.getMaintEpilogue())
-      Out << "EPILOGUE\n" << print(*Epilogue);
-  }
+    case Program::RootKind::MaintEpilogue:
+      if (Root)
+        Out << "EPILOGUE\n";
+      break;
+    }
+    if (Root)
+      Out << print(*Root);
+  });
   return Out.str();
 }

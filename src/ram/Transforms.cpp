@@ -11,7 +11,6 @@
 #include "util/MiscUtil.h"
 
 #include <cstdint>
-#include <unordered_set>
 
 using namespace stird;
 using namespace stird::ram;
@@ -269,196 +268,21 @@ private:
   std::size_t &Merged;
 };
 
-//===----------------------------------------------------------------------===//
-// Filter sinking
-//===----------------------------------------------------------------------===//
-
-/// Collects the tuple ids an expression reads and whether it contains an
-/// AutoIncrement (whose evaluation count is observable, so it must not move
-/// from a per-tuple filter into a once-per-scan pattern).
-void analyzeExpr(const Expression &Expr, std::unordered_set<std::uint32_t> &Ids,
-                 bool &HasCounter) {
-  switch (Expr.getKind()) {
-  case Expression::Kind::TupleElement:
-    Ids.insert(static_cast<const TupleElement &>(Expr).getTupleId());
-    return;
-  case Expression::Kind::Intrinsic:
-    for (const auto &Arg : static_cast<const Intrinsic &>(Expr).getArgs())
-      analyzeExpr(*Arg, Ids, HasCounter);
-    return;
-  case Expression::Kind::AutoIncrement:
-    HasCounter = true;
-    return;
-  case Expression::Kind::Constant:
-  case Expression::Kind::Undef:
-    return;
-  }
-  unreachable("unknown expression kind");
-}
-
-class FilterSinker {
-public:
-  explicit FilterSinker(std::size_t &Sunk) : Sunk(Sunk) {}
-
-  OpPtr rewriteOp(const Operation &Op) {
-    switch (Op.getKind()) {
-    case Operation::Kind::Scan: {
-      const auto &S = static_cast<const Scan &>(Op);
-      std::vector<ExprPtr> Pattern;
-      for (std::size_t I = 0; I < S.getRelation().getArity(); ++I)
-        Pattern.push_back(std::make_unique<Undef>());
-      return rewriteScan(S.getRelation(), S.getTupleId(), std::move(Pattern),
-                         S.getNested());
-    }
-    case Operation::Kind::IndexScan: {
-      const auto &S = static_cast<const IndexScan &>(Op);
-      return rewriteScan(S.getRelation(), S.getTupleId(),
-                         clonePattern(S.getPattern()), S.getNested());
-    }
-    case Operation::Kind::Filter: {
-      const auto &F = static_cast<const Filter &>(Op);
-      return std::make_unique<Filter>(clone(F.getCondition()),
-                                      rewriteOp(F.getNested()));
-    }
-    case Operation::Kind::Project:
-      return clone(Op);
-    case Operation::Kind::Aggregate: {
-      const auto &A = static_cast<const Aggregate &>(Op);
-      return std::make_unique<Aggregate>(
-          A.getFunc(), &A.getRelation(), A.getTupleId(),
-          clonePattern(A.getPattern()),
-          A.getTargetExpr() ? clone(*A.getTargetExpr()) : nullptr,
-          A.getCondition() ? clone(*A.getCondition()) : nullptr,
-          rewriteOp(A.getNested()));
-    }
-    }
-    unreachable("unknown operation kind");
-  }
-
-  StmtPtr rewriteStmt(const Statement &Stmt) {
-    switch (Stmt.getKind()) {
-    case Statement::Kind::Sequence: {
-      std::vector<StmtPtr> Children;
-      for (const auto &Child :
-           static_cast<const Sequence &>(Stmt).getStatements())
-        Children.push_back(rewriteStmt(*Child));
-      return std::make_unique<Sequence>(std::move(Children));
-    }
-    case Statement::Kind::Loop:
-      return std::make_unique<Loop>(
-          rewriteStmt(static_cast<const Loop &>(Stmt).getBody()));
-    case Statement::Kind::Query:
-      return std::make_unique<Query>(
-          rewriteOp(static_cast<const Query &>(Stmt).getRoot()));
-    case Statement::Kind::LogTimer: {
-      const auto &Log = static_cast<const LogTimer &>(Stmt);
-      return std::make_unique<LogTimer>(Log.getLabel(), Log.getInfo(),
-                                        rewriteStmt(Log.getBody()));
-    }
-    default:
-      return clone(Stmt);
-    }
-  }
-
-private:
-  /// The core rewrite: absorbs sinkable equality conjuncts from the filter
-  /// chain directly beneath the scan of \p Tid into \p Pattern.
-  OpPtr rewriteScan(const Relation &Rel, std::uint32_t Tid,
-                    std::vector<ExprPtr> Pattern, const Operation &Nested) {
-    // Split the immediate filter chain into conjuncts, absorbing what we
-    // can. Unsinkable conjuncts are re-emitted as filters in order.
-    const Operation *Rest = &Nested;
-    std::vector<CondPtr> Kept;
-    while (Rest->getKind() == Operation::Kind::Filter) {
-      const auto &F = static_cast<const Filter &>(*Rest);
-      absorb(F.getCondition(), Tid, Pattern, Kept);
-      Rest = &F.getNested();
-    }
-
-    OpPtr Result = rewriteOp(*Rest);
-    for (auto It = Kept.rbegin(); It != Kept.rend(); ++It)
-      Result = std::make_unique<Filter>(std::move(*It), std::move(Result));
-    if (searchSignature(Pattern) == 0)
-      return std::make_unique<Scan>(&Rel, Tid, std::move(Result));
-    return std::make_unique<IndexScan>(&Rel, Tid, std::move(Pattern),
-                                       std::move(Result));
-  }
-
-  /// Recurses through conjunctions; sinks `TupleElement(Tid, col) == expr`
-  /// (either side) into \p Pattern when expr reads nothing scanned at or
-  /// below this level, collecting every other conjunct into \p Kept.
-  void absorb(const Condition &Cond, std::uint32_t Tid,
-              std::vector<ExprPtr> &Pattern, std::vector<CondPtr> &Kept) {
-    if (Cond.getKind() == Condition::Kind::Conjunction) {
-      const auto &C = static_cast<const Conjunction &>(Cond);
-      absorb(C.getLhs(), Tid, Pattern, Kept);
-      absorb(C.getRhs(), Tid, Pattern, Kept);
-      return;
-    }
-    if (Cond.getKind() == Condition::Kind::Constraint) {
-      const auto &C = static_cast<const Constraint &>(Cond);
-      if (C.getOp() == CmpOp::Eq &&
-          (trySink(C.getLhs(), C.getRhs(), Tid, Pattern) ||
-           trySink(C.getRhs(), C.getLhs(), Tid, Pattern))) {
-        ++Sunk;
-        return;
-      }
-    }
-    Kept.push_back(clone(Cond));
-  }
-
-  bool trySink(const Expression &ColSide, const Expression &ExprSide,
-               std::uint32_t Tid, std::vector<ExprPtr> &Pattern) {
-    if (ColSide.getKind() != Expression::Kind::TupleElement)
-      return false;
-    const auto &Elem = static_cast<const TupleElement &>(ColSide);
-    if (Elem.getTupleId() != Tid || Elem.getElement() >= Pattern.size() ||
-        Pattern[Elem.getElement()]->getKind() != Expression::Kind::Undef)
-      return false;
-    std::unordered_set<std::uint32_t> Ids;
-    bool HasCounter = false;
-    analyzeExpr(ExprSide, Ids, HasCounter);
-    // A value is only available when the lookup starts if every tuple it
-    // reads is bound further out. Operation trees are single chains with
-    // tuple ids assigned in nesting order, so outer means a smaller id.
-    if (HasCounter)
-      return false;
-    for (std::uint32_t Id : Ids)
-      if (Id >= Tid)
-        return false;
-    Pattern[Elem.getElement()] = clone(ExprSide);
-    return true;
-  }
-
-  std::size_t &Sunk;
-};
-
 } // namespace
 
 TransformStats stird::ram::foldConstants(Program &Prog,
                                          SymbolTable &Symbols) {
   TransformStats Stats;
-  if (!Prog.hasMain())
-    return Stats;
   ConstantFolder Folder(Symbols, Stats);
-  Prog.setMain(Folder.rewriteStmt(Prog.getMain()));
+  Prog.rewriteRoots(
+      [&](const Statement &Root) { return Folder.rewriteStmt(Root); });
   return Stats;
 }
 
 std::size_t stird::ram::mergeAdjacentFilters(Program &Prog) {
   std::size_t Merged = 0;
-  if (!Prog.hasMain())
-    return Merged;
   FilterMerger Merger(Merged);
-  Prog.setMain(Merger.rewriteStmt(Prog.getMain()));
+  Prog.rewriteRoots(
+      [&](const Statement &Root) { return Merger.rewriteStmt(Root); });
   return Merged;
-}
-
-std::size_t stird::ram::sinkFiltersIntoScans(Program &Prog) {
-  std::size_t Sunk = 0;
-  if (!Prog.hasMain())
-    return Sunk;
-  FilterSinker Sinker(Sunk);
-  Prog.setMain(Sinker.rewriteStmt(Prog.getMain()));
-  return Sunk;
 }

@@ -15,12 +15,10 @@
 ///  * filter merging — nested Filter(c1, Filter(c2, x)) chains become one
 ///    Filter over a conjunction. Besides saving bookkeeping, this is what
 ///    lets the Section 5.2 fused-condition super-instructions swallow a
-///    whole multi-conjunct filter in a single dispatch;
-///  * filter sinking — an equality `t.col == expr` sitting directly under
-///    t's scan, where expr only reads outer tuples, moves into the scan's
-///    search pattern (a Scan becomes an IndexScan). SIPS reordering makes
-///    such filters adjacent to the scan they constrain; sinking is what
-///    turns the new order into indexed lookups.
+///    whole multi-conjunct filter in a single dispatch.
+///
+/// Both passes rewrite every statement root (Program::rewriteRoots): main
+/// and each maintenance statement alike.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,14 +46,6 @@ TransformStats foldConstants(Program &Prog, SymbolTable &Symbols);
 /// Merges adjacent Filter operations into single conjunctions. Returns the
 /// number of merges performed.
 std::size_t mergeAdjacentFilters(Program &Prog);
-
-/// Sinks equality constraints from Filters directly beneath a Scan or
-/// IndexScan into the scan's search pattern when the constrained column
-/// belongs to the scanned tuple and the other side only references tuples
-/// bound further out. Returns the number of constraints sunk. Run before
-/// mergeAdjacentFilters (it inspects single-condition filter chains) and
-/// before index selection (it changes search signatures).
-std::size_t sinkFiltersIntoScans(Program &Prog);
 
 } // namespace stird::ram
 

@@ -89,7 +89,7 @@ std::unique_ptr<EngineSession>
 EngineSession::fromSource(const std::string &Source,
                           const SessionOptions &Options,
                           std::vector<std::string> *Errors) {
-  core::CompileOptions Compile = Options.Compile;
+  core::CompileOptions Compile;
   Compile.EmitMaintenance = true;
   std::shared_ptr<core::Program> Prog =
       core::Program::fromSource(Source, Errors, Compile);
@@ -102,7 +102,7 @@ std::unique_ptr<EngineSession>
 EngineSession::fromFile(const std::string &Path,
                         const SessionOptions &Options,
                         std::vector<std::string> *Errors) {
-  core::CompileOptions Compile = Options.Compile;
+  core::CompileOptions Compile;
   Compile.EmitMaintenance = true;
   std::shared_ptr<core::Program> Prog =
       core::Program::fromFile(Path, Errors, Compile);

@@ -120,12 +120,6 @@ struct MaintTelemetry {
 struct SessionOptions {
   /// Per-side engine configuration (backend, threads, stats, ...).
   interp::EngineOptions Engine;
-  /// Compile-time choices (--sips/--feedback join planning, ...) for the
-  /// fromSource/fromFile convenience constructors. EmitMaintenance is
-  /// forced on regardless: sessions always want the incremental path, and
-  /// the one-shot and maintenance programs are planned under the same
-  /// strategy so resident re-derivation matches a cold run's plans.
-  core::CompileOptions Compile;
   /// Execute the program's .input/.output directives during the bootstrap
   /// run. Off by default: a serving session starts from an empty database
   /// and receives facts through loadFacts.

@@ -6,13 +6,12 @@
 
 #include "translate/AstToRam.h"
 
+#include "translate/Sips.h"
 #include "util/MiscUtil.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <functional>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -1170,9 +1169,7 @@ private:
                                      ? LitMode::InsScan
                                      : LitMode::DelScan;
                   }
-                  RuleVariant V;
-                  V.LabelSuffix = " [odel]";
-                  V.ForceMaxBound = true;
+                  RuleVariant V(" [odel]", /*MaxBound=*/true);
                   emitRule(*synthesizeMaintClause(*C, Modes, "", Name,
                                                   static_cast<int>(D)),
                            MainNewRel.at(Name), {}, -1, Rederive.at(Name),
@@ -1193,7 +1190,7 @@ private:
               for (const ast::Clause *Check :
                    exitUnfoldings(*C, IsSccAtom, IsExitClause)) {
                 HasCheck = true;
-                RuleVariant V(" [keep]", /*ForceMaxBound=*/true,
+                RuleVariant V(" [keep]", /*MaxBound=*/true,
                               /*FirstWitness=*/true);
                 emitRule(*synthesizeMaintClause(
                              *Check,
@@ -1243,7 +1240,7 @@ private:
                   // chains the body off its bindings so unconnected literals
                   // are not free-scanned once per candidate, and the check
                   // stops at the candidate's first witness.
-                  RuleVariant V(" [rdrv]", /*ForceMaxBound=*/true,
+                  RuleVariant V(" [rdrv]", /*MaxBound=*/true,
                                 /*FirstWitness=*/true);
                   emitRule(*synthesizeMaintClause(
                                *C, Modes, Rederive.at(Name)->getName(), ""),
@@ -1256,9 +1253,7 @@ private:
                     continue;
                   std::vector<LitMode> Modes(Lits.size(), LitMode::Keep);
                   Modes[D] = LitMode::ScratchDelta;
-                  RuleVariant V;
-                  V.LabelSuffix = " [rdrv]";
-                  V.ForceMaxBound = true;
+                  RuleVariant V(" [rdrv]", /*MaxBound=*/true);
                   emitRule(*synthesizeMaintClause(
                                *C, Modes, "", Rederive.at(Name)->getName(),
                                static_cast<int>(D)),
@@ -1296,9 +1291,7 @@ private:
                                         ast::Literal::Kind::Negation
                                     ? LitMode::DelScan
                                     : LitMode::InsScan);
-                RuleVariant V;
-                V.LabelSuffix = " [ins]";
-                V.ForceMaxBound = true;
+                RuleVariant V(" [ins]", /*MaxBound=*/true);
                 emitRule(*synthesizeMaintClause(*C, Modes, "", "",
                                                 static_cast<int>(D)),
                          MainNewRel.at(Name), {}, -1, RelOf.at(Name), {},
@@ -1345,13 +1338,14 @@ private:
   /// main program's.
   struct RuleVariant {
     const char *LabelSuffix;
-    /// Plans the body with MaxBound SIPS regardless of the session
-    /// strategy. Maintenance delta rules set this: their pivot atom sits
-    /// at source position 0 (synthesizeMaintClause hoists it) and the
-    /// greedy bound-columns order chains the remaining atoms off the
-    /// pivot's bindings instead of free-scanning an unconnected leading
-    /// literal per delta tuple.
-    bool ForceMaxBound;
+    /// Keeps the driving atom first and orders the rest max-bound; else
+    /// the body keeps source order. Every maintenance version sets this:
+    /// its driver sits at body position 0 (synthesizeMaintClause hoists
+    /// the delta pivot or prepends the candidate atom), and the greedy
+    /// bound-columns order chains the remaining atoms off the driver's
+    /// bindings instead of free-scanning an unconnected literal per delta
+    /// tuple.
+    bool MaxBound;
     /// Stops each candidate's nest at its first witness: every range scan
     /// evaluated once the head is bound (by the prepended candidate atom,
     /// at depth 0) is guarded by NOT head IN Target, so after the first
@@ -1360,9 +1354,9 @@ private:
     bool FirstWitness;
     // Explicitly defaulted arguments instead of member initializers: the
     // latter cannot feed a default argument of the enclosing class.
-    RuleVariant(const char *LabelSuffix = "", bool ForceMaxBound = false,
+    RuleVariant(const char *LabelSuffix = "", bool MaxBound = false,
                 bool FirstWitness = false)
-        : LabelSuffix(LabelSuffix), ForceMaxBound(ForceMaxBound),
+        : LabelSuffix(LabelSuffix), MaxBound(MaxBound),
           FirstWitness(FirstWitness) {}
   };
 
@@ -1385,27 +1379,24 @@ private:
     if (!Root)
       return;
 
-    ram::StmtPtr Stmt = std::make_unique<ram::Query>(std::move(Root));
-    if (Options.EnableProfiling) {
-      std::string Label = C.toString();
-      if (DeltaPos >= 0)
-        Label += " [v" + std::to_string(DeltaPos) + "]";
-      Label += Variant.LabelSuffix;
-      ram::LogTimer::RuleInfo Info;
-      Info.Stratum = StratumId;
-      Info.Relation = C.getHead().getName();
-      Info.Version = DeltaPos;
-      // GuardRel is set exactly for rules inside a fixpoint loop (both the
-      // semi-naive versions and naive loop bodies).
-      Info.Recursive = GuardRel != nullptr;
-      Info.Target = Target;
-      Info.Sips = sipsStrategyName(Options.Sips);
-      Info.AtomOrder.assign(State.atomOrder().begin(),
-                            State.atomOrder().end());
-      Stmt = std::make_unique<ram::LogTimer>(
-          std::move(Label), std::move(Info), std::move(Stmt));
-    }
-    Out.push_back(std::move(Stmt));
+    std::string Label = C.toString();
+    if (DeltaPos >= 0)
+      Label += " [v" + std::to_string(DeltaPos) + "]";
+    Label += Variant.LabelSuffix;
+    ram::LogTimer::RuleInfo Info;
+    Info.Stratum = StratumId;
+    Info.Relation = C.getHead().getName();
+    Info.Version = DeltaPos;
+    // GuardRel is set exactly for rules inside a fixpoint loop (both the
+    // semi-naive versions and naive loop bodies).
+    Info.Recursive = GuardRel != nullptr;
+    Info.Target = Target;
+    Info.Sips = Variant.MaxBound ? "max-bound" : "source";
+    Info.AtomOrder.assign(State.atomOrder().begin(),
+                          State.atomOrder().end());
+    Out.push_back(std::make_unique<ram::LogTimer>(
+        std::move(Label), std::move(Info),
+        std::make_unique<ram::Query>(std::move(Root))));
   }
 
   /// Per-rule translation state: variable bindings, literal scheduling and
@@ -1431,14 +1422,14 @@ private:
     }
 
     /// The emitted atom order: element i is the source-order index of the
-    /// atom scanned at depth i (identity under SipsStrategy::Source).
+    /// atom scanned at depth i (identity for source-order bodies).
     const std::vector<std::size_t> &atomOrder() const { return Order; }
 
     ram::OpPtr build() {
       ram::OpPtr Root = buildLevel(0);
       if (!Root)
         return nullptr;
-      if (!T.Options.EnableEmptinessChecks || Atoms.empty())
+      if (Atoms.empty())
         return Root;
       // Fig-3-style pre-check: skip the whole rule body if any scanned
       // relation is empty.
@@ -1496,9 +1487,9 @@ private:
     }
 
     /// Resolves every atom's relation (delta vs. full, by source position)
-    /// and then permutes Atoms under the configured SIPS strategy. Must run
-    /// before any emission: build() and buildAtom() index the permuted
-    /// vectors.
+    /// and then, for a max-bound variant, permutes Atoms behind the driving
+    /// atom at position 0. Must run before any emission: build() and
+    /// buildAtom() index the permuted vectors.
     void planAtomOrder() {
       AtomRels.resize(Atoms.size());
       Order.resize(Atoms.size());
@@ -1506,9 +1497,7 @@ private:
         AtomRels[I] = resolveAtomRelation(I);
         Order[I] = I;
       }
-      const SipsStrategy Strat =
-          Variant.ForceMaxBound ? SipsStrategy::MaxBound : T.Options.Sips;
-      if (Strat == SipsStrategy::Source || Atoms.size() < 2)
+      if (!Variant.MaxBound || Atoms.size() < 3)
         return;
       // An undeclared relation keeps the source order; buildAtom reports
       // the error with the original positions intact.
@@ -1518,13 +1507,6 @@ private:
 
       std::vector<SipsAtom> Desc(Atoms.size());
       for (std::size_t I = 0; I < Atoms.size(); ++I) {
-        SipsAtom &D = Desc[I];
-        D.SourceIndex = I;
-        const auto MainIt = T.RelOf.find(Atoms[I]->getName());
-        D.IsDelta = MainIt != T.RelOf.end() && AtomRels[I] != MainIt->second;
-        if (Strat == SipsStrategy::Profile)
-          D.EstimatedSize =
-              T.estimateSize(*AtomRels[I], D.IsDelta, Atoms[I]->getName());
         for (const auto &Arg : Atoms[I]->getArgs()) {
           SipsColumn Col;
           if (Arg->getKind() == ast::Argument::Kind::Variable) {
@@ -1534,7 +1516,7 @@ private:
             collectVars(*Arg, Col.Vars);
             Col.Ground = Col.Vars.empty();
           }
-          D.Columns.push_back(std::move(Col));
+          Desc[I].Columns.push_back(std::move(Col));
         }
       }
 
@@ -1562,7 +1544,7 @@ private:
         AddDerivation(Con.getRhs(), Con.getLhs());
       }
 
-      Order = orderAtoms(Strat, Desc, Equalities);
+      Order = orderAtoms(Desc, Equalities, /*Pinned=*/1);
       std::vector<const ast::Atom *> NewAtoms(Atoms.size());
       std::vector<const ram::Relation *> NewRels(Atoms.size());
       for (std::size_t I = 0; I < Order.size(); ++I) {
@@ -2108,23 +2090,6 @@ private:
     std::vector<DeferredCheck> DeferredColumnChecks;
     std::uint32_t NextTupleId = 0;
   };
-
-  /// Estimated cardinality of \p Rel for the profile SIPS strategy, from
-  /// the feedback document. A delta occurrence missing from the feedback
-  /// (e.g. a one-shot profile feeding an update-program build whose aux
-  /// relations have different names) is guessed as the square root of its
-  /// full relation \p FullName — deltas are a fraction of the fixpoint.
-  double estimateSize(const ram::Relation &Rel, bool IsDelta,
-                      const std::string &FullName) const {
-    if (!Options.Feedback)
-      return -1.0;
-    if (std::optional<double> S = Options.Feedback->relationSize(Rel.getName()))
-      return *S;
-    if (IsDelta)
-      if (std::optional<double> Full = Options.Feedback->relationSize(FullName))
-        return std::sqrt(std::max(*Full, 1.0));
-    return -1.0;
-  }
 
   const ast::Program &AstProg;
   const ast::SemanticInfo &Info;

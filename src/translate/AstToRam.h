@@ -8,8 +8,11 @@
 /// Translates a semantically checked Datalog program into a RAM program:
 /// strata are evaluated bottom-up, recursive strata become semi-naive
 /// fixpoint loops with delta/new relations (Fig 3 of the paper), rules
-/// become nested Scan/IndexScan/Filter/Project operation chains, and every
-/// rule version is wrapped in a profiling timer.
+/// become nested Scan/IndexScan/Filter/Project operation chains behind a
+/// Fig-3-style non-emptiness pre-check, and every rule version is wrapped
+/// in a profiling timer. Main-program bodies keep source order;
+/// maintenance versions open with their driving atom and order the rest
+/// max-bound (translate/Sips.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +22,6 @@
 #include "ast/Ast.h"
 #include "ast/SemanticAnalysis.h"
 #include "ram/Ram.h"
-#include "translate/Sips.h"
 #include "util/SymbolTable.h"
 
 #include <memory>
@@ -30,12 +32,6 @@ namespace stird::translate {
 
 /// Options controlling translation.
 struct TranslationOptions {
-  /// Wrap each rule version in a LogTimer so engines can attribute time to
-  /// rules (required by the Fig 16 experiment).
-  bool EnableProfiling = true;
-  /// Emit the Fig-3-style non-emptiness pre-checks around each recursive
-  /// rule body.
-  bool EnableEmptinessChecks = true;
   /// Force naive fixpoint evaluation for every recursive stratum (no
   /// delta relations; every round rescans the full relations). Slower but
   /// semantically identical — used by the semi-naive equivalence tests.
@@ -53,15 +49,6 @@ struct TranslationOptions {
   /// Off by default: the extra aux relations would perturb dumps and
   /// index-selection goldens of the one-shot pipeline.
   bool EmitMaintenance = false;
-  /// Join-ordering strategy applied to every rule body (including
-  /// maintenance rules, so the resident-session path plans identically to the one-shot
-  /// path). Defaults to source order: plans and RAM goldens only change
-  /// when a caller opts in.
-  SipsStrategy Sips = SipsStrategy::Source;
-  /// Relation cardinalities for SipsStrategy::Profile. Not owned; may be
-  /// null, in which case the profile strategy falls back to its built-in
-  /// default size for every relation (degrading to roughly max-bound).
-  const ProfileFeedback *Feedback = nullptr;
 };
 
 /// Result of translation.

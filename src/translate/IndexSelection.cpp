@@ -249,16 +249,13 @@ stird::translate::computeIndexes(const std::vector<std::uint32_t> &Signatures,
 IndexSelectionResult stird::translate::selectIndexes(ram::Program &Prog) {
   std::map<const Relation *, std::set<std::uint32_t>> Searches;
   SearchCollector Collector(Searches);
-  if (Prog.hasMain())
-    Collector.visitStmt(Prog.getMain());
   // The maintenance programs run over the same relations: their delta
   // versions search the ins_/del_/rederive_ aux relations with bound
   // patterns, and those searches must be index-served too.
-  for (const auto &S : Prog.getMaintStrata())
-    if (S.Stmt)
-      Collector.visitStmt(*S.Stmt);
-  if (const Statement *Prologue = Prog.getMaintPrologue())
-    Collector.visitStmt(*Prologue);
+  Prog.forEachRoot([&](Program::RootKind, std::size_t, const Statement *Root) {
+    if (Root)
+      Collector.visitStmt(*Root);
+  });
 
   // Union-find over relations connected by Swap statements: swapped
   // relations must agree on their physical index layout.
@@ -294,11 +291,10 @@ IndexSelectionResult stird::translate::selectIndexes(ram::Program &Prog) {
           return;
         }
       };
-  if (Prog.hasMain())
-    FindSwaps(Prog.getMain());
-  for (const auto &S : Prog.getMaintStrata())
-    if (S.Stmt)
-      FindSwaps(*S.Stmt);
+  Prog.forEachRoot([&](Program::RootKind, std::size_t, const Statement *Root) {
+    if (Root)
+      FindSwaps(*Root);
+  });
 
   // Merge search sets per swap group.
   std::map<const Relation *, std::set<std::uint32_t>> GroupSearches;

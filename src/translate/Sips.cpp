@@ -6,116 +6,11 @@
 
 #include "translate/Sips.h"
 
-#include "obs/Json.h"
-#include "obs/Profile.h"
-
 #include <algorithm>
-#include <cmath>
-#include <fstream>
-#include <sstream>
 #include <unordered_set>
 
 using namespace stird;
 using namespace stird::translate;
-
-std::optional<SipsStrategy>
-stird::translate::parseSipsStrategy(const std::string &Name) {
-  if (Name == "source")
-    return SipsStrategy::Source;
-  if (Name == "max-bound")
-    return SipsStrategy::MaxBound;
-  if (Name == "profile")
-    return SipsStrategy::Profile;
-  return std::nullopt;
-}
-
-const char *stird::translate::sipsStrategyName(SipsStrategy Strategy) {
-  switch (Strategy) {
-  case SipsStrategy::Source:
-    return "source";
-  case SipsStrategy::MaxBound:
-    return "max-bound";
-  case SipsStrategy::Profile:
-    return "profile";
-  }
-  return "unknown";
-}
-
-//===----------------------------------------------------------------------===//
-// ProfileFeedback
-//===----------------------------------------------------------------------===//
-
-std::unique_ptr<ProfileFeedback>
-ProfileFeedback::fromJson(const std::string &Text, std::string *Error) {
-  std::string ParseError;
-  std::optional<obs::json::Value> Doc = obs::json::parse(Text, &ParseError);
-  if (!Doc) {
-    if (Error)
-      *Error = "invalid JSON: " + ParseError;
-    return nullptr;
-  }
-  // Backward-compatible reader: both versions carry the relation sizes the
-  // join planner reads.
-  const obs::json::Value *Schema = Doc->find("schema");
-  const bool SchemaOk =
-      Schema && Schema->isString() &&
-      (Schema->asString() == "stird-profile-v1" ||
-       Schema->asString() == obs::ProfileSchemaVersion);
-  if (!SchemaOk) {
-    if (Error)
-      *Error = std::string("not a stird-profile-v1 or ") +
-               obs::ProfileSchemaVersion +
-               " document (missing or unexpected \"schema\")";
-    return nullptr;
-  }
-  const obs::json::Value *Relations = Doc->find("relations");
-  if (!Relations || !Relations->isArray()) {
-    if (Error)
-      *Error = "profile document has no \"relations\" array";
-    return nullptr;
-  }
-  auto Feedback = std::unique_ptr<ProfileFeedback>(new ProfileFeedback());
-  for (const obs::json::Value &Rel : Relations->asArray()) {
-    const obs::json::Value *Name = Rel.find("name");
-    const obs::json::Value *Peak = Rel.find("peak_size");
-    const obs::json::Value *Final = Rel.find("final_size");
-    if (!Name || !Name->isString())
-      continue;
-    double Size = 0;
-    if (Peak && Peak->isNumber())
-      Size = Peak->asNumber();
-    if (Final && Final->isNumber())
-      Size = std::max(Size, Final->asNumber());
-    Feedback->Sizes[Name->asString()] = Size;
-  }
-  if (Feedback->Sizes.empty()) {
-    if (Error)
-      *Error = "profile document records no relation sizes";
-    return nullptr;
-  }
-  return Feedback;
-}
-
-std::unique_ptr<ProfileFeedback>
-ProfileFeedback::fromFile(const std::string &Path, std::string *Error) {
-  std::ifstream In(Path);
-  if (!In) {
-    if (Error)
-      *Error = "cannot open feedback file '" + Path + "'";
-    return nullptr;
-  }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  return fromJson(Buffer.str(), Error);
-}
-
-std::optional<double>
-ProfileFeedback::relationSize(const std::string &Relation) const {
-  auto It = Sizes.find(Relation);
-  if (It == Sizes.end())
-    return std::nullopt;
-  return It->second;
-}
 
 //===----------------------------------------------------------------------===//
 // orderAtoms
@@ -181,83 +76,42 @@ private:
   std::unordered_set<std::string> Bound;
 };
 
-/// Cardinality assumed for relations the feedback document does not cover.
-constexpr double UnknownSize = 1000.0;
-
-/// The profile strategy's cost of scanning \p Atom now: |R| raised to the
-/// fraction of unbound columns. Fully bound (existence check) costs less
-/// than any scan; a full scan costs the whole cardinality.
-double profileCost(const SipsAtom &Atom, const BoundSet &Bound) {
-  const std::size_t Arity = Atom.Columns.size();
-  const std::size_t BoundCols = Bound.boundColumns(Atom);
-  if (Arity == 0 || BoundCols == Arity)
-    return 0.5;
-  const double Size =
-      std::max(Atom.EstimatedSize < 0 ? UnknownSize : Atom.EstimatedSize, 1.0);
-  return std::pow(Size, static_cast<double>(Arity - BoundCols) /
-                            static_cast<double>(Arity));
-}
-
 } // namespace
 
 std::vector<std::size_t>
-stird::translate::orderAtoms(SipsStrategy Strategy,
-                             const std::vector<SipsAtom> &Atoms,
-                             const std::vector<SipsEquality> &Equalities) {
+stird::translate::orderAtoms(const std::vector<SipsAtom> &Atoms,
+                             const std::vector<SipsEquality> &Equalities,
+                             std::size_t Pinned) {
   std::vector<std::size_t> Order;
   Order.reserve(Atoms.size());
-  if (Strategy == SipsStrategy::Source || Atoms.size() < 2) {
-    for (std::size_t I = 0; I < Atoms.size(); ++I)
-      Order.push_back(I);
-    return Order;
-  }
-
   BoundSet Bound(Equalities);
   std::vector<bool> Placed(Atoms.size(), false);
-  for (std::size_t Step = 0; Step < Atoms.size(); ++Step) {
+  for (std::size_t I = 0; I < Pinned && I < Atoms.size(); ++I) {
+    Placed[I] = true;
+    Order.push_back(I);
+    Bound.bindAtom(Atoms[I]);
+  }
+  while (Order.size() < Atoms.size()) {
     std::size_t Best = Atoms.size();
+    std::size_t BestBound = 0;
     for (std::size_t I = 0; I < Atoms.size(); ++I) {
       if (Placed[I])
         continue;
+      // Most bound columns first; fully bound beats everything (the scan
+      // degenerates to an existence check). Ties keep the earlier atom:
+      // only a strict win replaces the current best.
+      const std::size_t BoundI = Bound.boundColumns(Atoms[I]);
       if (Best == Atoms.size()) {
         Best = I;
+        BestBound = BoundI;
         continue;
       }
-      const SipsAtom &A = Atoms[I], &B = Atoms[Best];
-      bool Better = false;
-      if (Strategy == SipsStrategy::MaxBound) {
-        // Most bound columns first; fully bound beats everything (the scan
-        // degenerates to an existence check). Ties prefer the delta
-        // occurrence (smallest input per iteration), then source order.
-        const std::size_t BoundA = Bound.boundColumns(A);
-        const std::size_t BoundB = Bound.boundColumns(B);
-        const bool FullA = BoundA == A.Columns.size();
-        const bool FullB = BoundB == B.Columns.size();
-        if (FullA != FullB)
-          Better = FullA;
-        else if (BoundA != BoundB)
-          Better = BoundA > BoundB;
-        else if (A.IsDelta != B.IsDelta)
-          Better = A.IsDelta;
-        else
-          Better = A.SourceIndex < B.SourceIndex;
-      } else {
-        // Profile: cheapest estimated access first. Ties fall back to the
-        // max-bound criteria so a stale or flat profile still degrades to
-        // the heuristic rather than to source order.
-        const double CostA = profileCost(A, Bound);
-        const double CostB = profileCost(B, Bound);
-        if (CostA != CostB)
-          Better = CostA < CostB;
-        else if (Bound.boundColumns(A) != Bound.boundColumns(B))
-          Better = Bound.boundColumns(A) > Bound.boundColumns(B);
-        else if (A.IsDelta != B.IsDelta)
-          Better = A.IsDelta;
-        else
-          Better = A.SourceIndex < B.SourceIndex;
-      }
-      if (Better)
+      const bool FullI = BoundI == Atoms[I].Columns.size();
+      const bool FullBest = BestBound == Atoms[Best].Columns.size();
+      if (FullI != FullBest ? FullI : BoundI > BestBound) {
         Best = I;
+        BestBound = BoundI;
+      }
     }
     Placed[Best] = true;
     Order.push_back(Best);

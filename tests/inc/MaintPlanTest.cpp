@@ -13,7 +13,9 @@
 /// negation-only programs never fall back to re-evaluation, DRed's prune
 /// through exit clauses and exit unfoldings (what it keeps, what it must
 /// still delete, and that each check stops at its first witness), the
-/// telescoped over-deletion seeds, and DRed's disjoint net deltas.
+/// telescoped over-deletion seeds, DRed's disjoint net deltas, and the
+/// plan of each version: it opens with its driving atom, and the RAM
+/// passes fold and merge it like main.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -580,6 +582,74 @@ TEST(MaintPlan, CyclicOnlySupportIsStillDeleted) {
   const inc::StratumReport &SR = reportOf(Report, Prog->getRam(), "p");
   EXPECT_EQ(SR.Deleted, 2u);
   EXPECT_EQ(SR.Rederived, 0u);
+}
+
+/// Every rule timer under \p Stmt.
+void collectTimers(const ram::Statement &Stmt,
+                   std::vector<const ram::LogTimer *> &Out) {
+  switch (Stmt.getKind()) {
+  case ram::Statement::Kind::Sequence:
+    for (const auto &Child :
+         static_cast<const ram::Sequence &>(Stmt).getStatements())
+      collectTimers(*Child, Out);
+    return;
+  case ram::Statement::Kind::Loop:
+    collectTimers(static_cast<const ram::Loop &>(Stmt).getBody(), Out);
+    return;
+  case ram::Statement::Kind::LogTimer:
+    Out.push_back(static_cast<const ram::LogTimer *>(&Stmt));
+    return;
+  default:
+    return;
+  }
+}
+
+TEST(MaintPlan, VersionsOpenWithTheirDrivingAtom) {
+  // Max-bound alone would open most versions with c(_, 1), its constant
+  // column outranking the unbound delta pivot or candidate; each batch
+  // would then range over c instead of its own change.
+  auto Prog = core::Program::fromSource(
+      ".decl a(x:number, y:number)\n.decl b(x:number, y:number)\n"
+      ".decl c(x:number, y:number)\n.decl out(x:number, y:number)\n"
+      "out(x, w) :- a(x, y), b(y, w), c(w, 1).",
+      nullptr, withMaint());
+  ASSERT_NE(Prog, nullptr);
+  std::vector<const ram::LogTimer *> Timers;
+  for (const auto &MS : Prog->getRam().getMaintStrata())
+    if (MS.Stmt)
+      collectTimers(*MS.Stmt, Timers);
+  ASSERT_EQ(Timers.size(), 11u);
+  for (const ram::LogTimer *Timer : Timers) {
+    const std::vector<int> &Order = Timer->getInfo().AtomOrder;
+    ASSERT_FALSE(Order.empty()) << Timer->getLabel();
+    EXPECT_EQ(Order[0], 0) << Timer->getLabel();
+    EXPECT_EQ(Timer->getInfo().Sips, "max-bound") << Timer->getLabel();
+  }
+}
+
+TEST(MaintPlan, MaintenanceStatementsAreFoldedAndMerged) {
+  // The RAM passes rewrite every maintenance statement as they rewrite
+  // main: 1 + 9 folds, and the constraints and the semi-naive guard merge
+  // into the one filter a fused condition runs.
+  auto Prog = core::Program::fromSource(
+      ".decl a(x:number, y:number)\n.decl r(x:number, y:number)\n"
+      "r(x, y) :- a(x, y), x < y, y < 1 + 9.",
+      nullptr, withMaint());
+  ASSERT_NE(Prog, nullptr);
+  const std::string Dump = Prog->dumpRam();
+  EXPECT_EQ(Dump.find("add(1, 9)"), std::string::npos) << Dump;
+  const std::size_t Ins =
+      Dump.find("TIMER \"r(x, y) :- delta_ins_a(x, y), x < y, y < (1 + 9). "
+                "[ins]\"\n");
+  ASSERT_NE(Ins, std::string::npos) << Dump;
+  const std::string Version =
+      Dump.substr(Ins, Dump.find("END TIMER", Ins) - Ins);
+  EXPECT_NE(Version.find("      FOR t0 IN delta_ins_a\n"
+                         "        IF (((t0.0 < t0.1) AND (t0.1 < 10)) AND "
+                         "(NOT ((t0.0,t0.1) IN r)))\n"
+                         "          INSERT (t0.0,t0.1) INTO new_r\n"),
+            std::string::npos)
+      << Version;
 }
 
 } // namespace

@@ -22,7 +22,6 @@
 #include "core/Program.h"
 #include "interp/Engine.h"
 #include "srv/Session.h"
-#include "translate/Sips.h"
 
 #include <gtest/gtest.h>
 
@@ -351,12 +350,9 @@ using NamedContents =
 
 /// The one-shot reference: a plain engine (no maintenance plan emitted)
 /// over all facts at once — exactly the pipeline a batch-mode user runs.
-NamedContents runOneShot(const Subject &S, std::size_t NumThreads,
-                         translate::SipsStrategy Sips) {
-  core::CompileOptions Compile;
-  Compile.Sips = Sips;
+NamedContents runOneShot(const Subject &S, std::size_t NumThreads) {
   std::vector<std::string> Errors;
-  auto Prog = core::Program::fromSource(S.Source, &Errors, Compile);
+  auto Prog = core::Program::fromSource(S.Source, &Errors);
   EXPECT_NE(Prog, nullptr) << (Errors.empty() ? "" : Errors[0]);
   if (!Prog)
     return {};
@@ -385,11 +381,9 @@ NamedContents runOneShot(const Subject &S, std::size_t NumThreads,
 
 /// The session under test: the same facts split into \p NumBatches loads.
 NamedContents runSession(const Subject &S, std::size_t NumBatches,
-                         std::size_t NumThreads,
-                         translate::SipsStrategy Sips) {
+                         std::size_t NumThreads) {
   SessionOptions Options;
   Options.Engine.NumThreads = NumThreads;
-  Options.Compile.Sips = Sips;
   std::vector<std::string> Errors;
   auto Session = EngineSession::fromSource(S.Source, Options, &Errors);
   EXPECT_NE(Session, nullptr) << (Errors.empty() ? "" : Errors[0]);
@@ -425,31 +419,24 @@ NamedContents runSession(const Subject &S, std::size_t NumBatches,
   return Result;
 }
 
-/// (subject, threads, sips): the resident session must match the one-shot
-/// pipeline under every join-ordering strategy too — the maintenance
-/// program is planned by the same SIPS pass, so reordered delta joins get
-/// the same differential scrutiny as the cold path.
+/// (subject, threads): the resident session must match the one-shot
+/// pipeline. The one-shot program keeps source order while every
+/// maintenance version is planned driver-first max-bound, so the reordered
+/// delta joins get the same differential scrutiny as the cold path.
 class SessionEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-translate::SipsStrategy sipsOf(int Index) {
-  return Index == 0 ? translate::SipsStrategy::Source
-                    : translate::SipsStrategy::MaxBound;
-}
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(SessionEquivalenceTest, BatchedLoadsMatchOneShot) {
-  auto [SubjectIndex, NumThreads, SipsIndex] = GetParam();
-  const translate::SipsStrategy Sips = sipsOf(SipsIndex);
+  auto [SubjectIndex, NumThreads] = GetParam();
   const Subject S = subjects()[SubjectIndex];
-  const NamedContents Reference = runOneShot(S, NumThreads, Sips);
+  const NamedContents Reference = runOneShot(S, NumThreads);
   bool AnyTuples = false;
   for (const auto &[Relation, Tuples] : Reference)
     AnyTuples = AnyTuples || !Tuples.empty();
   EXPECT_TRUE(AnyTuples) << S.Name << " produced no tuples at all";
 
   for (std::size_t NumBatches : {1u, 2u, 5u}) {
-    const NamedContents Batched =
-        runSession(S, NumBatches, NumThreads, Sips);
+    const NamedContents Batched = runSession(S, NumBatches, NumThreads);
     ASSERT_EQ(Batched.size(), Reference.size());
     for (std::size_t I = 0; I < Reference.size(); ++I)
       EXPECT_EQ(Batched[I], Reference[I])
@@ -462,12 +449,11 @@ TEST_P(SessionEquivalenceTest, BatchedLoadsMatchOneShot) {
 INSTANTIATE_TEST_SUITE_P(
     Subjects, SessionEquivalenceTest,
     ::testing::Combine(::testing::Range(0, NumSubjects),
-                       ::testing::Values(1, 4), ::testing::Values(0, 1)),
-    [](const ::testing::TestParamInfo<std::tuple<int, int, int>> &Info) {
+                       ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>> &Info) {
       static const std::vector<Subject> All = subjects();
       return All[std::get<0>(Info.param)].Name + "_j" +
-             std::to_string(std::get<1>(Info.param)) +
-             (std::get<2>(Info.param) == 0 ? "_source" : "_maxbound");
+             std::to_string(std::get<1>(Info.param));
     });
 
 //===----------------------------------------------------------------------===//

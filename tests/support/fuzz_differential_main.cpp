@@ -1,4 +1,4 @@
-//===- tests/support/fuzz_differential_main.cpp - SIPS fuzz driver -------------===//
+//===- tests/support/fuzz_differential_main.cpp - Differential fuzz driver -----===//
 //
 // Part of the stird project.
 //
@@ -8,10 +8,10 @@
 /// stird_fuzz: the open-ended version of DifferentialSipsTest and the
 /// maintenance differential suite. Walks seeds forward from a starting
 /// point (--seed, or the wall clock when omitted) for a wall-clock time
-/// budget (--seconds), checking that (a) every --sips strategy at -j1 and
-/// -j4 reproduces the unreordered sequential run, (b) declaring every
-/// relation brie instead of btree changes nothing — a failure witness names
-/// the diverging substrate pair —, (c) the unfused STI
+/// budget (--seconds), checking that (a) the -j4 run reproduces the
+/// sequential one, (b) declaring every relation brie instead of btree
+/// changes nothing — a failure witness names the diverging substrate
+/// pair —, (c) the unfused STI
 /// (--no-fuse-conditions) agrees with the default, which fuses filter
 /// chains, and (d) replaying a seeded mixed insert/retract stream through
 /// the maintenance plan matches a one-shot evaluation of the net EDB at
@@ -42,9 +42,7 @@
 #include "core/Program.h"
 #include "inc/Maintainer.h"
 #include "interp/Engine.h"
-#include "obs/Profile.h"
 #include "support/ProgramGen.h"
-#include "translate/Sips.h"
 #include "util/Args.h"
 
 #include <algorithm>
@@ -94,15 +92,10 @@ std::vector<std::string> declaredRelations(const std::string &Source) {
 /// Runs \p Source under one configuration. Returns false on compile
 /// failure (relations left empty) — callers treat that as "not the bug we
 /// are chasing", never as a mismatch.
-bool run(const std::string &Source, translate::SipsStrategy Sips,
-         const translate::ProfileFeedback *Feedback, std::size_t Threads,
-         Contents &Out, std::string *ProfileJson = nullptr,
+bool run(const std::string &Source, std::size_t Threads, Contents &Out,
          bool FuseConditions = true) {
-  core::CompileOptions Compile;
-  Compile.Sips = Sips;
-  Compile.Feedback = Feedback;
   std::vector<std::string> Errors;
-  auto Prog = core::Program::fromSource(Source, &Errors, Compile);
+  auto Prog = core::Program::fromSource(Source, &Errors);
   if (!Prog)
     return false;
   interp::EngineOptions Options;
@@ -117,54 +110,28 @@ bool run(const std::string &Source, translate::SipsStrategy Sips,
     std::sort(Tuples.begin(), Tuples.end());
     Out.emplace_back(Name, std::move(Tuples));
   }
-  if (ProfileJson) {
-    obs::ProfileContext Ctx;
-    Ctx.Program = "fuzz";
-    Ctx.Backend = "sti";
-    *ProfileJson = obs::buildProfile(*Engine, Ctx).dump();
-  }
   return true;
 }
 
-/// True when some strategy/thread combination disagrees with the
-/// sequential source-order run. \p Witness names the first bad combination.
+/// True when some thread count, substrate or fusion setting disagrees
+/// with the sequential run. \p Witness names the first bad combination.
 bool mismatches(const std::string &Source, std::string &Witness) {
   Contents Reference;
-  std::string ProfileJson;
-  if (!run(Source, translate::SipsStrategy::Source, nullptr, 1, Reference,
-           &ProfileJson))
+  if (!run(Source, 1, Reference))
     return false;
-  std::string Error;
-  std::unique_ptr<translate::ProfileFeedback> Feedback =
-      translate::ProfileFeedback::fromJson(ProfileJson, &Error);
-
-  const translate::SipsStrategy Strategies[] = {
-      translate::SipsStrategy::Source, translate::SipsStrategy::MaxBound,
-      translate::SipsStrategy::Profile};
-  for (translate::SipsStrategy Strategy : Strategies) {
-    const translate::ProfileFeedback *Fb =
-        Strategy == translate::SipsStrategy::Profile ? Feedback.get()
-                                                     : nullptr;
-    for (std::size_t Threads : {std::size_t(1), std::size_t(4)}) {
-      Contents Out;
-      if (!run(Source, Strategy, Fb, Threads, Out))
-        continue;
-      if (Out != Reference) {
-        Witness = std::string("--sips=") +
-                  translate::sipsStrategyName(Strategy) + " -j" +
-                  std::to_string(Threads);
-        return true;
-      }
-    }
+  Contents Parallel;
+  if (run(Source, 4, Parallel) && Parallel != Reference) {
+    Witness = "-j4";
+    return true;
   }
 
-  // Substrate axis: every declaration qualified brie, source-order plans,
-  // sequential and parallel. A witness names the diverging substrate pair
-  // — the reference runs on the declared (btree) structures.
+  // Substrate axis: every declaration qualified brie, sequential and
+  // parallel. A witness names the diverging substrate pair — the
+  // reference runs on the declared (btree) structures.
   const std::string OnBrie = testgen::withStructure(Source, "brie");
   for (std::size_t Threads : {std::size_t(1), std::size_t(4)}) {
     Contents Out;
-    if (!run(OnBrie, translate::SipsStrategy::Source, nullptr, Threads, Out))
+    if (!run(OnBrie, Threads, Out))
       continue;
     if (Out != Reference) {
       Witness = "substrate pair btree vs brie -j" + std::to_string(Threads);
@@ -175,8 +142,7 @@ bool mismatches(const std::string &Source, std::string &Witness) {
   // Fusion axis: the reference fuses every filter chain that saves enough
   // dispatches; the unfused tree must agree.
   Contents Unfused;
-  if (run(Source, translate::SipsStrategy::Source, nullptr, 1, Unfused,
-          nullptr, /*FuseConditions=*/false) &&
+  if (run(Source, 1, Unfused, /*FuseConditions=*/false) &&
       Unfused != Reference) {
     Witness = "--no-fuse-conditions -j1";
     return true;
@@ -418,8 +384,8 @@ int main(int Argc, char **Argv) {
       const testgen::GeneratedProgram P = testgen::generateProgram(S, Chains);
       std::string Witness;
       std::size_t FailedBatch = 0;
-      const bool SipsBug = mismatches(P.Source, Witness);
-      if (!SipsBug && !mismatchesIncremental(P, Witness, FailedBatch))
+      const bool OneShotBug = mismatches(P.Source, Witness);
+      if (!OneShotBug && !mismatchesIncremental(P, Witness, FailedBatch))
         continue;
       if (Chains)
         Witness += " (program generated with arithmetic chains)";
@@ -429,18 +395,18 @@ int main(int Argc, char **Argv) {
       std::ofstream(OutDir + "/failing_seed.txt")
           << S << "\n" << Witness << "\n";
       std::ofstream(OutDir + "/failing.dl") << P.Source;
-      // Line-wise shrinking only preserves SIPS mismatches; incremental
+      // Line-wise shrinking only preserves one-shot mismatches; incremental
       // failures depend on the seed-derived stream, which a reduced source
       // no longer reproduces, so the full program is the artifact.
       std::ofstream(OutDir + "/minimized.dl")
-          << (SipsBug ? minimize(P.Source) : P.Source);
-      if (!SipsBug)
+          << (OneShotBug ? minimize(P.Source) : P.Source);
+      if (!OneShotBug)
         writeStream(P, FailedBatch, OutDir);
       std::fprintf(stderr,
                    "stird_fuzz: artifacts written to %s "
                    "(failing_seed.txt, failing.dl, minimized.dl%s)\n",
                    OutDir.c_str(),
-                   SipsBug ? "" : ", failing_rules.dl, failing_batches/");
+                   OneShotBug ? "" : ", failing_rules.dl, failing_batches/");
       return 1;
     }
   }

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// End-to-end tests of the `stird` driver binary: runs it as a subprocess
-/// over real .dl and fact files and checks outputs, dumps and exit codes.
+/// over real .dl and fact files and checks outputs, dumps and exit codes
+/// (and, for the shared flags, `stird-serve`'s too).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,9 @@
 #ifndef STIRD_TOOL_PATH
 #error "STIRD_TOOL_PATH must point at the stird driver binary"
 #endif
+#ifndef STIRD_SERVE_TOOL_PATH
+#error "STIRD_SERVE_TOOL_PATH must point at the stird-serve binary"
+#endif
 
 namespace {
 
@@ -31,17 +35,21 @@ struct CommandResult {
   std::string Output; // stdout + stderr
 };
 
-CommandResult runTool(const std::string &Args, const std::string &Dir) {
+/// Runs \p Command with stdout and stderr captured in \p Dir.
+CommandResult runCommand(const std::string &Command, const std::string &Dir) {
   const std::string OutPath = Dir + "/cli.out";
-  const std::string Command =
-      std::string(STIRD_TOOL_PATH) + " " + Args + " > " + OutPath + " 2>&1";
   CommandResult Result;
-  Result.ExitCode = std::system(Command.c_str());
+  Result.ExitCode =
+      std::system((Command + " > " + OutPath + " 2>&1").c_str());
   std::ifstream In(OutPath);
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
   Result.Output = Buffer.str();
   return Result;
+}
+
+CommandResult runTool(const std::string &Args, const std::string &Dir) {
+  return runCommand(std::string(STIRD_TOOL_PATH) + " " + Args, Dir);
 }
 
 /// A scratch directory with the transitive-closure program and facts.
@@ -226,71 +234,23 @@ TEST(CliTest, AblationFlagsAccepted) {
             "1\t2\n1\t3\n1\t4\n2\t3\n2\t4\n3\t4\n");
 }
 
-TEST(CliTest, SipsStrategiesProduceIdenticalOutput) {
-  const std::string Expected = "1\t2\n1\t3\n1\t4\n2\t3\n2\t4\n3\t4\n";
-  for (const char *Sips : {"source", "max-bound"}) {
-    std::string Dir = makeFixture(std::string("sips_") + Sips);
-    CommandResult Result = runTool(
-        Dir + "/tc.dl -F " + Dir + " -D " + Dir + " --sips=" + Sips, Dir);
-    EXPECT_EQ(Result.ExitCode, 0) << "--sips=" << Sips << ": "
-                                  << Result.Output;
-    EXPECT_EQ(readFile(Dir + "/path.csv"), Expected) << "--sips=" << Sips;
-  }
-}
-
-TEST(CliTest, SipsRejectsUnknownStrategy) {
-  std::string Dir = makeFixture("sips_bad");
-  CommandResult Result =
-      runTool(Dir + "/tc.dl -F " + Dir + " --sips=random", Dir);
-  EXPECT_NE(Result.ExitCode, 0);
-  EXPECT_NE(Result.Output.find("unknown sips strategy"), std::string::npos)
-      << Result.Output;
-}
-
-TEST(CliTest, FeedbackRoundTripsThroughProfile) {
-  // A profiled run's JSON feeds the next run's planner (--feedback
-  // implies --sips=profile); the results must be identical.
-  std::string Dir = makeFixture("feedback");
-  CommandResult First =
-      runTool(Dir + "/tc.dl -F " + Dir + " -D " + Dir + " --profile=" +
-                  Dir + "/profile.json",
-              Dir);
-  EXPECT_EQ(First.ExitCode, 0) << First.Output;
-  const std::string Baseline = readFile(Dir + "/path.csv");
-
-  CommandResult Second =
-      runTool(Dir + "/tc.dl -F " + Dir + " -D " + Dir + " --feedback=" +
-                  Dir + "/profile.json",
-              Dir);
-  EXPECT_EQ(Second.ExitCode, 0) << Second.Output;
-  EXPECT_EQ(readFile(Dir + "/path.csv"), Baseline);
-  // No fallback warning: the document is fresh and covers the program.
-  EXPECT_EQ(Second.Output.find("falling back"), std::string::npos)
-      << Second.Output;
-}
-
-TEST(CliTest, MalformedFeedbackWarnsAndFallsBack) {
-  // Malformed or stale --feedback documents must degrade to max-bound
-  // with a warning — never abort the run.
-  std::string Dir = makeFixture("feedback_bad");
-  std::ofstream(Dir + "/broken.json") << "{this is not json";
-  std::ofstream(Dir + "/stale.json")
-      << R"({"schema": "stird-profile-v1", "relations": [)"
-      << R"({"name": "someone_elses_relation", "peak_size": 9}]})";
-  const std::string Expected = "1\t2\n1\t3\n1\t4\n2\t3\n2\t4\n3\t4\n";
-
-  for (const char *Doc : {"broken.json", "stale.json"}) {
-    CommandResult Result =
-        runTool(Dir + "/tc.dl -F " + Dir + " -D " + Dir + " --feedback=" +
-                    Dir + "/" + Doc,
-                Dir);
-    EXPECT_EQ(Result.ExitCode, 0)
-        << Doc << " aborted the run: " << Result.Output;
-    EXPECT_NE(Result.Output.find("warning:"), std::string::npos) << Doc;
-    EXPECT_NE(Result.Output.find("falling back to --sips=max-bound"),
-              std::string::npos)
-        << Doc << ": " << Result.Output;
-    EXPECT_EQ(readFile(Dir + "/path.csv"), Expected) << Doc;
+TEST(CliTest, SipsAndFeedbackAreUnknownOptions) {
+  // Join order is not a user choice: rule bodies keep source order and
+  // maintenance versions are planned max-bound, so neither tool takes the
+  // planning flags.
+  std::string Dir = makeFixture("planning_flags");
+  for (const char *Tool : {STIRD_TOOL_PATH, STIRD_SERVE_TOOL_PATH}) {
+    for (const std::string Flag : {"--sips=max-bound", "--feedback=p.json"}) {
+      CommandResult Result =
+          runCommand(std::string(Tool) + " " + Dir + "/tc.dl " + Flag, Dir);
+      ASSERT_TRUE(WIFEXITED(Result.ExitCode)) << Tool << " " << Flag;
+      EXPECT_EQ(WEXITSTATUS(Result.ExitCode), 1)
+          << Tool << " " << Flag << ": " << Result.Output;
+      const std::string Name = Flag.substr(0, Flag.find('='));
+      EXPECT_NE(Result.Output.find("unknown option '" + Name + "'"),
+                std::string::npos)
+          << Tool << " " << Flag << ": " << Result.Output;
+    }
   }
 }
 

@@ -155,13 +155,6 @@ TEST(AstToRamTest, ProfilingWrapsRulesInTimers) {
                            "b(x) :- a(x).");
   std::string Text = ram::print(*T.Ram);
   EXPECT_NE(Text.find("TIMER \"b(x) :- a(x).\""), std::string::npos);
-
-  TranslationOptions NoProfile;
-  NoProfile.EnableProfiling = false;
-  auto T2 = translateSource(".decl a(x:number)\n.decl b(x:number)\n"
-                            "b(x) :- a(x).",
-                            NoProfile);
-  EXPECT_EQ(ram::print(*T2.Ram).find("TIMER"), std::string::npos);
 }
 
 TEST(AstToRamTest, EmptinessPrechecksEmitted) {
@@ -169,13 +162,6 @@ TEST(AstToRamTest, EmptinessPrechecksEmitted) {
                            "b(x) :- a(x).");
   std::string Text = ram::print(*T.Ram);
   EXPECT_NE(Text.find("IF (NOT (a = EMPTY))"), std::string::npos);
-
-  TranslationOptions NoChecks;
-  NoChecks.EnableEmptinessChecks = false;
-  auto T2 = translateSource(".decl a(x:number)\n.decl b(x:number)\n"
-                            "b(x) :- a(x).",
-                            NoChecks);
-  EXPECT_EQ(ram::print(*T2.Ram).find("EMPTY"), std::string::npos);
 }
 
 TEST(AstToRamTest, AggregateBecomesAggregateOperation) {

@@ -5,12 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The planner in isolation (orderAtoms over hand-built descriptors, the
-/// ProfileFeedback parser and its error vocabulary) and end to end: golden
-/// RAM text for one 3-atom join under every --sips strategy, pinning both
-/// the chosen order and the sunk index bounds, plus the fallback contract
-/// for malformed or stale --feedback documents (warn and plan with
-/// max-bound — never abort).
+/// The max-bound planner in isolation (orderAtoms over hand-built
+/// descriptors) and end to end: golden RAM text for one 3-atom join, whose
+/// main-program rule keeps source order while its maintenance versions
+/// open with their driving atom and order the rest max-bound.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,9 +30,8 @@ namespace {
 // orderAtoms unit tests
 //===----------------------------------------------------------------------===//
 
-SipsAtom atom(std::size_t SourceIndex, std::vector<std::string> Vars) {
+SipsAtom atom(std::vector<std::string> Vars) {
   SipsAtom A;
-  A.SourceIndex = SourceIndex;
   for (std::string &Var : Vars) {
     SipsColumn Col;
     if (!Var.empty()) {
@@ -48,93 +45,39 @@ SipsAtom atom(std::size_t SourceIndex, std::vector<std::string> Vars) {
   return A;
 }
 
-TEST(SipsOrderTest, SourceIsAlwaysIdentity) {
-  std::vector<SipsAtom> Atoms = {atom(0, {"x", "y"}), atom(1, {"", "z"}),
-                                 atom(2, {"y", "z"})};
-  EXPECT_EQ(orderAtoms(SipsStrategy::Source, Atoms),
-            (std::vector<std::size_t>{0, 1, 2}));
-}
-
 TEST(SipsOrderTest, MaxBoundFloatsGroundAtomsForward) {
   // a(x, y), b(y, w), c(w, <const>): c starts with one ground column, so
   // max-bound opens with it, then chains through the shared variables.
-  std::vector<SipsAtom> Atoms = {atom(0, {"x", "y"}), atom(1, {"y", "w"}),
-                                 atom(2, {"w", ""})};
-  EXPECT_EQ(orderAtoms(SipsStrategy::MaxBound, Atoms),
-            (std::vector<std::size_t>{2, 1, 0}));
+  std::vector<SipsAtom> Atoms = {atom({"x", "y"}), atom({"y", "w"}),
+                                 atom({"w", ""})};
+  EXPECT_EQ(orderAtoms(Atoms), (std::vector<std::size_t>{2, 1, 0}));
 }
 
 TEST(SipsOrderTest, MaxBoundBreaksTiesBySourceIndex) {
-  std::vector<SipsAtom> Atoms = {atom(0, {"x"}), atom(1, {"y"}),
-                                 atom(2, {"z"})};
-  EXPECT_EQ(orderAtoms(SipsStrategy::MaxBound, Atoms),
-            (std::vector<std::size_t>{0, 1, 2}));
+  std::vector<SipsAtom> Atoms = {atom({"x"}), atom({"y"}), atom({"z"})};
+  EXPECT_EQ(orderAtoms(Atoms), (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(SipsOrderTest, EqualityClosureGroundsDerivedVariables) {
   // With `y = <const>` in the body, the atom over y is effectively fully
   // bound and floats ahead of the unbound one.
-  std::vector<SipsAtom> Atoms = {atom(0, {"x"}), atom(1, {"y"})};
+  std::vector<SipsAtom> Atoms = {atom({"x"}), atom({"y"})};
   const std::vector<SipsEquality> Equalities = {{"y", {}}};
-  EXPECT_EQ(orderAtoms(SipsStrategy::MaxBound, Atoms, Equalities),
-            (std::vector<std::size_t>{1, 0}));
+  EXPECT_EQ(orderAtoms(Atoms, Equalities), (std::vector<std::size_t>{1, 0}));
 }
 
-TEST(SipsOrderTest, ProfilePrefersSmallRelationsFirst) {
-  // a is huge, b tiny, c middling; all share a chain of variables. The
-  // cost model opens with b and visits a last (bound lookups are cheap
-  // even on the huge relation).
-  SipsAtom A = atom(0, {"x", "y"});
-  A.EstimatedSize = 100000;
-  SipsAtom B = atom(1, {"y", "z"});
-  B.EstimatedSize = 10;
-  SipsAtom C = atom(2, {"z", "w"});
-  C.EstimatedSize = 1000;
-  EXPECT_EQ(orderAtoms(SipsStrategy::Profile, {A, B, C}),
-            (std::vector<std::size_t>{1, 2, 0}));
+TEST(SipsOrderTest, PinnedDriverOpensTheOrder) {
+  // MaxBoundFloatsGroundAtomsForward's body with a(x, y) pinned first, as
+  // a maintenance version pins its driver: b is keyed by y, then c is
+  // fully bound.
+  std::vector<SipsAtom> Atoms = {atom({"x", "y"}), atom({"y", "w"}),
+                                 atom({"w", ""})};
+  EXPECT_EQ(orderAtoms(Atoms, {}, /*Pinned=*/1),
+            (std::vector<std::size_t>{0, 1, 2}));
 }
 
 //===----------------------------------------------------------------------===//
-// ProfileFeedback parsing
-//===----------------------------------------------------------------------===//
-
-TEST(ProfileFeedbackTest, ParsesRelationSizes) {
-  std::string Error;
-  auto Feedback = ProfileFeedback::fromJson(
-      R"({"schema": "stird-profile-v1", "relations": [
-            {"name": "edge", "final_size": 7, "peak_size": 3},
-            {"name": "delta_path", "final_size": 0, "peak_size": 41}]})",
-      &Error);
-  ASSERT_NE(Feedback, nullptr) << Error;
-  // The larger of final and peak wins: converged deltas report final 0.
-  EXPECT_EQ(Feedback->relationSize("edge"), 7);
-  EXPECT_EQ(Feedback->relationSize("delta_path"), 41);
-  EXPECT_EQ(Feedback->relationSize("unknown"), std::nullopt);
-  EXPECT_EQ(Feedback->relationCount(), 2u);
-}
-
-TEST(ProfileFeedbackTest, RejectsMalformedAndForeignDocuments) {
-  std::string Error;
-  EXPECT_EQ(ProfileFeedback::fromJson("{not json", &Error), nullptr);
-  EXPECT_NE(Error.find("invalid JSON"), std::string::npos) << Error;
-
-  EXPECT_EQ(ProfileFeedback::fromJson(R"({"schema": "other-v2"})", &Error),
-            nullptr);
-  EXPECT_NE(Error.find("stird-profile-v1"), std::string::npos) << Error;
-
-  EXPECT_EQ(
-      ProfileFeedback::fromJson(R"({"schema": "stird-profile-v1"})", &Error),
-      nullptr);
-  EXPECT_NE(Error.find("relations"), std::string::npos) << Error;
-
-  EXPECT_EQ(ProfileFeedback::fromJson(
-                R"({"schema": "stird-profile-v1", "relations": []})", &Error),
-            nullptr);
-  EXPECT_NE(Error.find("no relation sizes"), std::string::npos) << Error;
-}
-
-//===----------------------------------------------------------------------===//
-// Golden RAM per strategy
+// Golden RAM: source order for main, driver-first max-bound for maintenance
 //===----------------------------------------------------------------------===//
 
 constexpr const char *Join3 = R"(
@@ -145,110 +88,63 @@ constexpr const char *Join3 = R"(
 out(x, w) :- a(x, y), b(y, w), c(w, 1).
 )";
 
-constexpr const char *Join3Feedback =
-    R"({"schema": "stird-profile-v1", "relations": [
-          {"name": "a", "final_size": 100000, "peak_size": 100000},
-          {"name": "b", "final_size": 10, "peak_size": 10},
-          {"name": "c", "final_size": 1000, "peak_size": 1000}]})";
-
-std::string dumpRam(SipsStrategy Sips,
-                    const ProfileFeedback *Feedback = nullptr) {
+std::unique_ptr<core::Program> compileJoin3(bool EmitMaintenance) {
   core::CompileOptions Options;
-  Options.Sips = Sips;
-  Options.Feedback = Feedback;
+  Options.EmitMaintenance = EmitMaintenance;
   std::vector<std::string> Errors;
   auto Prog = core::Program::fromSource(Join3, &Errors, Options);
   EXPECT_NE(Prog, nullptr) << (Errors.empty() ? "" : Errors[0]);
-  return Prog ? Prog->dumpRam() : std::string();
+  return Prog;
+}
+
+TEST(SipsOrderTest, SourceIsAlwaysIdentity) {
+  // The main program is never reordered, even next to a maintenance plan
+  // and where max-bound would open with c: its timer carries no order.
+  auto Prog = compileJoin3(/*EmitMaintenance=*/true);
+  ASSERT_NE(Prog, nullptr);
+  const std::string Ram = Prog->dumpRam();
+  EXPECT_NE(Ram.find("TIMER \"out(x, w) :- a(x, y), b(y, w), c(w, 1).\"\n"),
+            std::string::npos)
+      << Ram;
 }
 
 TEST(SipsGoldenTest, SourceKeepsTextualOrder) {
-  EXPECT_NE(
-      dumpRam(SipsStrategy::Source).find(
-          "TIMER \"out(x, w) :- a(x, y), b(y, w), c(w, 1).\"\n"
-          "  QUERY\n"
-          "    IF (((NOT (a = EMPTY)) AND (NOT (b = EMPTY))) AND (NOT (c = "
-          "EMPTY)))\n"
-          "      FOR t0 IN a\n"
-          "        FOR t1 IN b ON INDEX (t0.1,_)\n"
-          "          FOR t2 IN c ON INDEX (t1.1,1)\n"
-          "            INSERT (t0.0,t1.1) INTO out\n"
-          "END TIMER"),
-      std::string::npos)
-      << dumpRam(SipsStrategy::Source);
+  auto Prog = compileJoin3(/*EmitMaintenance=*/false);
+  ASSERT_NE(Prog, nullptr);
+  const std::string Ram = Prog->dumpRam();
+  EXPECT_NE(Ram.find("TIMER \"out(x, w) :- a(x, y), b(y, w), c(w, 1).\"\n"
+                     "  QUERY\n"
+                     "    IF (((NOT (a = EMPTY)) AND (NOT (b = EMPTY))) AND "
+                     "(NOT (c = EMPTY)))\n"
+                     "      FOR t0 IN a\n"
+                     "        FOR t1 IN b ON INDEX (t0.1,_)\n"
+                     "          FOR t2 IN c ON INDEX (t1.1,1)\n"
+                     "            INSERT (t0.0,t1.1) INTO out\n"
+                     "END TIMER"),
+            std::string::npos)
+      << Ram;
 }
 
 TEST(SipsGoldenTest, MaxBoundOpensWithTheGroundedAtom) {
+  // The [ins] version driven by b's insertions keeps its driver first;
+  // max-bound then takes c, fully bound by w and the constant, before a.
+  auto Prog = compileJoin3(/*EmitMaintenance=*/true);
+  ASSERT_NE(Prog, nullptr);
+  const std::string Ram = Prog->dumpRam();
   EXPECT_NE(
-      dumpRam(SipsStrategy::MaxBound).find(
-          "TIMER \"out(x, w) :- a(x, y), b(y, w), c(w, 1).\" "
-          "sips=max-bound order=[2,1,0]\n"
-          "  QUERY\n"
-          "    IF (((NOT (c = EMPTY)) AND (NOT (b = EMPTY))) AND (NOT (a = "
-          "EMPTY)))\n"
-          "      FOR t0 IN c ON INDEX (_,1)\n"
-          "        FOR t1 IN b ON INDEX (_,t0.0)\n"
-          "          FOR t2 IN a ON INDEX (_,t1.0)\n"
-          "            INSERT (t2.0,t0.0) INTO out\n"
-          "END TIMER"),
+      Ram.find("TIMER \"out(x, w) :- delta_ins_b(y, w), a(x, y), c(w, 1). "
+               "[ins]\" sips=max-bound order=[0,2,1]\n"
+               "  QUERY\n"
+               "    IF (((NOT (delta_ins_b = EMPTY)) AND (NOT (c = EMPTY))) "
+               "AND (NOT (a = EMPTY)))\n"
+               "      FOR t0 IN delta_ins_b\n"
+               "        FOR t1 IN c ON INDEX (t0.1,1)\n"
+               "          FOR t2 IN a ON INDEX (_,t0.0)\n"
+               "            IF (NOT ((t2.0,t0.1) IN out))\n"
+               "              INSERT (t2.0,t0.1) INTO new_out\n"
+               "END TIMER"),
       std::string::npos)
-      << dumpRam(SipsStrategy::MaxBound);
-}
-
-TEST(SipsGoldenTest, ProfileOpensWithTheSmallestRelation) {
-  std::string Error;
-  auto Feedback = ProfileFeedback::fromJson(Join3Feedback, &Error);
-  ASSERT_NE(Feedback, nullptr) << Error;
-  EXPECT_NE(
-      dumpRam(SipsStrategy::Profile, Feedback.get()).find(
-          "TIMER \"out(x, w) :- a(x, y), b(y, w), c(w, 1).\" "
-          "sips=profile order=[1,2,0]\n"
-          "  QUERY\n"
-          "    IF (((NOT (b = EMPTY)) AND (NOT (c = EMPTY))) AND (NOT (a = "
-          "EMPTY)))\n"
-          "      FOR t0 IN b\n"
-          "        FOR t1 IN c ON INDEX (t0.1,1)\n"
-          "          FOR t2 IN a ON INDEX (_,t0.0)\n"
-          "            INSERT (t2.0,t0.1) INTO out\n"
-          "END TIMER"),
-      std::string::npos)
-      << dumpRam(SipsStrategy::Profile, Feedback.get());
-}
-
-//===----------------------------------------------------------------------===//
-// Feedback fallback: warn and degrade, never abort
-//===----------------------------------------------------------------------===//
-
-TEST(SipsFallbackTest, MissingFeedbackFileFallsBackToMaxBound) {
-  core::CompileOptions Options;
-  Options.Sips = SipsStrategy::Profile;
-  Options.FeedbackPath = "/nonexistent/profile.json";
-  std::vector<std::string> Errors;
-  auto Prog = core::Program::fromSource(Join3, &Errors, Options);
-  ASSERT_NE(Prog, nullptr) << (Errors.empty() ? "" : Errors[0]);
-  // Degraded to max-bound: the grounded atom opens the join.
-  EXPECT_NE(Prog->dumpRam().find("sips=max-bound order=[2,1,0]"),
-            std::string::npos)
-      << Prog->dumpRam();
-}
-
-TEST(SipsFallbackTest, StaleFeedbackFallsBackToMaxBound) {
-  // A valid document covering none of the program's relations.
-  std::string Error;
-  auto Feedback = ProfileFeedback::fromJson(
-      R"({"schema": "stird-profile-v1", "relations": [
-            {"name": "other", "final_size": 5, "peak_size": 5}]})",
-      &Error);
-  ASSERT_NE(Feedback, nullptr) << Error;
-  core::CompileOptions Options;
-  Options.Sips = SipsStrategy::Profile;
-  Options.Feedback = Feedback.get();
-  std::vector<std::string> Errors;
-  auto Prog = core::Program::fromSource(Join3, &Errors, Options);
-  ASSERT_NE(Prog, nullptr) << (Errors.empty() ? "" : Errors[0]);
-  EXPECT_NE(Prog->dumpRam().find("sips=max-bound order=[2,1,0]"),
-            std::string::npos)
-      << Prog->dumpRam();
+      << Ram;
 }
 
 } // namespace

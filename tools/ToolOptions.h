@@ -14,14 +14,11 @@
 #ifndef STIRD_TOOLS_TOOLOPTIONS_H
 #define STIRD_TOOLS_TOOLOPTIONS_H
 
-#include "core/Program.h"
 #include "interp/Engine.h"
-#include "translate/Sips.h"
 #include "util/Args.h"
 
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -132,37 +129,6 @@ inline void addEngineOptions(util::Args &Args, interp::EngineOptions &Options,
   Args.flag({"--no-fuse-conditions"},
             "disable fused-condition super-instructions (Section 5.2)",
             [&Options] { Options.FuseConditions = false; });
-}
-
-/// Registers the compile-time planning flags shared by stird and
-/// stird-serve. \p SipsExplicit records whether --sips appeared at all, so
-/// resolveCompileOptions() can make --feedback imply --sips=profile without
-/// overriding an explicit choice.
-inline void addCompileOptions(util::Args &Args, core::CompileOptions &Options,
-                              bool &SipsExplicit) {
-  Args.option({"--sips"}, "strategy",
-              "rule-body join order: source | max-bound | profile",
-              [&Options, &SipsExplicit](const std::string &Name) -> std::string {
-                std::optional<translate::SipsStrategy> Strategy =
-                    translate::parseSipsStrategy(Name);
-                if (!Strategy)
-                  return "unknown sips strategy '" + Name +
-                         "' (expected source, max-bound or profile)";
-                Options.Sips = *Strategy;
-                SipsExplicit = true;
-                return "";
-              });
-  Args.option({"--feedback"}, "profile.json",
-              "stird-profile-v1/-v2 document seeding the profile strategy "
-              "(implies --sips=profile)",
-              pathSink(Options.FeedbackPath));
-}
-
-/// Applies the flag-interaction defaults after parsing.
-inline void resolveCompileOptions(core::CompileOptions &Options,
-                                  bool SipsExplicit) {
-  if (!SipsExplicit && !Options.FeedbackPath.empty())
-    Options.Sips = translate::SipsStrategy::Profile;
 }
 
 } // namespace stird::tools

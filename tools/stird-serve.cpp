@@ -157,10 +157,7 @@ int main(int Argc, char **Argv) {
             "execute the program's .input/.output directives at bootstrap",
             [&Session] { Session.RunIo = true; });
   tools::addEngineOptions(Args, Session.Engine);
-  bool SipsExplicit = false;
-  tools::addCompileOptions(Args, Session.Compile, SipsExplicit);
   Args.parseOrExit(Argc, Argv);
-  tools::resolveCompileOptions(Session.Compile, SipsExplicit);
 
   if (Server.UnixPath.empty() && PortText.empty()) {
     std::fprintf(stderr,

@@ -19,16 +19,13 @@
 ///   --no-super            disable super-instructions (Section 4.4)
 ///   --no-reorder          disable static tuple reordering (Section 4.2)
 ///   --no-fuse-conditions  disable fused-condition super-instructions (5.2)
-///   --sips <strategy>     rule-body join order: source | max-bound |
-///                         profile (default source)
-///   --feedback <file>     stird-profile-v1/-v2 JSON seeding --sips=profile
-///                         (implies it); malformed or stale documents warn
-///                         and fall back to max-bound
 ///   --dump-ram            print the RAM program and exit
 ///   --profile             print the per-rule profile after the run
 ///   --profile=<file>      write the JSON profile document instead
 ///   --trace=<file>        write a Chrome trace-event timeline of the run
 ///   --synthesize <file>   write the synthesized C++ instead of running
+///
+/// Rule bodies run in source order, as the translator emits them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,8 +46,6 @@ using namespace stird;
 int main(int argc, char **argv) {
   std::string ProgramPath;
   interp::EngineOptions Options;
-  core::CompileOptions Compile;
-  bool SipsExplicit = false;
   bool DumpRam = false;
   bool DumpTree = false;
   bool Profile = false;
@@ -61,7 +56,6 @@ int main(int argc, char **argv) {
   util::Args Args("stird", "[options]");
   Args.positional("program.dl", tools::pathSink(ProgramPath));
   tools::addEngineOptions(Args, Options);
-  tools::addCompileOptions(Args, Compile, SipsExplicit);
   Args.flag({"--dump-ram"}, "print the RAM program and exit",
             [&] { DumpRam = true; });
   Args.flag({"--dump-tree"}, "print the interpreter tree and exit",
@@ -84,9 +78,8 @@ int main(int argc, char **argv) {
               "write the synthesized C++ instead of running",
               tools::pathSink(SynthesizePath));
   Args.parseOrExit(argc, argv);
-  tools::resolveCompileOptions(Compile, SipsExplicit);
 
-  auto Prog = core::Program::fromFile(ProgramPath, nullptr, Compile);
+  auto Prog = core::Program::fromFile(ProgramPath);
   if (!Prog)
     return 1;
 
